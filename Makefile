@@ -21,7 +21,7 @@ race:
 
 # Serving-layer micro-benchmarks plus the end-to-end ask bench.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkEndToEndAsk' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkEndToEndAsk|BenchmarkExecShared' -benchmem .
 
 # Run the demo server with serving defaults.
 serve:

@@ -139,6 +139,31 @@ func BenchmarkExecSampled1Pct(b *testing.B) {
 	}
 }
 
+// BenchmarkExecShared measures one shared scan answering 1, 8 and 20
+// candidates drawn the way phonetic candidate sets are: alternatives
+// for one constant on the same column, under a few aggregates.
+func BenchmarkExecShared(b *testing.B) {
+	db := benchTable(b, 200_000)
+	origins := []string{"JFK", "LGA", "EWR", "ORD", "ATL", "LAX", "SFO", "SEA",
+		"DEN", "DFW", "BOS", "BWI", "PHL", "PHX", "MIA", "MSP"}
+	aggs := []string{"avg(dep_delay)", "count(*)", "sum(distance)"}
+	for _, n := range []int{1, 8, 20} {
+		queries := make([]sqldb.Query, n)
+		for i := range queries {
+			queries[i] = sqldb.MustParse(fmt.Sprintf("SELECT %s FROM flights WHERE origin = '%s'",
+				aggs[i%len(aggs)], origins[i%len(origins)]))
+		}
+		b.Run(fmt.Sprintf("candidates=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := db.ExecShared(queries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchInstance builds a planning instance of the given size.
 func benchInstance(b *testing.B, nCands, rows, widthPx int) *core.Instance {
 	b.Helper()

@@ -15,10 +15,10 @@ import (
 // aggregate count — to sqldb's shared-scan executor, which answers all
 // of them in one pass. This subsumes the old same-template IN + GROUP
 // BY merge path: a value-merged group is just several grouped
-// candidates riding the same scan. The only candidates executed
-// individually are singletons, where the shared machinery (predicate
-// dedup maps, selection bitmaps) has nothing to amortize and measured
-// slightly slower than the direct executor.
+// candidates riding the same scan. A lone candidate rides a shared
+// scan too: its typed, closure-free filter kernels beat the direct
+// row-at-a-time executor even with nothing to share, and it reports
+// ScanStats like every other scan.
 
 // ScanGroup is the set of candidates one shared table pass answers.
 type ScanGroup struct {
@@ -31,10 +31,9 @@ type ScanGroup struct {
 // SharedPlan assigns candidates to shared scans.
 type SharedPlan struct {
 	Scans []ScanGroup
-	// Singles are candidates routed through the direct row-at-a-time
-	// executor: the sole member of a one-candidate table group, where a
-	// shared pass has nothing to share and only pays setup overhead
-	// (BENCH_scan.json's 1-candidate arm measured 0.996× speedup).
+	// Singles is always empty: every candidate, a table's only one
+	// included, rides a shared scan. It remains for callers that add
+	// direct executions to their scan counts.
 	Singles []int
 
 	queries []sqldb.Query
@@ -45,8 +44,7 @@ type SharedPlan struct {
 // expensive than the row-at-a-time alternative, because each distinct
 // predicate is evaluated at most once and the table is read once total.
 // Any query shape the engine executes — grouped, multi-aggregate, or
-// plain scalar — joins its table's scan group; only singleton groups
-// are demoted to direct execution.
+// plain scalar — joins its table's scan group, a group of one included.
 func BuildSharedPlan(queries []sqldb.Query) SharedPlan {
 	p := SharedPlan{queries: append([]sqldb.Query(nil), queries...)}
 	byTable := make(map[string]int)
@@ -59,28 +57,18 @@ func BuildSharedPlan(queries []sqldb.Query) SharedPlan {
 		}
 		p.Scans[gi].Members = append(p.Scans[gi].Members, qi)
 	}
-	scans := p.Scans[:0]
-	for _, g := range p.Scans {
-		if len(g.Members) == 1 {
-			p.Singles = append(p.Singles, g.Members[0])
-			continue
-		}
-		scans = append(scans, g)
-	}
-	p.Scans = scans
 	return p
 }
 
 // Candidates returns the number of candidate queries the plan covers.
 func (p SharedPlan) Candidates() int { return len(p.queries) }
 
-// ExecuteResults runs every scan group through the shared-scan executor
-// and the singletons through the direct executor, scattering full
-// Results back to candidate indices. This is the general entry point:
-// grouped and multi-aggregate candidates come back with their full row
-// and column shape. A sampleRate in (0, 1) runs everything on the
-// engine's deterministic sample; results are bit-identical to per-query
-// execution either way.
+// ExecuteResults runs every scan group through the shared-scan executor,
+// scattering full Results back to candidate indices. This is the
+// general entry point: grouped and multi-aggregate candidates come back
+// with their full row and column shape. A sampleRate in (0, 1) runs
+// everything on the engine's deterministic sample; results are
+// bit-identical to per-query execution either way.
 func (p SharedPlan) ExecuteResults(db *sqldb.DB, sampleRate float64, sampleSeed uint64) (map[int]sqldb.Result, sqldb.ScanStats, error) {
 	sampled := sampleRate > 0 && sampleRate < 1
 	out := make(map[int]sqldb.Result, len(p.queries))
@@ -108,22 +96,6 @@ func (p SharedPlan) ExecuteResults(db *sqldb.DB, sampleRate float64, sampleSeed 
 			out[qi] = res[mi]
 		}
 	}
-	for _, qi := range p.Singles {
-		q := p.queries[qi]
-		var (
-			res sqldb.Result
-			err error
-		)
-		if sampled {
-			res, err = db.ExecSampled(q, sampleRate, sampleSeed)
-		} else {
-			res, err = db.Exec(q)
-		}
-		if err != nil {
-			return nil, stats, fmt.Errorf("merge: executing single query: %w", err)
-		}
-		out[qi] = res
-	}
 	return out, stats, nil
 }
 
@@ -150,11 +122,10 @@ func (p SharedPlan) Execute(db *sqldb.DB, sampleRate float64, sampleSeed uint64)
 
 // ExecuteSketch answers the whole plan from precomputed aggregate
 // sketches, with zero scans at steady state. ok is false — and the map
-// nil — unless every candidate (scan-group members and singletons
-// alike) resolves from a sketch; the caller then falls back to a real
-// scan. Sketch answers equal what a sampled execution at the sketch
-// rate would return, so callers treat a hit as an approximate first
-// paint at db.SketchRate().
+// nil — unless every candidate resolves from a sketch; the caller then
+// falls back to a real scan. Sketch answers equal what a sampled
+// execution at the sketch rate would return, so callers treat a hit as
+// an approximate first paint at db.SketchRate().
 func (p SharedPlan) ExecuteSketch(db *sqldb.DB) (map[int]Result, sqldb.ScanStats, bool) {
 	if db.SketchRate() == 0 || len(p.queries) == 0 {
 		return nil, sqldb.ScanStats{}, false
@@ -175,11 +146,6 @@ func (p SharedPlan) ExecuteSketch(db *sqldb.DB) (map[int]Result, sqldb.ScanStats
 			if !lookup(qi) {
 				return nil, stats, false
 			}
-		}
-	}
-	for _, qi := range p.Singles {
-		if !lookup(qi) {
-			return nil, stats, false
 		}
 	}
 	return out, stats, true

@@ -22,13 +22,37 @@ func TestBuildSharedPlanShapes(t *testing.T) {
 		t.Fatalf("Candidates() = %d", p.Candidates())
 	}
 	// All three requests queries — scalar, grouped multi-agg, composite
-	// GROUP BY — share one scan; the lone dob_jobs query is demoted to
-	// the direct executor.
-	if len(p.Scans) != 1 || len(p.Scans[0].Members) != 3 || p.Scans[0].Table != "requests" {
+	// GROUP BY — share one scan; the lone dob_jobs query gets a shared
+	// scan of its own rather than the direct executor.
+	if len(p.Scans) != 2 || p.Scans[0].Table != "requests" || len(p.Scans[0].Members) != 3 {
 		t.Fatalf("scans = %+v", p.Scans)
 	}
-	if len(p.Singles) != 1 || p.Singles[0] != 2 {
-		t.Fatalf("singles = %v, want [2]", p.Singles)
+	if g := p.Scans[1]; g.Table != "dob_jobs" || len(g.Members) != 1 || g.Members[0] != 2 {
+		t.Fatalf("scans[1] = %+v, want dob_jobs with member 2", g)
+	}
+	if len(p.Singles) != 0 {
+		t.Fatalf("singles = %v, want none", p.Singles)
+	}
+}
+
+// TestSingleCandidateRidesSharedScan: a lone candidate is answered by a
+// shared scan of its own, so its answer carries scan statistics.
+func TestSingleCandidateRidesSharedScan(t *testing.T) {
+	db := mergeDB(t)
+	query := q("SELECT avg(response_hours) FROM requests WHERE borough = 'Brooklyn'")
+	got, stats, err := BuildSharedPlan([]sqldb.Query{query}).ExecuteResults(db, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Scans != 1 || stats.Candidates != 1 || stats.Rows == 0 || stats.SharedPredicates != 1 {
+		t.Fatalf("stats = %+v, want one scan over one candidate", stats)
+	}
+	want, err := db.Exec(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := resultDiff(got[0], want); diff != "" {
+		t.Fatalf("mismatch: %s", diff)
 	}
 }
 

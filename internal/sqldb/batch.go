@@ -1,18 +1,23 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // scanBatchRows is the number of rows one shared-scan batch covers. The
 // batch is the unit of predicate vectorization: each distinct predicate
 // fills one selection bitmap per batch, candidates AND the bitmaps they
-// reference, and accumulation walks the surviving bits. 2048 rows keeps
+// reference, and accumulation walks the surviving words. 2048 rows keeps
 // a batch's bitmaps (32 words each) and the touched column slices inside
 // the L1 cache while amortizing the per-batch setup across enough rows.
 const scanBatchRows = 2048
+
+// batchWords is the number of bitmap words covering one batch.
+const batchWords = scanBatchRows / 64
 
 // bitmap is a selection vector over the rows of one batch: bit k set
 // means batch-local row k survives. Word granularity makes predicate
@@ -52,164 +57,283 @@ func (b bitmap) copyFrom(o bitmap, nWords int) {
 	copy(b[:nWords], o[:nWords])
 }
 
-// forEach calls f for every set bit among the first n, in increasing
-// order — the property the shared scan relies on for bit-identical
-// float aggregation against the row-at-a-time path.
-func (b bitmap) forEach(n int, f func(k int)) {
-	nWords := (n + 63) / 64
-	for wi := 0; wi < nWords; wi++ {
-		w := b[wi]
-		base := wi << 6
-		for w != 0 {
-			k := base + bits.TrailingZeros64(w)
-			f(k)
-			w &= w - 1
-		}
-	}
-}
+// filterShape names the closure-free kernel a compiled predicate runs,
+// chosen once from the column kind and the number of constants that
+// resolve against the data.
+type filterShape uint8
 
-// count returns the number of set bits among the first n.
-func (b bitmap) count(n int) int {
-	nWords := (n + 63) / 64
-	total := 0
-	for i := 0; i < nWords; i++ {
-		total += bits.OnesCount64(b[i])
-	}
-	return total
-}
+const (
+	shapeNever    filterShape = iota // no constant can match: no kernel runs
+	shapeCode                        // string column, one dictionary code
+	shapeCodeSet                     // string column, several dictionary codes
+	shapeInt                         // int column, one value
+	shapeIntSet                      // int column, several values
+	shapeFloatSet                    // float column, one or more values
+)
 
-// batchFiller writes match bits for rows [lo, lo+n) into dst: word i of
-// dst receives the verdicts for batch-local rows [64i, 64i+64). Fillers
-// overwrite every word that covers a row, so dst needs no prior clear;
-// bits past n within the last word may be garbage and are masked out by
-// ANDing against a base bitmap whose tail is zero.
-type batchFiller func(dst bitmap, lo, n int)
-
-// batchFilter is one predicate compiled for vectorized evaluation.
+// batchFilter is one predicate compiled for vectorized evaluation: the
+// shape selects the kernel and the typed fields feed it.
 type batchFilter struct {
-	fill batchFiller
+	shape  filterShape
+	col    *Column
+	code   int32     // shapeCode
+	member []bool    // shapeCodeSet, indexed by dictionary code
+	ints   []int64   // shapeInt (one value), shapeIntSet
+	floats []float64 // shapeFloatSet
 }
 
-// compileBatchFilter resolves a predicate into a per-batch vectorized
-// filler, mirroring compilePredicate's semantics exactly: string
-// constants become dictionary-code comparisons, multi-value INs become
-// a bitset over codes, and the always/never classifications match the
-// row-at-a-time compiler so both paths select identical rows.
-func compileBatchFilter(t *Table, p Predicate) (f batchFilter, always, never bool, err error) {
+// resolveFilter resolves a predicate's constants against its column,
+// mirroring compilePredicate's semantics exactly: string constants become
+// dictionary codes (constants absent from the dictionary drop out),
+// integral floats compare against int columns, numerics compare against
+// float columns by value, and a predicate left with no constant matches
+// no row — so both paths select identical rows. Each resolved constant is
+// 64 bits (code, int or float bits), appended sorted and distinct to vals.
+// The key appended to key is the predicate's identity by meaning — column
+// and resolved constants, which also determine the kernel — so
+// `c = 'x'`, `c IN ('x')` and `c IN ('x', 'absent')` are one filter.
+// Neither slice is retained, so callers can pass stack buffers and build
+// the kernel (newBatchFilter) only for a key they have not seen.
+func resolveFilter(t *Table, p Predicate, vals []uint64, key []byte) (*Column, []uint64, []byte, error) {
 	c := t.Column(p.Col)
 	if c == nil {
-		return batchFilter{}, false, false, fmt.Errorf("sqldb: unknown column %q", p.Col)
+		return nil, nil, nil, fmt.Errorf("sqldb: unknown column %q", p.Col)
 	}
-	switch c.Kind {
-	case KindString:
-		codes := make(map[int32]struct{}, len(p.Values))
-		for _, v := range p.Values {
+	if c.Kind != KindString && c.Kind != KindInt && c.Kind != KindFloat {
+		return nil, nil, nil, fmt.Errorf("sqldb: predicate on invalid column %q", p.Col)
+	}
+	for _, v := range p.Values {
+		switch c.Kind {
+		case KindString:
 			if v.K != KindString {
 				continue // numeric literal never equals a string
 			}
 			if code, ok := c.code(v.S); ok {
-				codes[code] = struct{}{}
+				vals = append(vals, uint64(code))
 			}
-		}
-		if len(codes) == 0 {
-			return batchFilter{}, false, true, nil
-		}
-		col := c.codes
-		if len(codes) == 1 {
-			var want int32
-			for k := range codes {
-				want = k
-			}
-			return batchFilter{fill: func(dst bitmap, lo, n int) {
-				fillCompare(dst, n, func(k int) bool { return col[lo+k] == want })
-			}}, false, false, nil
-		}
-		member := make([]bool, len(c.dict))
-		for k := range codes {
-			member[k] = true
-		}
-		return batchFilter{fill: func(dst bitmap, lo, n int) {
-			fillCompare(dst, n, func(k int) bool { return member[col[lo+k]] })
-		}}, false, false, nil
-	case KindInt:
-		wants := make(map[int64]struct{}, len(p.Values))
-		for _, v := range p.Values {
+		case KindInt:
 			switch v.K {
 			case KindInt:
-				wants[v.I] = struct{}{}
+				vals = append(vals, uint64(v.I))
 			case KindFloat:
 				if v.F == math.Trunc(v.F) {
-					wants[int64(v.F)] = struct{}{}
+					vals = append(vals, uint64(int64(v.F)))
 				}
 			}
-		}
-		if len(wants) == 0 {
-			return batchFilter{}, false, true, nil
-		}
-		col := c.ints
-		if len(wants) == 1 {
-			var want int64
-			for k := range wants {
-				want = k
+		case KindFloat:
+			if v.K != KindInt && v.K != KindFloat {
+				continue
 			}
-			return batchFilter{fill: func(dst bitmap, lo, n int) {
-				fillCompare(dst, n, func(k int) bool { return col[lo+k] == want })
-			}}, false, false, nil
-		}
-		return batchFilter{fill: func(dst bitmap, lo, n int) {
-			fillCompare(dst, n, func(k int) bool {
-				_, ok := wants[col[lo+k]]
-				return ok
-			})
-		}}, false, false, nil
-	case KindFloat:
-		wants := make([]float64, 0, len(p.Values))
-		for _, v := range p.Values {
-			if v.K == KindInt || v.K == KindFloat {
-				wants = append(wants, v.AsFloat())
+			x := v.AsFloat()
+			if x != x {
+				continue // NaN equals nothing
 			}
+			if x == 0 {
+				x = 0 // -0 and +0 match the same rows
+			}
+			vals = append(vals, math.Float64bits(x))
 		}
-		if len(wants) == 0 {
-			return batchFilter{}, false, true, nil
-		}
-		col := c.floats
-		return batchFilter{fill: func(dst bitmap, lo, n int) {
-			fillCompare(dst, n, func(k int) bool {
-				x := col[lo+k]
-				for _, w := range wants {
-					if x == w {
-						return true
-					}
-				}
-				return false
-			})
-		}}, false, false, nil
 	}
-	return batchFilter{}, false, false, fmt.Errorf("sqldb: predicate on invalid column %q", p.Col)
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+
+	key = binary.AppendUvarint(key, uint64(len(p.Col)))
+	key = append(key, p.Col...)
+	for _, v := range vals {
+		key = binary.LittleEndian.AppendUint64(key, v)
+	}
+	return c, vals, key, nil
 }
 
-// fillCompare accumulates per-row verdicts into 64-bit words, flushing
-// one word per 64 rows — the scalar core every filler shares.
-func fillCompare(dst bitmap, n int, match func(k int) bool) {
-	var w uint64
-	for k := 0; k < n; k++ {
-		if match(k) {
-			w |= 1 << uint(k&63)
+// newBatchFilter builds the kernel for constants resolveFilter resolved
+// against col.
+func newBatchFilter(col *Column, vals []uint64) batchFilter {
+	f := batchFilter{col: col}
+	switch {
+	case len(vals) == 0:
+		f.shape = shapeNever
+	case col.Kind == KindString && len(vals) == 1:
+		f.shape, f.code = shapeCode, int32(vals[0])
+	case col.Kind == KindString:
+		f.shape = shapeCodeSet
+		f.member = make([]bool, len(col.dict))
+		for _, code := range vals {
+			f.member[code] = true
 		}
-		if k&63 == 63 {
-			dst[k>>6] = w
-			w = 0
+	case col.Kind == KindInt:
+		f.shape = shapeIntSet
+		if len(vals) == 1 {
+			f.shape = shapeInt
+		}
+		for _, v := range vals {
+			f.ints = append(f.ints, int64(v))
+		}
+	default:
+		f.shape = shapeFloatSet
+		for _, v := range vals {
+			f.floats = append(f.floats, math.Float64frombits(v))
 		}
 	}
-	if n&63 != 0 {
-		dst[(n-1)>>6] = w
+	return f
+}
+
+// fill writes the filter's verdicts for rows [lo, lo+n) into dst, one
+// 64-row word at a time, with every bit past n cleared. The kernel is
+// picked once per batch; no function value is called per row.
+func (f *batchFilter) fill(dst bitmap, lo, n int) {
+	switch f.shape {
+	case shapeCode:
+		fillEq(dst, f.col.codes[lo:lo+n], f.code)
+	case shapeCodeSet:
+		fillMember(dst, f.col.codes[lo:lo+n], f.member)
+	case shapeInt:
+		fillEq(dst, f.col.ints[lo:lo+n], f.ints[0])
+	case shapeIntSet:
+		fillIn(dst, f.col.ints[lo:lo+n], f.ints)
+	case shapeFloatSet:
+		fillIn(dst, f.col.floats[lo:lo+n], f.floats)
+	}
+}
+
+// match reports whether row i satisfies the filter: fill's verdict for
+// one row, for sampled scans, where most rows need none.
+func (f *batchFilter) match(i int) bool {
+	switch f.shape {
+	case shapeCode:
+		return f.col.codes[i] == f.code
+	case shapeCodeSet:
+		return f.member[f.col.codes[i]]
+	case shapeInt:
+		return f.col.ints[i] == f.ints[0]
+	case shapeIntSet:
+		return slices.Contains(f.ints, f.col.ints[i])
+	case shapeFloatSet:
+		return slices.Contains(f.floats, f.col.floats[i])
+	}
+	return false
+}
+
+// fillSparse writes the filter's verdicts for just the rows base
+// selects, base's word i covering rows [lo+64i, lo+64i+64); every other
+// bit of dst is cleared. A sampled scan's filter work thus shrinks with
+// its sample, which keeps approximate first paints cheaper than exact
+// scans.
+func (f *batchFilter) fillSparse(dst, base bitmap, lo int) {
+	for wi, b := range base {
+		var w uint64
+		for ; b != 0; b &= b - 1 {
+			k := bits.TrailingZeros64(b)
+			w |= b2u(f.match(lo+wi<<6+k)) << uint(k)
+		}
+		dst[wi] = w
+	}
+}
+
+// b2u converts a verdict to a bit without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// fillEq sets bit k of dst where col[k] == want. The kernels mask
+// their shift counts with 63, which lets the compiler drop its guard
+// for shifts of 64 or more.
+func fillEq[T int32 | int64](dst bitmap, col []T, want T) {
+	for wi := 0; len(col) > 0; wi++ {
+		chunk := col[:min(64, len(col))]
+		col = col[len(chunk):]
+		var w uint64
+		for j, x := range chunk {
+			w |= b2u(x == want) << (uint(j) & 63)
+		}
+		dst[wi] = w
+	}
+}
+
+// fillMember sets bit k of dst where member[codes[k]].
+func fillMember(dst bitmap, codes []int32, member []bool) {
+	for wi := 0; len(codes) > 0; wi++ {
+		chunk := codes[:min(64, len(codes))]
+		codes = codes[len(chunk):]
+		var w uint64
+		for j, c := range chunk {
+			w |= b2u(member[c]) << (uint(j) & 63)
+		}
+		dst[wi] = w
+	}
+}
+
+// fillIn sets bit k of dst where col[k] equals any of wants. Value sets
+// come from IN lists a user spoke, so a linear probe beats hashing.
+func fillIn[T int64 | float64](dst bitmap, col []T, wants []T) {
+	for wi := 0; len(col) > 0; wi++ {
+		chunk := col[:min(64, len(col))]
+		col = col[len(chunk):]
+		var w uint64
+		for j, x := range chunk {
+			var hit uint64
+			for _, v := range wants {
+				hit |= b2u(x == v)
+			}
+			w |= hit << (uint(j) & 63)
+		}
+		dst[wi] = w
+	}
+}
+
+// codePass fills every single-code filter on one string column in one
+// pass over that column's codes. A phonetic candidate set is mostly
+// alternatives for one constant, so several `col = 'code'` filters
+// usually hit the same column; instead of one pass per filter, each row
+// sets its bit in the bitmap its code maps to. Codes no filter wants map
+// to a scratch bitmap, so the loop has no data-dependent branch. From
+// two filters on it beats a kernel per filter: over 200k rows one pass
+// took about 0.6 ms for any filter count, against 0.7 ms for two
+// kernels and 2.4 ms for seven.
+type codePass struct {
+	codes []int32
+	// slot maps a dictionary code to the word offset of its bitmap in
+	// slab; unwanted codes map to the scratch bitmap at the end.
+	slot []int32
+	slab bitmap
+}
+
+// newCodePass sets up the one-pass fill of the single-code filters fis
+// (distinct codes on col, which identity-keyed filters guarantee) and
+// points each filter's bitmap at its slab slot.
+func newCodePass(col *Column, filters []batchFilter, fis []int, bms []bitmap) *codePass {
+	p := &codePass{
+		codes: col.codes,
+		slot:  make([]int32, len(col.dict)),
+		slab:  make(bitmap, (len(fis)+1)*batchWords),
+	}
+	scratch := int32(len(fis) * batchWords)
+	for code := range p.slot {
+		p.slot[code] = scratch
+	}
+	for s, fi := range fis {
+		off := s * batchWords
+		p.slot[filters[fi].code] = int32(off)
+		bms[fi] = p.slab[off : off+batchWords]
+	}
+	return p
+}
+
+// fill sets every filter's bits for rows [lo, lo+n).
+func (p *codePass) fill(lo, n int) {
+	slab, slot := p.slab, p.slot
+	clear(slab)
+	for k, c := range p.codes[lo : lo+n] {
+		slab[int(slot[c])+k>>6] |= 1 << uint(k&63)
 	}
 }
 
 // fillSample writes the deterministic sample bitmap for rows [lo, lo+n):
 // exactly the rows filterRowsRange keeps (rowHash at or below the rate
-// threshold), including every trailing bit cleared, so it doubles as the
-// AND base that masks filler tail garbage.
+// threshold), with every trailing bit cleared, so it doubles as the AND
+// base of every candidate's selection.
 func fillSample(dst bitmap, lo, n int, seed, threshold uint64) {
 	var w uint64
 	for k := 0; k < n; k++ {

@@ -1,8 +1,11 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -64,10 +67,10 @@ func (s ScanStats) Empty() bool { return s == ScanStats{} }
 // directly by dictionary code (states[code*nAggs+j]); composite group
 // keys fall back to hash aggregation, mirroring groupAggregate.
 type scanCandidate struct {
-	filters []int // sorted indices into the distinct-filter list
+	filters []int // sorted, distinct indices into the distinct-filter list
 	never   bool  // some predicate can match no row
 	q       Query
-	accs    []func(i int) float64
+	inputs  []aggInput
 	nAggs   int
 
 	// Flat accumulator storage: ungrouped (len nAggs) or dictionary-code
@@ -88,12 +91,67 @@ type hashedGroup struct {
 	states []aggState
 }
 
+// aggInput is one aggregate's typed input column. Both slices are nil
+// for COUNT: its result depends on the accumulator's row count alone,
+// so COUNT of any column folds like COUNT(*).
+type aggInput struct {
+	ints   []int64
+	floats []float64
+}
+
+// newAggInput resolves an aggregate's input column.
+func newAggInput(t *Table, a Aggregate) aggInput {
+	if a.Func == AggCount || a.Col == "" {
+		return aggInput{}
+	}
+	c := t.Column(a.Col)
+	return aggInput{ints: c.ints, floats: c.floats}
+}
+
+// addRow folds row i into s.
+func (in aggInput) addRow(s *aggState, i int) {
+	switch {
+	case in.ints != nil:
+		s.add(float64(in.ints[i]))
+	case in.floats != nil:
+		s.add(in.floats[i])
+	default:
+		s.count++
+	}
+}
+
+// foldWords folds the rows selected by sel's words — batch-local rows
+// starting at table row lo — into s, in ascending row order, so the
+// float additions happen in exactly the row-at-a-time order.
+func (in aggInput) foldWords(s *aggState, sel bitmap, lo int) {
+	switch {
+	case in.ints != nil:
+		for wi, w := range sel {
+			base := lo + wi<<6
+			for ; w != 0; w &= w - 1 {
+				s.add(float64(in.ints[base+bits.TrailingZeros64(w)]))
+			}
+		}
+	case in.floats != nil:
+		for wi, w := range sel {
+			base := lo + wi<<6
+			for ; w != 0; w &= w - 1 {
+				s.add(in.floats[base+bits.TrailingZeros64(w)])
+			}
+		}
+	default:
+		for _, w := range sel {
+			s.count += int64(bits.OnesCount64(w))
+		}
+	}
+}
+
 // newScanCandidate sets up accumulator storage for one validated query.
 func newScanCandidate(t *Table, q Query) *scanCandidate {
 	c := &scanCandidate{q: q, nAggs: len(q.Aggs)}
-	c.accs = make([]func(i int) float64, c.nAggs)
+	c.inputs = make([]aggInput, c.nAggs)
 	for j, a := range q.Aggs {
-		c.accs[j] = numericAccessor(t, a)
+		c.inputs[j] = newAggInput(t, a)
 	}
 	switch {
 	case len(q.GroupBy) == 0:
@@ -112,18 +170,36 @@ func newScanCandidate(t *Table, q Query) *scanCandidate {
 	return c
 }
 
-// fold accumulates row i into the candidate's aggregates. Rows arrive
-// in ascending order, so every group's accumulator sees exactly the
-// float additions — in exactly the order — the row-at-a-time path
-// performs for that group.
+// foldBatch accumulates the rows sel selects — batch-local rows starting
+// at table row lo — into the candidate's aggregates. Ungrouped
+// candidates fold word at a time (popcounts for COUNT, indexed typed
+// reads otherwise); grouped candidates fold row by row. Either way each
+// accumulator sees its rows in ascending order, so every group's
+// accumulator performs exactly the float additions — in exactly the
+// order — the row-at-a-time path performs for that group.
+func (c *scanCandidate) foldBatch(sel bitmap, lo int) {
+	if c.keyCol == nil && c.keyCols == nil {
+		for j, in := range c.inputs {
+			in.foldWords(&c.states[j], sel, lo)
+		}
+		return
+	}
+	for wi, w := range sel {
+		base := lo + wi<<6
+		for ; w != 0; w &= w - 1 {
+			c.fold(base + bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// fold accumulates row i into a grouped candidate's aggregates.
 func (c *scanCandidate) fold(i int) {
-	states := c.states
-	switch {
-	case c.keyCol != nil:
+	var states []aggState
+	if c.keyCol != nil {
 		code := c.keyCol.codes[i]
 		c.seen[code] = true
 		states = c.states[int(code)*c.nAggs : (int(code)+1)*c.nAggs]
-	case c.keyCols != nil:
+	} else {
 		c.keyBuf = c.keyBuf[:0]
 		for _, kc := range c.keyCols {
 			c.keyBuf = appendKeyPart(c.keyBuf, kc, i)
@@ -139,12 +215,8 @@ func (c *scanCandidate) fold(i int) {
 		}
 		states = g.states
 	}
-	for j := 0; j < c.nAggs; j++ {
-		if c.accs[j] == nil {
-			states[j].count++
-		} else {
-			states[j].add(c.accs[j](i))
-		}
+	for j, in := range c.inputs {
+		in.addRow(&states[j], i)
 	}
 }
 
@@ -204,25 +276,31 @@ func (c *scanCandidate) result(scale float64) Result {
 
 // sharedScan evaluates every candidate query over t — any mix of
 // ungrouped, grouped and multi-aggregate shapes — in ONE pass over the
-// table. Distinct predicates are compiled once and evaluated once per
-// batch into selection bitmaps; candidates sharing the same predicate
-// signature share the combined bitmap; surviving rows are folded into
-// per-candidate accumulators in ascending row order, which makes every
-// result bit-identical to the row-at-a-time path (same float additions
-// in the same order, same deterministic sample membership, same group
-// output order by construction: ascending batches, ascending set bits,
-// and group emission ordered exactly as the serial executor orders it).
-func sharedScan(t *Table, queries []Query, opt execOptions) ([]Result, ScanStats, error) {
+// table. Distinct predicates (by meaning, see batchFilter) are compiled
+// once into typed kernels and evaluated once per batch into selection
+// bitmaps, with all single-code filters on one string column filled in
+// one pass over its codes (sampled scans check filters at sampled rows
+// only); candidates sharing the same filter set share
+// the combined bitmap; surviving rows are folded into per-candidate
+// accumulators in ascending row order, which makes every result
+// bit-identical to the row-at-a-time path (same float additions in the
+// same order, same deterministic sample membership, same group output
+// order by construction: ascending batches, ascending set bits, and
+// group emission ordered exactly as the serial executor orders it).
+// A rate in (0, 1) runs on the deterministic sample ExecSampled reads
+// for the same seed; results are scaled like ExecSampled's.
+func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result, ScanStats, error) {
 	stats := ScanStats{Scans: 1, Rows: int64(t.NumRows()), Candidates: int64(len(queries))}
 	if len(queries) == 0 {
 		return nil, ScanStats{}, nil
 	}
 
-	// Compile: dedup predicates across candidates by their rendered form
-	// (which covers column, operator and constants).
+	// Compile: dedup predicates across candidates by meaning.
+	// Only a predicate's first spelling builds a kernel.
 	filterIdx := make(map[string]int)
-	var fills []batchFiller
-	var nevers []bool
+	var filters []batchFilter
+	var valBuf [8]uint64
+	var keyBuf [96]byte
 	cands := make([]*scanCandidate, len(queries))
 	for qi, q := range queries {
 		if err := q.Validate(t); err != nil {
@@ -232,30 +310,29 @@ func sharedScan(t *Table, queries []Query, opt execOptions) ([]Result, ScanStats
 		stats.Predicates += int64(len(q.Preds))
 		stats.Aggregates += int64(len(q.Aggs))
 		for _, p := range q.Preds {
-			key := p.String()
-			fi, ok := filterIdx[key]
-			if !ok {
-				f, _, never, err := compileBatchFilter(t, p)
-				if err != nil {
-					return nil, ScanStats{}, err
-				}
-				fi = len(fills)
-				filterIdx[key] = fi
-				fills = append(fills, f.fill)
-				nevers = append(nevers, never)
+			col, vals, key, err := resolveFilter(t, p, valBuf[:0], keyBuf[:0])
+			if err != nil {
+				return nil, ScanStats{}, err
 			}
-			if nevers[fi] {
+			fi, ok := filterIdx[string(key)]
+			if !ok {
+				fi = len(filters)
+				filterIdx[string(key)] = fi
+				filters = append(filters, newBatchFilter(col, vals))
+			}
+			if filters[fi].shape == shapeNever {
 				cand.never = true
 			} else {
 				cand.filters = append(cand.filters, fi)
 			}
 		}
-		sort.Ints(cand.filters)
+		slices.Sort(cand.filters)
+		cand.filters = slices.Compact(cand.filters)
 		cands[qi] = cand
 	}
-	stats.SharedPredicates = int64(len(fills))
+	stats.SharedPredicates = int64(len(filters))
 
-	// Group candidates by filter signature so each distinct conjunction
+	// Group candidates by filter set so each distinct conjunction
 	// combines its bitmaps — and walks its surviving rows — exactly once.
 	type scanGroup struct {
 		filters []int
@@ -263,61 +340,90 @@ func sharedScan(t *Table, queries []Query, opt execOptions) ([]Result, ScanStats
 	}
 	groupIdx := make(map[string]int)
 	var groups []*scanGroup
+	var sigBuf [64]byte
 	for _, cand := range cands {
 		if cand.never {
 			continue // empty selection; its zero state already renders correctly
 		}
-		sig := fmt.Sprint(cand.filters)
-		gi, ok := groupIdx[sig]
+		sig := sigBuf[:0]
+		for _, fi := range cand.filters {
+			sig = binary.AppendUvarint(sig, uint64(fi))
+		}
+		gi, ok := groupIdx[string(sig)]
 		if !ok {
 			gi = len(groups)
-			groupIdx[sig] = gi
+			groupIdx[string(sig)] = gi
 			groups = append(groups, &scanGroup{filters: cand.filters})
 		}
 		groups[gi].members = append(groups[gi].members, cand)
 	}
 
-	// Only fill bitmaps some live group still references.
-	used := make([]bool, len(fills))
+	// Plan the kernels for the filters some live group still references:
+	// several single-code filters on one column share a one-pass fill;
+	// every other filter runs its own kernel. A sampled scan instead
+	// checks every filter at sampled rows only, so its filter work shrinks
+	// with its sample.
+	sampling := rate > 0 && rate < 1
+	var threshold uint64
+	if sampling {
+		// Must match filterRowsRange's expression exactly so both paths
+		// agree on sample membership.
+		threshold = uint64(rate * float64(math.MaxUint64))
+	}
+	used := make([]bool, len(filters))
 	for _, g := range groups {
 		for _, fi := range g.filters {
 			used[fi] = true
 		}
 	}
-
-	sampling := opt.sampleRate > 0 && opt.sampleRate < 1
-	var threshold uint64
-	if sampling {
-		// Must match filterRowsRange's expression exactly so both paths
-		// agree on sample membership.
-		threshold = uint64(opt.sampleRate * float64(math.MaxUint64))
+	bms := make([]bitmap, len(filters))
+	var passes []*codePass
+	if !sampling {
+		byCol := make(map[*Column][]int)
+		var cols []*Column
+		for fi, f := range filters {
+			if used[fi] && f.shape == shapeCode {
+				if byCol[f.col] == nil {
+					cols = append(cols, f.col)
+				}
+				byCol[f.col] = append(byCol[f.col], fi)
+			}
+		}
+		for _, col := range cols {
+			if fis := byCol[col]; len(fis) > 1 {
+				passes = append(passes, newCodePass(col, filters, fis, bms))
+			}
+		}
+	}
+	var own []int
+	for fi := range filters {
+		if used[fi] && bms[fi] == nil {
+			bms[fi] = newBitmap(scanBatchRows)
+			own = append(own, fi)
+		}
 	}
 
+	// base selects the batch's rows in the sample (or all of them).
 	base := newBitmap(scanBatchRows)
 	cur := newBitmap(scanBatchRows)
-	filterBms := make([]bitmap, len(fills))
-	for fi := range filterBms {
-		if used[fi] {
-			filterBms[fi] = newBitmap(scanBatchRows)
-		}
-	}
-
 	rows := t.NumRows()
 	for lo := 0; lo < rows; lo += scanBatchRows {
-		n := rows - lo
-		if n > scanBatchRows {
-			n = scanBatchRows
-		}
+		n := min(rows-lo, scanBatchRows)
 		stats.Batches++
 		nWords := (n + 63) / 64
 		if sampling {
-			fillSample(base, lo, n, opt.sampleSeed, threshold)
+			fillSample(base, lo, n, seed, threshold)
 		} else {
 			base.setAll(n)
 		}
-		for fi := range filterBms {
-			if used[fi] {
-				fills[fi](filterBms[fi], lo, n)
+		for _, p := range passes {
+			p.fill(lo, n)
+		}
+		for _, fi := range own {
+			if sampling {
+				filters[fi].fillSparse(bms[fi][:nWords], base[:nWords], lo)
+			} else {
+				filters[fi].fill(bms[fi], lo, n)
 			}
 		}
 		for _, g := range groups {
@@ -325,23 +431,19 @@ func sharedScan(t *Table, queries []Query, opt execOptions) ([]Result, ScanStats
 			if len(g.filters) > 0 {
 				cur.copyFrom(base, nWords)
 				for _, fi := range g.filters {
-					cur.and(filterBms[fi], nWords)
+					cur.and(bms[fi], nWords)
 				}
 				sel = cur
 			}
-			members := g.members
-			sel.forEach(n, func(k int) {
-				i := lo + k
-				for _, m := range members {
-					m.fold(i)
-				}
-			})
+			for _, m := range g.members {
+				m.foldBatch(sel[:nWords], lo)
+			}
 		}
 	}
 
 	scale := 1.0
 	if sampling {
-		scale = 1 / opt.sampleRate
+		scale = 1 / rate
 	}
 	out := make([]Result, len(queries))
 	for qi, cand := range cands {
@@ -438,7 +540,7 @@ func (db *DB) execShared(queries []Query, rate float64, seed uint64) ([]Result, 
 		return nil, ScanStats{}, err
 	}
 	start := time.Now()
-	res, stats, err := sharedScan(t, queries, execOptions{sampleRate: rate, sampleSeed: seed})
+	res, stats, err := sharedScan(t, queries, rate, seed)
 	// The whole point: one scan's worth of data movement feeds every
 	// candidate, so the throughput model charges the table ONCE — not
 	// once per query like the row-at-a-time path.

@@ -162,6 +162,48 @@ func TestSharedScanDedupsPredicates(t *testing.T) {
 	if stats.Predicates != 3 || stats.SharedPredicates != 1 {
 		t.Fatalf("stats = %+v, want 3 predicate instances deduplicated to 1", stats)
 	}
+
+	// Filters are identified by meaning, not spelling: each group below
+	// selects the same rows however it is written, so it shares one
+	// bitmap.
+	for _, spellings := range [][]Predicate{
+		{
+			pred,
+			{Col: "cat", Op: OpIn, Values: []Value{Str("apples")}},
+			{Col: "cat", Op: OpIn, Values: []Value{Str("apples"), Str("apples")}},
+			{Col: "cat", Op: OpIn, Values: []Value{Str("apples"), Str("kiwis")}},
+		},
+		{
+			{Col: "qty", Op: OpIn, Values: []Value{Int(4), Int(2)}},
+			{Col: "qty", Op: OpIn, Values: []Value{Float(2), Int(4), Float(2.5)}},
+		},
+		{
+			{Col: "price", Op: OpEq, Values: []Value{Float(0)}},
+			{Col: "price", Op: OpIn, Values: []Value{Float(math.Copysign(0, -1)), Int(0)}},
+		},
+	} {
+		var queries []Query
+		for _, p := range spellings {
+			queries = append(queries, Query{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales", Preds: []Predicate{p}})
+		}
+		got, stats, err := db.ExecShared(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Predicates != int64(len(spellings)) || stats.SharedPredicates != 1 {
+			t.Fatalf("%v: stats = %+v, want %d spellings of one predicate deduplicated to 1",
+				spellings, stats, len(spellings))
+		}
+		for i, q := range queries {
+			want, err := db.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameValue(got[i], want.Rows[0][0]) {
+				t.Fatalf("%s: shared=%v rowwise=%v", q.SQL(), got[i], want.Rows[0][0])
+			}
+		}
+	}
 }
 
 // TestSharedScanRejectsMixedTables checks the same-table precondition.
