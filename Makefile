@@ -19,9 +19,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Serving-layer micro-benchmarks plus the end-to-end ask bench.
+# Serving-layer micro-benchmarks plus the end-to-end plot and voice ask
+# benches.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkEndToEndAsk|BenchmarkExecShared' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkEndToEndAsk|BenchmarkAskVoice|BenchmarkExecShared' -benchmem .
 
 # Run the demo server with serving defaults.
 serve:

@@ -303,6 +303,34 @@ func BenchmarkEndToEndAsk(b *testing.B) {
 	}
 }
 
+// BenchmarkAskVoice answers a fixed seeded set of utterances as greedy
+// voice answers over a 120k-row DOB table: fact planning plus one shared
+// scan for the spoken values.
+func BenchmarkAskVoice(b *testing.B) {
+	tbl, err := workload.Build(workload.DOB, 120_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db := sqldb.NewDB()
+	db.Register(tbl)
+	sys, err := New(db, tbl.Name, WithAnswerMode(ModeVoice), WithSolver(SolverGreedy))
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewQueryGen(tbl, rand.New(rand.NewSource(1)))
+	utterances := make([]string, 32)
+	for i := range utterances {
+		utterances[i] = workload.Utterance(gen.Random(3))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.AskVoice(utterances[i%len(utterances)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Ablation benches (design choices from DESIGN.md) ---------------------
 
 // Ablation 3: the polish step of the greedy algorithm.

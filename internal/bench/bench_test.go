@@ -8,7 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"muve/internal/core"
+	"muve/internal/nlq"
+	"muve/internal/progressive"
+	"muve/internal/sqldb"
 	"muve/internal/usermodel"
+	"muve/internal/workload"
 )
 
 // fastCfg is the scaled-down configuration used throughout these tests.
@@ -180,15 +185,19 @@ func TestProgSweepShapes(t *testing.T) {
 		return nil
 	}
 	full := 1.0
-	// Paper shape (Fig 9): at the largest size, approximation's F-Time
-	// beats the exact default's.
 	appD := cell(full, "App-1%")
 	greedy := cell(full, "Greedy")
 	if appD == nil || greedy == nil {
 		t.Fatal("missing cells")
 	}
-	if appD.FTime.Mean >= greedy.FTime.Mean {
-		t.Errorf("App-1%% F-Time %v not below Greedy %v at full size", appD.FTime.Mean, greedy.FTime.Mean)
+	// Paper shape (Fig 9): at the largest size, approximation's F-Time
+	// beats the exact default's. At fast scale both are a few
+	// milliseconds, so the sweep's one pass per method cannot separate
+	// them from scheduler noise; the full-size sessions are re-run
+	// several times instead and the best mean F-Times compare.
+	best := bestFullSizeFTimes(t, fastCfg, 9, progressive.NewApprox(0.01), progressive.NewGreedyDefault())
+	if best[0] >= best[1] {
+		t.Errorf("App-1%% best mean F-Time %v not below Greedy %v at full size", best[0], best[1])
 	}
 	// Paper shape (Fig 10): approximation error is limited. The fast-mode
 	// data set is tiny, so a 1% sample is only a few hundred rows; the
@@ -225,6 +234,60 @@ func TestProgSweepShapes(t *testing.T) {
 			t.Errorf("progressive printouts missing %q", want)
 		}
 	}
+}
+
+// bestFullSizeFTimes rebuilds RunProgSweep's full-size sessions, presents
+// them with every method reps times (methods alternating within each
+// session, so they share load conditions), and returns each method's
+// lowest mean F-Time over the sessions in seconds, charging a correct
+// result never shown its total time as the sweep does.
+func bestFullSizeFTimes(t *testing.T, cfg Config, reps int, methods ...progressive.Method) []float64 {
+	t.Helper()
+	tbl, err := dataset(workload.Flights, cfg.n(1_200_000, 40_000), cfg.Seed+909)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := sqldb.NewDB()
+	db.Register(tbl)
+	cat := nlq.BuildCatalog(tbl, 0)
+	gen := workload.NewQueryGen(tbl, cfg.rng(1000+9))
+	var instances []*core.Instance
+	var corrects []int
+	for len(instances) < cfg.n(20, 2) {
+		in, correct, err := candidateSet(cat, gen.Random(1), 20, screenWithWidth(1024, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if correct >= 0 {
+			instances = append(instances, in)
+			corrects = append(corrects, correct)
+		}
+	}
+	best := make([]float64, len(methods))
+	for r := 0; r < reps; r++ {
+		sums := make([]float64, len(methods))
+		for i, in := range instances {
+			for mi, m := range methods {
+				tr, err := m.Present(&progressive.Session{
+					DB: db, Instance: in, Correct: corrects[i], SampleSeed: uint64(cfg.Seed) + 5,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ft := tr.FTime
+				if ft == 0 {
+					ft = tr.TTime
+				}
+				sums[mi] += ft.Seconds()
+			}
+		}
+		for mi, sum := range sums {
+			if mean := sum / float64(len(instances)); r == 0 || mean < best[mi] {
+				best[mi] = mean
+			}
+		}
+	}
+	return best
 }
 
 func TestFig12MUVEBeatsBaseline(t *testing.T) {

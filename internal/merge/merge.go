@@ -5,6 +5,12 @@
 // a corresponding IN condition while adding result columns for each
 // aggregate of the merged queries." Merge decisions use the engine's
 // optimizer cost model, as the original uses Postgres' estimates.
+//
+// BuildPlan and Plan.Execute are the §8.1 reproduction path — the
+// Figure 7/8 experiments and examples/merging measure them — not a
+// serving path: every System answer (plot values, spoken facts, trends)
+// executes through BuildSharedPlan and the shared-scan executor, which
+// subsumes these rewrites.
 package merge
 
 import (
@@ -253,9 +259,11 @@ func (p Plan) EstimatedCost(db *sqldb.DB) (float64, error) {
 	return total, nil
 }
 
-// Execute runs the plan and scatters results back to candidate indices.
-// A sampleRate in (0, 1) runs everything on the engine's deterministic
-// sample (approximate processing); 0 or 1 runs exactly.
+// Execute runs the plan through the row-at-a-time executor and scatters
+// results back to candidate indices. A sampleRate in (0, 1) runs
+// everything on the engine's deterministic sample (approximate
+// processing); 0 or 1 runs exactly. It reproduces §8.1's merged
+// execution for the experiments; answers use SharedPlan.Execute.
 func (p Plan) Execute(db *sqldb.DB, sampleRate float64, sampleSeed uint64) (map[int]Result, error) {
 	out := make(map[int]Result, len(p.queries))
 	run := func(q sqldb.Query) (sqldb.Result, error) {

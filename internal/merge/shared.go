@@ -3,6 +3,7 @@ package merge
 import (
 	"fmt"
 
+	"muve/internal/obs"
 	"muve/internal/sqldb"
 )
 
@@ -149,4 +150,28 @@ func (p SharedPlan) ExecuteSketch(db *sqldb.DB) (map[int]Result, sqldb.ScanStats
 		}
 	}
 	return out, stats, true
+}
+
+// AnnotateScan attaches one execution round's shared-scan counters to its
+// "scan" span; rate is the sample rate the values were computed at (1
+// for exact). Every executor path — multiplot fills, sketch fills and
+// voice renders — reports the same attributes through it.
+func AnnotateScan(sp *obs.Span, st sqldb.ScanStats, rate float64) {
+	sp.SetInt("candidates", st.Candidates).
+		SetInt("scans", st.Scans).
+		SetInt("rows", st.Rows).
+		SetInt("batches", st.Batches).
+		SetInt("preds", st.Predicates).
+		SetInt("shared_preds", st.SharedPredicates).
+		SetFloat("sample_rate", rate)
+	if st.Aggregates > 0 {
+		sp.SetInt("aggs", st.Aggregates)
+	}
+	if st.Groups > 0 {
+		sp.SetInt("groups", st.Groups)
+	}
+	if st.SketchHits > 0 {
+		sp.SetInt("sketch_hits", st.SketchHits).
+			SetInt("sketch_builds", st.SketchBuilds)
+	}
 }

@@ -181,23 +181,7 @@ func applyResults(m core.Multiplot, pos map[int]int, res map[int]merge.Result, a
 // its "scan" span and folds them into the session total.
 func recordScanStats(s *Session, sp *obs.Span, st sqldb.ScanStats, rate float64) {
 	s.scanStats.Add(st)
-	sp.SetInt("candidates", st.Candidates).
-		SetInt("scans", st.Scans).
-		SetInt("rows", st.Rows).
-		SetInt("batches", st.Batches).
-		SetInt("preds", st.Predicates).
-		SetInt("shared_preds", st.SharedPredicates).
-		SetFloat("sample_rate", rate)
-	if st.Aggregates > 0 {
-		sp.SetInt("aggs", st.Aggregates)
-	}
-	if st.Groups > 0 {
-		sp.SetInt("groups", st.Groups)
-	}
-	if st.SketchHits > 0 {
-		sp.SetInt("sketch_hits", st.SketchHits).
-			SetInt("sketch_builds", st.SketchBuilds)
-	}
+	merge.AnnotateScan(sp, st, rate)
 }
 
 // fillValues executes the multiplot's queries through the shared-scan

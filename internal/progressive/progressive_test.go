@@ -220,19 +220,32 @@ func TestApproxFasterFirstPaintOnLargeData(t *testing.T) {
 	// The headline claim of Figure 9: on large data, approximation shows
 	// something useful much sooner than exact processing finishes. Compare
 	// the approximate first-paint to the exact method's total time on the
-	// same session.
+	// same data. One wall-time sample per side is at the mercy of
+	// scheduler noise, so each side runs several times, alternating, with
+	// a fresh sample seed per approximate run, and the minima compare.
 	s := session(t, 400_000)
-	exact, err := NewGreedyDefault().Present(s)
-	if err != nil {
-		t.Fatal(err)
+	const reps = 15
+	var bestExact, bestFirstPaint time.Duration
+	for i := 0; i < reps; i++ {
+		run := &Session{DB: s.DB, Instance: s.Instance, Correct: s.Correct, SampleSeed: s.SampleSeed + uint64(i)}
+		exact, err := NewGreedyDefault().Present(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := NewApprox(0.01).Present(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || exact.TTime < bestExact {
+			bestExact = exact.TTime
+		}
+		if fp := app.Events[0].At; i == 0 || fp < bestFirstPaint {
+			bestFirstPaint = fp
+		}
 	}
-	app, err := NewApprox(0.01).Present(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstPaint := app.Events[0].At
-	if firstPaint >= exact.TTime {
-		t.Errorf("App-1%% first paint %v not faster than exact total %v", firstPaint, exact.TTime)
+	if bestFirstPaint >= bestExact {
+		t.Errorf("App-1%% best first paint %v not faster than best exact total %v over %d runs",
+			bestFirstPaint, bestExact, reps)
 	}
 }
 

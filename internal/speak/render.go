@@ -1,6 +1,7 @@
 package speak
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"muve/internal/core"
 	"muve/internal/merge"
+	"muve/internal/obs"
 	"muve/internal/sqldb"
 )
 
@@ -26,13 +28,23 @@ type VoiceAnswer struct {
 	// Objective is the expected listening effort of the selection in
 	// milliseconds under the cost model used to render.
 	Objective float64
+	// Scan is the shared-scan work that computed the spoken values; zero
+	// only when the fact set covers no candidate.
+	Scan sqldb.ScanStats
 }
 
 // Render executes the queries the fact set needs and phrases the facts
-// as a transcript. Query execution reuses the merge planner, the same
-// path the visual pipeline uses to fill bar values, so a voice answer
-// benefits from the identical IN/GROUP BY rewrites.
+// as a transcript. It is RenderContext without a trace.
 func Render(db *sqldb.DB, in *core.Instance, fs FactSet, cost CostModel) (*VoiceAnswer, error) {
+	return RenderContext(context.Background(), db, in, fs, cost)
+}
+
+// RenderContext executes the queries the fact set needs and phrases the
+// facts as a transcript. Every candidate a fact covers is answered in
+// one typed pass over its table by the shared-scan executor — the path
+// the visual pipeline fills bar values with — recorded as a "scan" span
+// on ctx's trace.
+func RenderContext(ctx context.Context, db *sqldb.DB, in *core.Instance, fs FactSet, cost CostModel) (*VoiceAnswer, error) {
 	if cost == (CostModel{}) {
 		cost = DefaultCost()
 	}
@@ -56,11 +68,22 @@ func Render(db *sqldb.DB, in *core.Instance, fs FactSet, cost CostModel) (*Voice
 		pos[qi] = i
 	}
 	values := map[int]merge.Result{}
+	var scan sqldb.ScanStats
 	if len(queries) > 0 {
-		res, err := merge.BuildPlan(db, queries).Execute(db, 0, 0)
+		sp := obs.StartSpan(ctx, "scan")
+		var (
+			res map[int]merge.Result
+			err error
+		)
+		obs.Do(ctx, "scan", func(context.Context) {
+			res, scan, err = merge.BuildSharedPlan(queries).Execute(db, 0, 0)
+		})
 		if err != nil {
+			sp.SetErr(err).End()
 			return nil, fmt.Errorf("speak: executing fact queries: %w", err)
 		}
+		merge.AnnotateScan(sp, scan, 1)
+		sp.End()
 		for qi, pi := range pos {
 			values[qi] = res[pi]
 		}
@@ -76,6 +99,7 @@ func Render(db *sqldb.DB, in *core.Instance, fs FactSet, cost CostModel) (*Voice
 		Transcript: transcript,
 		Words:      len(strings.Fields(transcript)),
 		Objective:  cost.Cost(in, fs),
+		Scan:       scan,
 	}, nil
 }
 

@@ -597,7 +597,7 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 	}
 	var va *speak.VoiceAnswer
 	obs.Do(ctx, "viz", func(ctx context.Context) {
-		va, err = speak.Render(s.db, in, fs, cost)
+		va, err = speak.RenderContext(ctx, s.db, in, fs, cost)
 	})
 	if err != nil {
 		vsp.SetErr(err).End()
@@ -605,6 +605,7 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 	}
 	ans.Voice = va
 	ans.Stats = st
+	ans.Stats.Scan = va.Scan
 	vsp.SetInt("facts", int64(n)).
 		SetInt("spoken_words", int64(va.Words)).
 		End()

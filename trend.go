@@ -20,9 +20,8 @@ type TrendAnswer struct {
 	// is disabled or the query has no sketchable template; its values
 	// equal a sampled execution at the DB's sketch rate.
 	FirstPaint *viz.Series
-	// Scan records sketch build/hit activity for the first paint; the
-	// exact fill itself runs through the direct executor (a trend is a
-	// single candidate, which the shared planner routes there too).
+	// Scan records the exact series' shared table pass plus any sketch
+	// build/hit activity for the first paint.
 	Scan sqldb.ScanStats
 }
 
@@ -58,11 +57,12 @@ func (s *System) Trend(q sqldb.Query) (*TrendAnswer, error) {
 			ans.Scan.Add(st)
 		}
 	}
-	res, err := s.db.Exec(q)
+	res, st, err := s.db.ExecSharedResults([]sqldb.Query{q})
 	if err != nil {
 		return nil, err
 	}
-	ans.Series = seriesFromResult(q, res)
+	ans.Scan.Add(st)
+	ans.Series = seriesFromResult(q, res[0])
 	return ans, nil
 }
 

@@ -1,6 +1,7 @@
 package muve
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -63,6 +64,52 @@ func TestTrendStringGroup(t *testing.T) {
 	}
 	if ans.Series.Points[0].Label == "" {
 		t.Error("string group keys should carry labels")
+	}
+}
+
+// TestTrendSharedScanBitIdentical checks that the exact series, computed
+// by the shared-scan executor, is bit-identical to the series built from
+// the row-at-a-time executor's result, and that its scan is reported.
+func TestTrendSharedScanBitIdentical(t *testing.T) {
+	sys := trendSystem(t)
+	tbl, err := sys.db.Table("flights")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		"SELECT count(*), month FROM flights WHERE origin = 'JFK' GROUP BY month",
+		"SELECT sum(dep_delay), month FROM flights WHERE carrier = 'Delta' GROUP BY month",
+		"SELECT avg(dep_delay), month FROM flights GROUP BY month",
+		"SELECT count(*), carrier FROM flights WHERE month = 7 GROUP BY carrier",
+		"SELECT sum(dep_delay), carrier FROM flights GROUP BY carrier",
+		"SELECT avg(dep_delay), carrier FROM flights WHERE origin = 'JFK' GROUP BY carrier",
+	} {
+		q := sqldb.MustParse(sql)
+		ans, err := sys.Trend(q)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		res, err := sys.db.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: Exec: %v", sql, err)
+		}
+		want := seriesFromResult(q, res)
+		if len(want.Points) == 0 {
+			t.Fatalf("%s: oracle series is empty", sql)
+		}
+		if len(ans.Series.Points) != len(want.Points) {
+			t.Fatalf("%s: %d points, oracle has %d", sql, len(ans.Series.Points), len(want.Points))
+		}
+		for i, p := range ans.Series.Points {
+			w := want.Points[i]
+			if math.Float64bits(p.X) != math.Float64bits(w.X) ||
+				math.Float64bits(p.Y) != math.Float64bits(w.Y) || p.Label != w.Label {
+				t.Errorf("%s: point %d = %+v, oracle %+v", sql, i, p, w)
+			}
+		}
+		if ans.Scan.Scans != 1 || ans.Scan.Rows != int64(tbl.NumRows()) || ans.Scan.Candidates != 1 {
+			t.Errorf("%s: scan stats %+v, want one pass over %d rows", sql, ans.Scan, tbl.NumRows())
+		}
 	}
 }
 

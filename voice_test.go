@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"muve/internal/core"
+	"muve/internal/obs"
 )
 
 func TestAskVoiceEndToEnd(t *testing.T) {
@@ -71,6 +72,70 @@ func TestAskVoiceGreedySolver(t *testing.T) {
 	}
 	if w, _, _, _ := ans.Voice.Facts.Totals(); w > 20 {
 		t.Errorf("voice answer estimates %d words over the 20-word budget", w)
+	}
+}
+
+// TestAskVoiceReportsScan checks that a voice answer's values come from
+// one shared table pass that is traced as a "scan" span and reported in
+// Stats.Scan, like a plot answer's.
+func TestAskVoiceReportsScan(t *testing.T) {
+	db := demoDB(t)
+	tbl, err := db.Table("requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(db, "requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("ask")
+	ans, err := sys.AskVoiceContext(obs.WithTrace(context.Background(), tr),
+		"how many noise complaints in brooklin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+
+	covered := map[int]bool{}
+	for _, f := range ans.Voice.Facts.Facts {
+		for _, qi := range f.Covers {
+			covered[qi] = true
+		}
+	}
+	if len(covered) == 0 {
+		t.Fatal("voice answer covers no candidate")
+	}
+	st := ans.Stats.Scan
+	if st.Scans != 1 || st.Rows != int64(tbl.NumRows()) || st.Candidates != int64(len(covered)) {
+		t.Errorf("Stats.Scan = %+v, want 1 scan over %d rows answering %d candidates",
+			st, tbl.NumRows(), len(covered))
+	}
+	if ans.Voice.Scan != st {
+		t.Errorf("Voice.Scan %+v differs from Stats.Scan %+v", ans.Voice.Scan, st)
+	}
+
+	var scans []obs.Span
+	for _, sp := range tr.Spans() {
+		if sp.Stage == "scan" {
+			scans = append(scans, sp)
+		}
+	}
+	if len(scans) != 1 {
+		t.Fatalf("voice answer recorded %d scan spans, want 1", len(scans))
+	}
+	attrs := map[string]any{}
+	for _, a := range scans[0].Attrs {
+		attrs[a.Key] = a.Value()
+	}
+	for key, want := range map[string]any{
+		"scans":       int64(1),
+		"rows":        int64(tbl.NumRows()),
+		"candidates":  int64(len(covered)),
+		"sample_rate": 1.0,
+	} {
+		if attrs[key] != want {
+			t.Errorf("scan span attr %q = %v, want %v", key, attrs[key], want)
+		}
 	}
 }
 
