@@ -19,10 +19,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Serving-layer micro-benchmarks plus the end-to-end plot and voice ask
-# benches.
+# Serving-layer micro-benchmarks, the end-to-end plot and voice ask
+# benches, and the greedy and ILP planners on fixed instances.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkEndToEndAsk|BenchmarkAskVoice|BenchmarkExecShared' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkServe|BenchmarkEndToEndAsk|BenchmarkAskVoice|BenchmarkExecShared|BenchmarkGreedySolver20Candidates|BenchmarkILPSolver8Candidates' -benchmem .
 
 # Run the demo server with serving defaults.
 serve:

@@ -175,7 +175,6 @@ func run() error {
 		scanThroughput = flag.Float64("scan-throughput", 5e6, "modeled backend scan rate in rows/sec for -scan mode (0 = unthrottled in-memory speed)")
 		scanJSON       = flag.String("scan-json", "", "write the -scan latency curve as JSON to this file")
 
-		solverWorkers  = flag.Int("solver-workers", 0, "planner parallelism for experiment and trace modes (0 = GOMAXPROCS)")
 		scalingFlag    = flag.Bool("scaling", false, "measure branch-and-bound scaling across worker counts instead of running experiments")
 		scalingWorkers = flag.String("scaling-workers", "1,2,4,8", "comma-separated worker counts for -scaling mode (\"max\" = GOMAXPROCS)")
 		scalingModels  = flag.Int("scaling-models", 4, "instances per arm in -scaling mode")
@@ -187,7 +186,7 @@ func run() error {
 	cfg := bench.Config{Fast: *fastFlag, Seed: *seedFlag}
 
 	if *traceFlag {
-		return runTrace(*traceQuery, *traceSolver, *traceRuns, *traceChrome, *seedFlag, *solverWorkers)
+		return runTrace(*traceQuery, *traceSolver, *traceRuns, *traceChrome, *seedFlag)
 	}
 	if *chaosFlag != "" {
 		return runChaos(*chaosFlag, *chaosSeed, *chaosRequests, *chaosWorkers, *chaosJSON)
@@ -268,7 +267,7 @@ func run() error {
 // prints the first run span-by-span plus a per-stage summary across all
 // runs. It fails (non-zero exit) when the pipeline recorded no spans —
 // that would mean the instrumentation came unwired.
-func runTrace(query, solverName string, runs int, chromePath string, seed int64, solverWorkers int) error {
+func runTrace(query, solverName string, runs int, chromePath string, seed int64) error {
 	var solver muve.SolverKind
 	switch solverName {
 	case "greedy":
@@ -290,8 +289,7 @@ func runTrace(query, solverName string, runs int, chromePath string, seed int64,
 	db := sqldb.NewDB()
 	db.Register(tbl)
 	sys, err := muve.New(db, workload.NYC311.String(),
-		muve.WithSolver(solver),
-		muve.WithSolverWorkers(solverWorkers))
+		muve.WithSolver(solver))
 	if err != nil {
 		return err
 	}

@@ -3,10 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"runtime/pprof"
 	"sort"
-	"sync"
 	"time"
 
 	"muve/internal/sqldb"
@@ -28,12 +25,6 @@ type GreedySolver struct {
 	// is used (the cardinality-constrained Nemhauser variant the paper
 	// mentions for fixed plot widths). Density is the default.
 	PlainGain bool
-	// Workers bounds the goroutines sharding each selection round's
-	// marginal-gain scan over the colored candidates. 0 uses GOMAXPROCS;
-	// 1 forces the sequential scan. Sharding kicks in only past
-	// parallelScanMin candidates, where the per-candidate cost
-	// evaluations dominate the round.
-	Workers int
 	// Ctx, when non-nil, lets callers cancel a solve between phases and
 	// between greedy selection rounds. Nil means never cancelled.
 	Ctx context.Context
@@ -68,8 +59,8 @@ type Stats struct {
 	SimplexIters int
 	// Incumbents counts incumbent-solution updates during search (ILP only).
 	Incumbents int
-	// Workers is the parallelism actually used: branch-and-bound subtree
-	// workers for ILP, marginal-gain scan shards for greedy.
+	// Workers is the number of branch-and-bound subtree workers the
+	// search ran with (ILP only).
 	Workers int
 	// Steals counts work-stealing load-balance events (ILP only).
 	Steals int
@@ -107,7 +98,7 @@ func (g *GreedySolver) Solve(in *Instance) (Multiplot, Stats, error) {
 		return Multiplot{}, Stats{}, err
 	}
 	// Phase 3: pick plots under the width knapsack.
-	m, rounds, workers := g.pickPlots(in, colored)
+	m, rounds := g.pickPlots(in, colored)
 	if err := g.ctxErr(); err != nil {
 		return Multiplot{}, Stats{}, err
 	}
@@ -115,7 +106,7 @@ func (g *GreedySolver) Solve(in *Instance) (Multiplot, Stats, error) {
 	if !g.SkipPolish {
 		m = polish(in, m)
 	}
-	st := Stats{Duration: time.Since(start), Cost: in.Cost(m), Rounds: rounds, Workers: workers}
+	st := Stats{Duration: time.Since(start), Cost: in.Cost(m), Rounds: rounds}
 	return m, st, nil
 }
 
@@ -173,11 +164,6 @@ func (c coloredPlot) materialize() Plot {
 	return Plot{Template: c.group.Template, Entries: nanEntries(entries)}
 }
 
-// parallelScanMin is the candidate-count threshold below which sharding
-// a selection round's scan costs more in goroutine churn than the cost
-// evaluations it spreads out.
-const parallelScanMin = 64
-
 // scanCandidate evaluates one colored candidate against the current
 // multiplot: the fullest row it still fits, its marginal gain, and its
 // selection score. row == -1 means the candidate is inapplicable this
@@ -215,37 +201,12 @@ func (g *GreedySolver) scanCandidate(in *Instance, c coloredPlot, usedTemplate m
 	return row, score, gain
 }
 
-// scanResult is one shard's (or the sequential scan's) round winner.
-type scanResult struct {
-	idx, row    int
-	score, gain float64
-}
-
-// scanShard runs the sequential selection rule over colored[lo:hi] and
-// returns the shard winner. The rule — accept strictly better by 1e-12,
-// keep the earlier candidate on ties — is index-order local, so contiguous
-// shards merged in shard order reproduce the full sequential scan.
-func (g *GreedySolver) scanShard(in *Instance, colored []coloredPlot, lo, hi int, usedTemplate map[string]bool, rowUsed []int, current Multiplot, currentCost float64) scanResult {
-	best := scanResult{idx: -1, row: -1}
-	for ci := lo; ci < hi; ci++ {
-		row, score, gain := g.scanCandidate(in, colored[ci], usedTemplate, rowUsed, current, currentCost)
-		if row == -1 {
-			continue
-		}
-		if score > best.score+1e-12 || (best.idx == -1 && score > 0) {
-			best = scanResult{idx: ci, row: row, score: score, gain: gain}
-		}
-	}
-	return best
-}
-
 // pickPlots is Algorithm 4: greedy maximization of the submodular cost-
 // savings function over (plot, row) items subject to per-row width
 // knapsacks, plus the consistency constraint that each template
 // contributes at most one plot. The second return value is the number of
-// selection rounds that placed a plot; the third is the scan parallelism
-// actually used.
-func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot, int, int) {
+// selection rounds that placed a plot.
+func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot, int) {
 	rows := in.Screen.Rows
 	rowUsed := make([]int, rows)
 	usedTemplate := make(map[string]bool)
@@ -253,68 +214,25 @@ func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot
 	currentCost := in.Cost(current)
 	rounds := 0
 
-	workers := g.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if len(colored) < parallelScanMin || workers > len(colored) {
-		// Below the threshold (or over-provisioned) goroutine churn beats
-		// the spread-out cost evaluations; scan sequentially.
-		workers = 1
-	}
-
 	for {
 		// Checkpoint between selection rounds: an abandoned request
 		// stops burning CPU mid-solve instead of at the next phase.
 		if g.ctxErr() != nil {
 			break
 		}
-		var best scanResult
-		if workers == 1 {
-			best = g.scanShard(in, colored, 0, len(colored), usedTemplate, rowUsed, current, currentCost)
-		} else {
-			// Shard the scan into contiguous index ranges. Each shard
-			// applies the sequential rule locally; merging winners in
-			// shard order then reproduces the sequential pass (Instance
-			// and the shared maps are only read during the scan).
-			shards := make([]scanResult, workers)
-			var wg sync.WaitGroup
-			per := (len(colored) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * per
-				hi := lo + per
-				if hi > len(colored) {
-					hi = len(colored)
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					scan := func() {
-						shards[w] = g.scanShard(in, colored, lo, hi, usedTemplate, rowUsed, current, currentCost)
-					}
-					if g.Ctx != nil {
-						// Carry the request's pprof labels onto the shard
-						// goroutine so profile samples attribute to the
-						// requesting stage even when the solver runs off a
-						// pool goroutine without labels of its own.
-						pprof.Do(g.Ctx, pprof.Labels(), func(context.Context) { scan() })
-					} else {
-						scan()
-					}
-				}(w, lo, hi)
+		// A candidate wins only if it beats the best so far by more
+		// than 1e-12, so on a tie the earlier candidate is kept.
+		bestIdx, bestRow := -1, -1
+		var bestScore, bestGain float64
+		for ci := range colored {
+			row, score, gain := g.scanCandidate(in, colored[ci], usedTemplate, rowUsed, current, currentCost)
+			if row == -1 {
+				continue
 			}
-			wg.Wait()
-			best = scanResult{idx: -1, row: -1}
-			for _, s := range shards {
-				if s.idx == -1 {
-					continue
-				}
-				if s.score > best.score+1e-12 || (best.idx == -1 && s.score > 0) {
-					best = s
-				}
+			if score > bestScore+1e-12 || (bestIdx == -1 && score > 0) {
+				bestIdx, bestRow, bestScore, bestGain = ci, row, score, gain
 			}
 		}
-		bestIdx, bestRow, bestGain := best.idx, best.row, best.gain
 		if bestIdx == -1 {
 			break
 		}
@@ -332,7 +250,7 @@ func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot
 			out.Rows = append(out.Rows, r)
 		}
 	}
-	return out, rounds, workers
+	return out, rounds
 }
 
 // polish removes redundant results shown in several plots and refills the

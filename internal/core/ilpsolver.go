@@ -336,9 +336,11 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 		}
 		// sum q_{i,t,r} <= 1 (no duplicate results).
 		m.AddConstraint(perQueryBars[qi], ilp.LE, 1)
-		// qd_i <= sum q_{i,t,r}.
+		// qd_i = sum q_{i,t,r}: a bar displays its query. With only
+		// qd_i <= sum, a bar could show while qd_i = 0, slipping past
+		// the processing-cost gate qd_i <= sum g_j below.
 		terms := append([]ilp.Term{{Var: v.disp[qi], Coeff: 1}}, negate(perQueryBars[qi])...)
-		m.AddConstraint(terms, ilp.LE, 0)
+		m.AddConstraint(terms, ilp.EQ, 0)
 		// h_i = sum h_{i,t,r}.
 		terms = append([]ilp.Term{{Var: v.hl[qi], Coeff: 1}}, negate(perQueryHL[qi])...)
 		m.AddConstraint(terms, ilp.EQ, 0)

@@ -7,37 +7,6 @@ import (
 	"time"
 )
 
-// TestGreedyParallelScanMatchesSequential checks the sharded marginal-
-// gain scan returns the same multiplot (and cost) as the sequential one
-// on instances large enough to cross the parallelScanMin threshold.
-func TestGreedyParallelScanMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 10; trial++ {
-		in := randomInstance(rng, 24, DefaultScreen())
-		seq := &GreedySolver{Workers: 1}
-		mSeq, stSeq, err := seq.Solve(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			par := &GreedySolver{Workers: workers}
-			mPar, stPar, err := par.Solve(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(stPar.Cost-stSeq.Cost) > 1e-9 {
-				t.Errorf("trial %d workers %d: cost %v, sequential %v", trial, workers, stPar.Cost, stSeq.Cost)
-			}
-			if mPar.String() != mSeq.String() {
-				t.Errorf("trial %d workers %d: multiplot %v, sequential %v", trial, workers, mPar, mSeq)
-			}
-			if stPar.Rounds != stSeq.Rounds {
-				t.Errorf("trial %d workers %d: rounds %d, sequential %d", trial, workers, stPar.Rounds, stSeq.Rounds)
-			}
-		}
-	}
-}
-
 // TestILPSolverParallelismAgreesWithSequential checks the Parallelism
 // knob is forwarded to branch-and-bound and cannot change the optimum.
 func TestILPSolverParallelismAgreesWithSequential(t *testing.T) {

@@ -597,6 +597,62 @@ func TestProcessingCostBoundRestricts(t *testing.T) {
 	}
 }
 
+// TestILPBarDisplaysItsQuery pins the display link qd_i = sum q_{i,t,r}
+// on TestProcessingCostBoundRestricts' instance: an assignment showing a
+// bar of the unaffordable group with its query's qd_i = 0 must be
+// infeasible. Otherwise the bar bypasses the processing-cost gate
+// qd_i <= sum g_j at an unchanged objective, and an equal-cost optimum
+// that breaks ProcCostBound competes with the right one.
+func TestILPBarDisplaysItsQuery(t *testing.T) {
+	in := valueVariantInstance([]float64{0.3, 0.25, 0.2, 0.15}, DefaultScreen())
+	in.Groups = []ProcessingGroup{
+		{Queries: []int{0, 1}, Cost: 10},
+		{Queries: []int{2, 3}, Cost: 100},
+	}
+	in.ProcCostBound = 50
+	v, err := (&ILPSolver{}).buildModel(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The template that varies the borough constant groups all four
+	// queries into one plot.
+	var grp templateGroup
+	for _, key := range v.keys {
+		if g := v.groups[key]; len(g.Queries) == len(in.Candidates) {
+			grp = g
+		}
+	}
+	if grp.Queries == nil {
+		t.Fatal("no template groups every candidate")
+	}
+	plot := func(queries ...int) Multiplot {
+		var entries []Entry
+		for _, qi := range queries {
+			for j, gq := range grp.Queries {
+				if gq == qi {
+					entries = append(entries, Entry{Query: qi, Label: grp.Labels[j]})
+				}
+			}
+		}
+		return Multiplot{Rows: [][]Plot{{{Template: grp.Template, Entries: entries}}}}
+	}
+
+	affordable, ok := embedMultiplot(in, v, plot(0))
+	if !ok || !v.model.Feasible(affordable, warmSeedTol) {
+		t.Fatal("showing only query 0 (cheap group) should be feasible")
+	}
+	x, ok := embedMultiplot(in, v, plot(0, 2))
+	if !ok {
+		t.Fatal("plot of queries 0 and 2 does not embed")
+	}
+	// Hide query 2 from the objective and drop its expensive group:
+	// the bar stays on screen, so qd_2 = 0 must contradict it.
+	x[v.disp[2]], x[v.dnh[2]], x[v.groupVars[1]] = 0, 0, 0
+	if v.model.Feasible(x, warmSeedTol) {
+		t.Error("a bar of query 2 with qd_2 = 0 passed the model: the processing-cost gate is bypassed")
+	}
+}
+
 func TestMultiplotAccessors(t *testing.T) {
 	m := Multiplot{Rows: [][]Plot{
 		{{Entries: []Entry{{Query: 0, Highlighted: true}, {Query: 1}}}},

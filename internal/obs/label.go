@@ -8,8 +8,8 @@ import (
 // Do runs f with a pprof "stage" label attached to the context and the
 // current goroutine, so CPU and alloc profiles decompose by pipeline
 // stage. Goroutines started inside f inherit the label set; code that
-// spawns workers from a stored context (the ILP worker pool, the
-// parallel greedy scan) re-applies labels explicitly via pprof.Do.
+// spawns workers from a stored context (the ILP worker pool)
+// re-applies labels explicitly via pprof.Do.
 //
 // The labeled context is passed to f and must be the one propagated
 // onward — labels ride the context, not the goroutine, across

@@ -336,31 +336,12 @@ type Default struct {
 
 // NewGreedyDefault builds the paper's "Greedy" method.
 func NewGreedyDefault() *Default {
-	return NewGreedyWorkers(0)
-}
-
-// NewGreedyWorkers builds the "Greedy" method with an explicit scan
-// parallelism (see core.GreedySolver.Workers); 0 is NewGreedyDefault. A
-// per-request allocation in the context (resilience.WithSolverWorkers)
-// overrides the configured value, so an engine's worker split applies
-// to greedy planning too.
-func NewGreedyWorkers(workers int) *Default {
 	return &Default{name: "Greedy", planner: func(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error) {
 		// A fresh solver per call keeps the method safe to share
 		// across concurrent sessions.
-		g := &core.GreedySolver{Ctx: ctx, Workers: ctxWorkers(ctx, workers)}
+		g := &core.GreedySolver{Ctx: ctx}
 		return g.Solve(in)
 	}}
-}
-
-// ctxWorkers resolves the solver parallelism for one planning call: a
-// per-request allocation carried in the context wins over the method's
-// configured default.
-func ctxWorkers(ctx context.Context, configured int) int {
-	if w := resilience.SolverWorkers(ctx); w > 0 {
-		return w
-	}
-	return configured
 }
 
 // NewILPDefault builds the paper's "ILP" method: default presentation with
@@ -373,19 +354,13 @@ func NewILPDefault(timeout time.Duration) *Default {
 // warm-start hint (the previous utterance's answer in a voice session);
 // a nil hint is NewILPDefault. The greedy seed stays on either way, so
 // a stale or disjoint hint never makes the answer worse than greedy.
+// Branch-and-bound runs with the per-request worker allocation carried
+// in the context (resilience.WithSolverWorkers), which is how the
+// serving engine's worker split reaches the solver; without one it uses
+// GOMAXPROCS workers (see core.ILPSolver.Parallelism).
 func NewILPWarm(timeout time.Duration, hint *core.Multiplot) *Default {
-	return NewILPWorkers(timeout, hint, 0)
-}
-
-// NewILPWorkers is NewILPWarm with an explicit branch-and-bound worker
-// count (the Gurobi Threads substitution; see core.ILPSolver.
-// Parallelism). 0 uses GOMAXPROCS. A per-request allocation in the
-// context (resilience.WithSolverWorkers) overrides the configured
-// value, which is how the serving engine's worker split reaches the
-// solver.
-func NewILPWorkers(timeout time.Duration, hint *core.Multiplot, workers int) *Default {
 	return &Default{name: "ILP", planner: func(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error) {
-		s := &core.ILPSolver{Timeout: timeout, WarmStart: true, Hint: hint, Parallelism: ctxWorkers(ctx, workers), Ctx: ctx}
+		s := &core.ILPSolver{Timeout: timeout, WarmStart: true, Hint: hint, Parallelism: resilience.SolverWorkers(ctx), Ctx: ctx}
 		return s.Solve(in)
 	}}
 }
@@ -660,10 +635,6 @@ type ILPInc struct {
 	// Hint, when non-nil, warm-starts the first sequence with a prior
 	// multiplot (see core.IncrementalILP.Hint).
 	Hint *core.Multiplot
-	// Workers is the branch-and-bound parallelism for every sequence
-	// (see core.IncrementalILP.Parallelism); 0 uses GOMAXPROCS. A
-	// per-request allocation in the context overrides it.
-	Workers int
 }
 
 // Name identifies the method.
@@ -678,7 +649,8 @@ func (i ILPInc) Present(s *Session) (*Trace, error) {
 	}
 	inc := core.DefaultIncremental(budget)
 	inc.Hint = i.Hint
-	inc.Parallelism = ctxWorkers(s.Context(), i.Workers)
+	// The per-request worker allocation, if any; 0 uses GOMAXPROCS.
+	inc.Parallelism = resilience.SolverWorkers(s.Context())
 	var events []Event
 	var execErr error
 	// The span covers the full incremental run, interleaved query

@@ -331,7 +331,7 @@ func (p *codePass) fill(lo, n int) {
 }
 
 // fillSample writes the deterministic sample bitmap for rows [lo, lo+n):
-// exactly the rows filterRowsRange keeps (rowHash at or below the rate
+// exactly the rows filterRows keeps (rowHash at or below the rate
 // threshold), with every trailing bit cleared, so it doubles as the AND
 // base of every candidate's selection.
 func fillSample(dst bitmap, lo, n int, seed, threshold uint64) {

@@ -14,7 +14,6 @@ import (
 type DB struct {
 	mu             sync.RWMutex
 	tables         map[string]*Table
-	parallelism    int
 	scanThroughput float64 // rows/s; 0 = unthrottled
 
 	sketch sketchStore
@@ -66,7 +65,7 @@ func (db *DB) Exec(q Query) (Result, error) {
 		return Result{}, err
 	}
 	start := time.Now()
-	res, err := execute(t, q, execOptions{parallelism: db.getParallelism()})
+	res, err := execute(t, q, execOptions{})
 	db.throttle(start, float64(t.NumRows()))
 	return res, err
 }
@@ -84,10 +83,32 @@ func (db *DB) ExecSampled(q Query, rate float64, seed uint64) (Result, error) {
 		return Result{}, err
 	}
 	start := time.Now()
-	res, err := execute(t, q, execOptions{sampleRate: rate, sampleSeed: seed, parallelism: db.getParallelism()})
+	res, err := execute(t, q, execOptions{sampleRate: rate, sampleSeed: seed})
 	// A physical sample only reads the sampled fraction of the data.
 	db.throttle(start, float64(t.NumRows())*rate)
 	return res, err
+}
+
+// SetScanThroughput throttles query execution to the given effective scan
+// rate in rows per second (0 disables throttling, the default). It
+// emulates a disk-bound backend like the paper's 10 GB-on-laptop Postgres
+// setup, where scan time dominates: exact execution is charged for every
+// table row, while sampled execution is charged only for the sample (the
+// standard physical-sample model of approximate query processing). The
+// experiments reproducing the paper's user-facing latency comparisons use
+// this to recreate "large data" conditions that the in-memory engine is
+// otherwise too fast to exhibit.
+func (db *DB) SetScanThroughput(rowsPerSecond float64) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.scanThroughput = rowsPerSecond
+}
+
+// getScanThroughput returns the configured throttle.
+func (db *DB) getScanThroughput() float64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.scanThroughput
 }
 
 // throttle sleeps so the elapsed execution time matches the configured

@@ -35,17 +35,12 @@ type execOptions struct {
 	sampleRate float64
 	// sampleSeed varies which rows the sample contains.
 	sampleSeed uint64
-	// parallelism is the number of scan workers (<=1 means serial).
-	parallelism int
 }
 
 // execute runs a validated query against a table.
 func execute(t *Table, q Query, opt execOptions) (Result, error) {
 	if err := q.Validate(t); err != nil {
 		return Result{}, err
-	}
-	if opt.parallelism > 1 && t.NumRows() >= parallelMinRows && canParallelize(t, q) {
-		return executeParallel(t, q, opt, opt.parallelism)
 	}
 	sel, err := filterRows(t, q.Preds, opt)
 	if err != nil {
@@ -65,7 +60,40 @@ func execute(t *Table, q Query, opt execOptions) (Result, error) {
 // filterRows returns the ids of rows matching every predicate, restricted
 // to the sample when sampling is enabled.
 func filterRows(t *Table, preds []Predicate, opt execOptions) ([]int32, error) {
-	return filterRowsRange(t, preds, opt, 0, t.NumRows())
+	checks := make([]rowCheck, 0, len(preds))
+	for _, p := range preds {
+		chk, always, never, err := compilePredicate(t, p)
+		if err != nil {
+			return nil, err
+		}
+		if never {
+			return nil, nil
+		}
+		if always {
+			continue
+		}
+		checks = append(checks, chk)
+	}
+	sel := make([]int32, 0, 1024)
+	sampling := opt.sampleRate > 0 && opt.sampleRate < 1
+	var threshold uint64
+	if sampling {
+		threshold = uint64(opt.sampleRate * float64(math.MaxUint64))
+	}
+	n := t.NumRows()
+rows:
+	for i := 0; i < n; i++ {
+		if sampling && rowHash(uint64(i), opt.sampleSeed) > threshold {
+			continue
+		}
+		for _, chk := range checks {
+			if !chk(i) {
+				continue rows
+			}
+		}
+		sel = append(sel, int32(i))
+	}
+	return sel, nil
 }
 
 // rowCheck reports whether row i satisfies one predicate.
@@ -393,4 +421,38 @@ func groupAggregateByCode(t *Table, q Query, keyCol *Column, sel []int32, scale 
 		}
 	}
 	return emitGroupedResult(q, keyCol, states, seen, scale), nil
+}
+
+// emitGroupedResult renders grouped states sorted by key value.
+func emitGroupedResult(q Query, keyCol *Column, states []aggState, seen []bool, scale float64) Result {
+	nAggs := len(q.Aggs)
+	cols := append(append([]string(nil), q.GroupBy...), aggColNames(q)...)
+	res := Result{Cols: cols}
+	order := make([]int, 0, len(seen))
+	for code, ok := range seen {
+		if ok {
+			order = append(order, code)
+		}
+	}
+	sortByDict(order, keyCol.dict)
+	for _, code := range order {
+		row := make([]Value, 0, 1+nAggs)
+		row = append(row, Str(keyCol.dict[code]))
+		base := code * nAggs
+		for j, a := range q.Aggs {
+			row = append(row, states[base+j].value(a.Func, scale))
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
+}
+
+// sortByDict sorts dictionary codes by their string value (insertion sort:
+// group counts are tiny).
+func sortByDict(codes []int, dict []string) {
+	for i := 1; i < len(codes); i++ {
+		for j := i; j > 0 && dict[codes[j]] < dict[codes[j-1]]; j-- {
+			codes[j], codes[j-1] = codes[j-1], codes[j]
+		}
+	}
 }

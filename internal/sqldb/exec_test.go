@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // testTable builds a small flights-like table used across executor tests.
@@ -472,5 +473,77 @@ func TestValueSemantics(t *testing.T) {
 	}
 	if !strings.Contains(KindString.String(), "TEXT") {
 		t.Errorf("Kind name = %s", KindString)
+	}
+}
+
+// Aliases keep the throttle test readable.
+var (
+	timeNow   = time.Now
+	timeSince = time.Since
+)
+
+const millisecond = time.Millisecond
+
+// parallelTable builds an n-row table of two string columns, a float and
+// an int column.
+func parallelTable(t *testing.T, n int) *Table {
+	t.Helper()
+	tbl, err := NewTable("p",
+		ColumnDef{"grp", KindString},
+		ColumnDef{"cat", KindString},
+		ColumnDef{"x", KindFloat},
+		ColumnDef{"k", KindInt},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := []string{"a", "b", "c", "d", "e"}
+	cats := []string{"p", "q"}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < n; i++ {
+		if err := tbl.AppendRow(
+			Str(groups[rng.Intn(len(groups))]),
+			Str(cats[rng.Intn(len(cats))]),
+			Float(rng.NormFloat64()*10),
+			Int(int64(rng.Intn(50))),
+		); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tbl
+}
+
+func TestScanThroughputThrottle(t *testing.T) {
+	tbl := parallelTable(t, 60_000)
+	db := NewDB()
+	db.Register(tbl)
+	db.SetScanThroughput(1_000_000) // 60k rows -> ~60ms exact
+
+	q := MustParse("SELECT count(*) FROM p")
+	start := timeNow()
+	if _, err := db.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	exact := timeSince(start)
+	if exact < 50*millisecond {
+		t.Errorf("throttled exact execution took %v, want >= ~60ms", exact)
+	}
+	// A 1%% sample is charged only 1%% of the rows.
+	start = timeNow()
+	if _, err := db.ExecSampled(q, 0.01, 1); err != nil {
+		t.Fatal(err)
+	}
+	sampled := timeSince(start)
+	if sampled > exact/2 {
+		t.Errorf("sampled %v not much faster than exact %v", sampled, exact)
+	}
+	// Disabling restores full speed.
+	db.SetScanThroughput(0)
+	start = timeNow()
+	if _, err := db.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	if timeSince(start) > 30*millisecond {
+		t.Error("unthrottled execution still slow")
 	}
 }

@@ -366,7 +366,7 @@ func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result,
 	sampling := rate > 0 && rate < 1
 	var threshold uint64
 	if sampling {
-		// Must match filterRowsRange's expression exactly so both paths
+		// Must match filterRows's expression exactly so both paths
 		// agree on sample membership.
 		threshold = uint64(rate * float64(math.MaxUint64))
 	}

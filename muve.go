@@ -158,14 +158,6 @@ type Config struct {
 	// solver comparisons and experiments stay cold unless a caller opts
 	// in.
 	WarmStart bool
-	// SolverWorkers is the planner's parallelism — branch-and-bound
-	// subtree workers for the ILP solvers, scan shards for greedy —
-	// standing in for Gurobi's Threads parameter. 0 uses GOMAXPROCS;
-	// 1 forces the sequential search. Any value yields the same answer:
-	// parallelism trades CPU for latency, never quality. A per-request
-	// allocation carried in the Ask context (set by the serving engine's
-	// worker split via resilience.WithSolverWorkers) overrides this.
-	SolverWorkers int
 }
 
 // Option mutates a Config.
@@ -226,12 +218,6 @@ func WithBudgetFraction(f float64) Option {
 // multiplot passed to AskContext/AskQueryContext (see Config.WarmStart).
 func WithWarmStart(enabled bool) Option {
 	return func(c *Config) { c.WarmStart = enabled }
-}
-
-// WithSolverWorkers sets the planner's parallelism (see
-// Config.SolverWorkers): 0 = GOMAXPROCS, 1 = sequential.
-func WithSolverWorkers(n int) Option {
-	return func(c *Config) { c.SolverWorkers = n }
 }
 
 // System is a configured MUVE instance over one table.
@@ -547,10 +533,6 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 		sp.SetErr(err).End()
 		return nil, err
 	}
-	workers := s.cfg.SolverWorkers
-	if w := resilience.SolverWorkers(ctx); w > 0 {
-		workers = w
-	}
 	var fs speak.FactSet
 	var st core.Stats
 	var planner string
@@ -563,7 +545,7 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 				Timeout:     s.speakBudget(ctx),
 				WarmStart:   true, // greedy floor: a timeout never speaks worse than greedy
 				Hint:        prior,
-				Parallelism: workers,
+				Parallelism: resilience.SolverWorkers(ctx),
 				Ctx:         ctx,
 			}
 			planner = p.Name()
@@ -585,6 +567,9 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 		SetInt("words", int64(w)).
 		SetFloat("cost", st.Cost).
 		SetBool("optimal", st.Optimal)
+	if st.Workers > 0 {
+		sp.SetInt("workers", int64(st.Workers))
+	}
 	if st.WarmStart != "" {
 		sp.SetStr("warm_start", string(st.WarmStart))
 	}
@@ -641,16 +626,16 @@ func (s *System) defaultMethod(ctx context.Context, prior *core.Multiplot) progr
 			}
 		}
 	}
-	// The configured parallelism is the default; a per-request worker
-	// allocation in the context (the serving engine's WorkerSplit share)
-	// takes precedence inside the progressive planners.
+	// The ILP planners take their branch-and-bound worker count from the
+	// per-request allocation in the context (the serving engine's
+	// WorkerSplit share), or GOMAXPROCS without one.
 	switch s.cfg.Solver {
 	case SolverILP:
-		return progressive.NewILPWorkers(budget, prior, s.cfg.SolverWorkers)
+		return progressive.NewILPWarm(budget, prior)
 	case SolverILPIncremental:
-		return progressive.ILPInc{Budget: budget, Hint: prior, Workers: s.cfg.SolverWorkers}
+		return progressive.ILPInc{Budget: budget, Hint: prior}
 	default:
-		return progressive.NewGreedyWorkers(s.cfg.SolverWorkers)
+		return progressive.NewGreedyDefault()
 	}
 }
 

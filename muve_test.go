@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"muve/internal/core"
+	"muve/internal/obs"
 	"muve/internal/progressive"
+	"muve/internal/resilience"
 	"muve/internal/sqldb"
 	"muve/internal/usermodel"
 	"muve/internal/workload"
@@ -333,4 +335,50 @@ func TestConcurrentAsk(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestAskContextForwardsSolverWorkers checks that a per-request worker
+// allocation in the Ask context (what the serving engine's WorkerSplit
+// attaches) reaches the branch-and-bound pool of both ILP planners: the
+// solver span reports the worker count the search ran with.
+func TestAskContextForwardsSolverWorkers(t *testing.T) {
+	db := demoDB(t)
+	for _, kind := range []SolverKind{SolverILP, SolverILPIncremental} {
+		sys, err := New(db, "requests",
+			WithSolver(kind),
+			WithILPTimeout(2*time.Second),
+			WithMaxCandidates(8),
+			WithWidth(600))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2} {
+			tr := obs.NewTrace("ask")
+			ctx := resilience.WithSolverWorkers(obs.WithTrace(context.Background(), tr), n)
+			if _, err := sys.AskContext(ctx, "how many noise complaints in brooklin"); err != nil {
+				t.Fatal(err)
+			}
+			tr.Finish()
+			if got := spanAttr(tr, "solver", "workers"); got != int64(n) {
+				t.Errorf("solver %v, %d allocated: solver span workers = %v, want %d", kind, n, got, n)
+			}
+		}
+	}
+}
+
+// spanAttr returns attribute key of the trace's first span of the given
+// stage, or nil when there is none.
+func spanAttr(tr *obs.Trace, stage, key string) any {
+	for _, sp := range tr.Spans() {
+		if sp.Stage != stage {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Value()
+			}
+		}
+		return nil
+	}
+	return nil
 }

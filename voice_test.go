@@ -6,6 +6,7 @@ import (
 
 	"muve/internal/core"
 	"muve/internal/obs"
+	"muve/internal/resilience"
 )
 
 func TestAskVoiceEndToEnd(t *testing.T) {
@@ -153,6 +154,28 @@ func TestParseAnswerMode(t *testing.T) {
 		got, err := ParseAnswerMode(tc.in)
 		if (err != nil) != tc.err || got != tc.want {
 			t.Errorf("ParseAnswerMode(%q) = %v, %v", tc.in, got, err)
+		}
+	}
+}
+
+// TestAskVoiceContextForwardsSolverWorkers checks that a per-request
+// worker allocation in the context reaches the exact fact-set planner's
+// branch-and-bound pool, reported on the speak span.
+func TestAskVoiceContextForwardsSolverWorkers(t *testing.T) {
+	db := demoDB(t)
+	sys, err := New(db, "requests", WithSolver(SolverILP), WithMaxCandidates(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2} {
+		tr := obs.NewTrace("ask")
+		ctx := resilience.WithSolverWorkers(obs.WithTrace(context.Background(), tr), n)
+		if _, err := sys.AskVoiceContext(ctx, "how many noise complaints in brooklin"); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		if got := spanAttr(tr, "speak", "workers"); got != int64(n) {
+			t.Errorf("%d allocated: speak span workers = %v, want %d", n, got, n)
 		}
 	}
 }
