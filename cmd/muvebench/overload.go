@@ -28,16 +28,23 @@ import (
 // calibrates the stack's goodput with a closed-loop warmup, then ramps
 // an open-loop arrival process to 2x that capacity — with transport
 // chaos on the wire, deadline headers on every request, and
-// budget-limited client retries — and gates on three properties:
+// budget-limited client retries — and gates on four properties:
 //
 //   - zero fault escapes: every response is an intact answer, a clean
 //     429/503/504, or damage the transport-chaos layer marked as its own;
 //   - bounded interactive tail: answered interactive p99 stays under
-//     the SLA even at 2x, because CoDel admission sheds queue wait and
-//     hedging caps slow exact solves;
+//     the SLA even at 2x;
 //   - goodput retention: goodput at 2x offered load stays at least 70%
 //     of the calibrated peak — overload degrades throughput gracefully
-//     instead of collapsing it (the congestion-collapse gate).
+//     instead of collapsing it (the congestion-collapse gate);
+//   - the hedge fires: at least one greedy hedge started and at least
+//     one won its race against a slow exact solve, so the mechanism
+//     credited with the tail bound is exercised, not just configured.
+//
+// Client retries only follow a 429 or 503. On a 2-CPU host the static
+// watermarks (16 and 8 waiters per slot) are never reached at 2x, so
+// no request is rejected and no retry is sent here; the chaos harness
+// exercises retry budgets, and unit tests the 429 path.
 
 // overloadReport is the machine-readable summary (-overload-json), the
 // goodput curve tracked across revisions in BENCH_overload.json.
@@ -51,7 +58,6 @@ type overloadReport struct {
 	Steps       []overloadStep `json:"steps"`
 	Retries     retryCounts    `json:"retries"`
 	Hedge       hedgeCounts    `json:"hedge"`
-	Watermarks  map[string]int `json:"final_watermarks"`
 	Passed      bool           `json:"passed"`
 }
 
@@ -190,10 +196,6 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 	rep.Retries.Denied = m.RetryDenied.Value()
 	rep.Hedge.Started = m.HedgeStarted.Value()
 	rep.Hedge.Wins = m.HedgeWins()
-	rep.Watermarks = map[string]int{
-		"interactive": engine.AdmissionWatermark(resilience.Interactive),
-		"batch":       engine.AdmissionWatermark(resilience.Batch),
-	}
 
 	last := rep.Steps[len(rep.Steps)-1]
 	var failures []string
@@ -212,10 +214,13 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 	if minGoodput := 0.7 * rep.PeakGoodput; last.GoodputRPS < minGoodput {
 		failures = append(failures, fmt.Sprintf("goodput %.1f rps at 2x load below 70%% of peak (%.1f rps)", last.GoodputRPS, minGoodput))
 	}
+	if rep.Hedge.Started == 0 || rep.Hedge.Wins["hedge"] == 0 {
+		failures = append(failures, fmt.Sprintf("hedge never fired (started %d, won %d)", rep.Hedge.Started, rep.Hedge.Wins["hedge"]))
+	}
 	rep.Passed = len(failures) == 0
 
-	fmt.Printf("\nretries: engine=%d denied=%d   hedges: started=%d wins=%v   watermarks=%v\n",
-		rep.Retries.Attempted, rep.Retries.Denied, rep.Hedge.Started, rep.Hedge.Wins, rep.Watermarks)
+	fmt.Printf("\nretries: engine=%d denied=%d   hedges: started=%d wins=%v\n",
+		rep.Retries.Attempted, rep.Retries.Denied, rep.Hedge.Started, rep.Hedge.Wins)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
 		if err != nil {
@@ -243,7 +248,7 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 }
 
 // overloadEngine mirrors muveserver's wiring at bench scale with the
-// full overload toolkit on: CoDel-adaptive admission, hedged exact
+// full overload toolkit on: static admission watermarks, hedged exact
 // solves, retry budgets, stale serving.
 func overloadEngine(db *sqldb.DB, table string, ch *resilience.Chaos, inflight int) (*serve.Engine, error) {
 	sys, err := muve.New(db, table,
@@ -273,23 +278,21 @@ func overloadEngine(db *sqldb.DB, table string, ch *resilience.Chaos, inflight i
 		Minimal: func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
 			return minimalSys.AskContext(ctx, req.Transcript)
 		},
-		MaxInFlight:       inflight,
-		Queue:             16 * inflight,
-		BatchQueue:        8 * inflight,
-		AdmissionTarget:   50 * time.Millisecond,
-		AdmissionInterval: 200 * time.Millisecond,
-		Timeout:           time.Second,
-		FallbackGrace:     500 * time.Millisecond,
-		MinimalGrace:      250 * time.Millisecond,
-		CacheEntries:      512,
-		CacheTTL:          5 * time.Second,
-		StaleFor:          time.Minute,
-		BreakerThreshold:  5,
-		BreakerCooldown:   500 * time.Millisecond,
-		Hedge:             true,
-		Chaos:             ch,
-		Dataset:           table,
-		Solver:            "ilp",
+		MaxInFlight:      inflight,
+		Queue:            16 * inflight,
+		BatchQueue:       8 * inflight,
+		Timeout:          time.Second,
+		FallbackGrace:    500 * time.Millisecond,
+		MinimalGrace:     250 * time.Millisecond,
+		CacheEntries:     512,
+		CacheTTL:         5 * time.Second,
+		StaleFor:         time.Minute,
+		BreakerThreshold: 5,
+		BreakerCooldown:  500 * time.Millisecond,
+		Hedge:            true,
+		Chaos:            ch,
+		Dataset:          table,
+		Solver:           "ilp",
 	})
 }
 

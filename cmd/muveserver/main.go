@@ -60,19 +60,25 @@
 // appended after the body (responses touched this way carry
 // X-Chaos-Transport so harnesses can tell injected damage from real).
 //
-// Overload behavior: -admission-target replaces the static watermarks
-// with a CoDel-style controller — each lane's queue-sojourn low
-// quantile is steered toward the target by shrinking the watermark
-// under sustained excess and re-growing it on recovery (live values in
-// muve_admission_watermark{priority} and the muve_sojourn_*_seconds
-// histograms). Clients propagate deadlines via X-Muve-Deadline
-// (duration or unix-millis; capped by -max-deadline) and label retries
-// via X-Muve-Attempt: retries draw from a per-session token bucket
+// Overload behavior: admission is a static bound per lane — each
+// lane's queue is capped by its watermark, freed slots go to the
+// earliest deadline, and a waiter whose deadline passes while queued is
+// shed before it takes a slot (queue wait in the
+// muve_sojourn_{interactive,batch}_seconds histograms). Three
+// mechanisms carry the load past saturation. Retry budgets: clients
+// propagate deadlines via X-Muve-Deadline (duration or unix-millis;
+// capped by -max-deadline) and label retries via X-Muve-Attempt;
+// retries draw from a per-session token bucket
 // (-retry-burst/-retry-per-sec), and an exhausted budget answers 429
-// with Retry-After instead of amplifying the overload. -hedge races a
-// greedy hedge against exact solves that outlive the windowed p90
-// planning time; the first finisher wins (muve_hedge_total{winner},
-// source "hedged").
+// with Retry-After instead of amplifying the overload. Hedging: -hedge
+// races a greedy hedge against exact solves that outlive the windowed
+// p90 planning time, at most max(-max-inflight/4, 1) at once; the first
+// finisher wins (muve_hedge_total{winner}, source "hedged"). Crash-only
+// drain, below. Measured with `muvebench -overload` at 2x calibrated
+// capacity on 2 CPUs: 0 rejections, hedges start and win in every run,
+// and retry budgets are never reached because nothing is shed. The
+// startup log line prints the resolved watermarks, hedge tokens, retry
+// budget and stale window.
 //
 // Shutdown is crash-only: on SIGINT/SIGTERM the server fails /readyz,
 // refuses new planning work (503; cache, session, and stale answers
@@ -88,8 +94,7 @@
 //	           [-max-inflight 32] [-cache-entries 1024] [-cache-ttl 5m]
 //	           [-timeout 10s] [-queue-depth 0] [-batch-queue 0]
 //	           [-stale-for 0] [-breaker-threshold 3] [-breaker-cooldown 5s]
-//	           [-admission-target 0] [-admission-interval 0] [-hedge]
-//	           [-retry-burst 0] [-retry-per-sec 0] [-max-deadline 0]
+//	           [-hedge] [-retry-burst 0] [-retry-per-sec 0] [-max-deadline 0]
 //	           [-drain 10s] [-snapshot FILE]
 //	           [-budget-fraction 0] [-warm-start=true]
 //	           [-chaos spec] [-chaos-seed 1] [-speak-words 0]
@@ -177,10 +182,7 @@ func run() error {
 		queueFlag    = flag.Int("queue-depth", 0, "interactive admission watermark: waiting requests beyond this fast-fail with 429 (0 = unbounded)")
 		batchQFlag   = flag.Int("batch-queue", 0, "batch-lane admission watermark (0 = unbounded)")
 		staleFlag    = flag.Duration("stale-for", 0, "serve expired cached answers up to this long past TTL when planning fails (0 disables)")
-		admTarget    = flag.Duration("admission-target", 0, "CoDel sojourn target for the interactive admission lane: watermarks adapt to keep queue wait near this (0 = static watermarks; batch lane targets 4x)")
-		admInterval  = flag.Duration("admission-interval", 0, "CoDel control interval for -admission-target (0 = 500ms default)")
 		hedgeFlag    = flag.Bool("hedge", false, "race a greedy hedge against exact solves that outlive the windowed p90 planning time (needs a non-greedy -solver)")
-		hedgeTokFlag = flag.Int("hedge-tokens", 0, "max concurrent hedge attempts; each also charges the batch worker lane (0 = max-inflight/4, min 1)")
 		sketchFlag   = flag.Float64("sketch-rate", 0, "aggregate-sketch sample rate in (0,1): precompute per-template sketches for instant approximate first paints (0 disables)")
 		scanRateFlag = flag.Float64("scan-throughput", 0, "modeled backend scan rate in rows/sec, as if the table lived on disk; makes sampled first paints and -sketch-rate observable (0 = unthrottled in-memory speed)")
 		snapAgeFlag  = flag.Duration("snapshot-max-age", time.Hour, "skip drain snapshots older than this at restore (0 = no age cap)")
@@ -295,10 +297,7 @@ func run() error {
 		staleFor:         *staleFlag,
 		breakerThreshold: *brkThreshold,
 		breakerCooldown:  *brkCooldown,
-		admissionTarget:  *admTarget,
-		admissionInt:     *admInterval,
 		hedge:            *hedgeFlag,
-		hedgeTokens:      *hedgeTokFlag,
 		retryBurst:       *retryBurst,
 		retryPerSec:      *retryRate,
 		chaos:            chaos,
@@ -335,12 +334,6 @@ func run() error {
 				}
 			},
 		})
-		// Queue sojourn rides along in the SLO report so /debug/slo shows
-		// what the adaptive admission controller is steering on.
-		if *admTarget > 0 {
-			slo.Attach("sojourn-interactive", engine.SojournSeries(resilience.Interactive))
-			slo.Attach("sojourn-batch", engine.SojournSeries(resilience.Batch))
-		}
 	}
 	recorder = obs.NewRecorder(obs.RecorderConfig{
 		Capacity:        *incBufFlag,
@@ -420,8 +413,8 @@ func run() error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("muveserver listening on %s (table %s, %d rows, %s solver, %d inflight, %d cache entries)",
-		*addrFlag, ds.String(), tbl.NumRows(), *solverFlag, *inflightFlag, *cacheFlag)
+	log.Printf("muveserver listening on %s (table %s, %d rows, %s solver, %d inflight, %d cache entries; %s)",
+		*addrFlag, ds.String(), tbl.NumRows(), *solverFlag, *inflightFlag, *cacheFlag, engine.Setup())
 
 	select {
 	case err := <-errc:
@@ -471,10 +464,7 @@ type engineConfig struct {
 	staleFor         time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	admissionTarget  time.Duration
-	admissionInt     time.Duration
 	hedge            bool
-	hedgeTokens      int
 	retryBurst       float64
 	retryPerSec      float64
 	chaos            *resilience.Chaos
@@ -629,32 +619,29 @@ func newEngine(sys *muve.System, db *sqldb.DB, table string, cfg engineConfig) (
 		return minimalSys.AskContext(ctx, req.Transcript)
 	}
 	return serve.NewEngine(serve.Config{
-		Metrics:           metrics,
-		Planner:           planner,
-		Fallback:          fallback,
-		Minimal:           minimal,
-		MaxInFlight:       cfg.maxInFlight,
-		SolverWorkers:     cfg.solverWorkers,
-		Timeout:           cfg.timeout,
-		CacheEntries:      cfg.cacheEntries,
-		CacheTTL:          cfg.cacheTTL,
-		StaleFor:          cfg.staleFor,
-		Queue:             cfg.queue,
-		BatchQueue:        cfg.batchQueue,
-		BreakerThreshold:  cfg.breakerThreshold,
-		BreakerCooldown:   cfg.breakerCooldown,
-		AdmissionTarget:   cfg.admissionTarget,
-		AdmissionInterval: cfg.admissionInt,
-		Hedge:             cfg.hedge,
-		HedgeTokens:       cfg.hedgeTokens,
-		RetryBurst:        cfg.retryBurst,
-		RetryPerSec:       cfg.retryPerSec,
-		Chaos:             cfg.chaos,
-		Dataset:           table,
-		Solver:            cfg.solverName,
-		WidthPx:           cfg.widthPx,
-		BreakerNotify:     cfg.breakerNotify,
-		Logger:            log.Default(),
+		Metrics:          metrics,
+		Planner:          planner,
+		Fallback:         fallback,
+		Minimal:          minimal,
+		MaxInFlight:      cfg.maxInFlight,
+		SolverWorkers:    cfg.solverWorkers,
+		Timeout:          cfg.timeout,
+		CacheEntries:     cfg.cacheEntries,
+		CacheTTL:         cfg.cacheTTL,
+		StaleFor:         cfg.staleFor,
+		Queue:            cfg.queue,
+		BatchQueue:       cfg.batchQueue,
+		BreakerThreshold: cfg.breakerThreshold,
+		BreakerCooldown:  cfg.breakerCooldown,
+		Hedge:            cfg.hedge,
+		RetryBurst:       cfg.retryBurst,
+		RetryPerSec:      cfg.retryPerSec,
+		Chaos:            cfg.chaos,
+		Dataset:          table,
+		Solver:           cfg.solverName,
+		WidthPx:          cfg.widthPx,
+		BreakerNotify:    cfg.breakerNotify,
+		Logger:           log.Default(),
 	})
 }
 

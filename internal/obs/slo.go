@@ -171,22 +171,6 @@ func (s *SLO) Objectives() []Objective {
 	return out
 }
 
-// Attach registers an externally owned windowed series under a stage
-// name, so series fed outside the trace path — e.g. admission queue
-// sojourn per lane — appear in the SLO report and can carry objectives
-// like any traced stage. A stage that already has a series keeps it
-// (first writer wins); a nil series is ignored.
-func (s *SLO) Attach(stage string, w *Windowed) {
-	if w == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.series[stage] == nil {
-		s.series[stage] = w
-	}
-}
-
 // seriesFor returns (lazily creating) the stage's windowed series. The
 // ring covers the slow window plus one partial slot.
 func (s *SLO) seriesFor(stage string) *Windowed {

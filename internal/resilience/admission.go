@@ -30,13 +30,6 @@ type AdmissionConfig struct {
 	// time it changes (under the controller's lock — keep it to a
 	// gauge store).
 	OnDepth func(p Priority, depth int)
-	// Controller, when non-nil, makes the interactive lane's watermark
-	// adaptive: laneMax consults Controller.Watermark() instead of
-	// MaxQueue, and every granted request's queue sojourn (0 on the
-	// fast path) is fed to the controller.
-	Controller *CoDel
-	// BatchController is the batch lane's adaptive watermark.
-	BatchController *CoDel
 	// OnSojourn, when non-nil, observes every granted request's queue
 	// sojourn (0 for fast-path grants) — e.g. into a metrics histogram.
 	// Called outside the admission lock.
@@ -105,37 +98,17 @@ func (a *Admission) retryAfter() time.Duration {
 	return a.cfg.RetryAfter
 }
 
-// controller returns the lane's adaptive watermark controller, or nil.
-func (a *Admission) controller(p Priority) *CoDel {
-	if p == Batch {
-		return a.cfg.BatchController
-	}
-	return a.cfg.Controller
-}
-
-// laneMax returns the watermark for a lane (0 = unbounded). An
-// adaptive lane's watermark comes from its CoDel controller and is
-// never 0.
+// laneMax returns the watermark for a lane (0 = unbounded).
 func (a *Admission) laneMax(p Priority) int {
-	if c := a.controller(p); c != nil {
-		return c.Watermark()
-	}
 	if p == Batch {
 		return a.cfg.MaxBatchQueue
 	}
 	return a.cfg.MaxQueue
 }
 
-// Watermark reports a lane's current effective watermark (0 means the
-// lane is unbounded).
-func (a *Admission) Watermark(p Priority) int { return a.laneMax(p) }
-
-// granted reports one grant's queue sojourn to the lane's controller
-// and the OnSojourn observer. Called without a.mu held.
+// granted reports one grant's queue sojourn to the OnSojourn observer.
+// Called without a.mu held.
 func (a *Admission) granted(p Priority, wait time.Duration) {
-	if c := a.controller(p); c != nil {
-		c.Observe(wait)
-	}
 	if a.cfg.OnSojourn != nil {
 		a.cfg.OnSojourn(p, wait)
 	}

@@ -8,14 +8,11 @@
 //
 //   - Admission: a bounded admission queue in front of the worker
 //     pool, with per-priority lanes (interactive vs. batch) and a
-//     depth watermark — static, or driven by a CoDel sojourn-target
-//     controller — past which excess requests fast-fail with a
-//     RejectError (mapped to HTTP 429 + Retry-After) instead of
-//     queueing until the request timeout;
-//   - CoDel: the adaptive watermark controller — a low quantile of
-//     queue sojourn over a sliding window stands in for CoDel's
-//     min-over-interval, halving the watermark while the queue fails
-//     to drain under the target and growing it back when it does;
+//     static depth watermark per lane past which excess requests
+//     fast-fail with a RejectError (mapped to HTTP 429 + Retry-After)
+//     instead of queueing until the request timeout; within a lane
+//     freed slots go to the earliest deadline, and waiters whose
+//     deadline expires while queued are shed with a ShedError;
 //   - RetryBudget: a per-session token bucket that keeps client
 //     retries a bounded fraction of first attempts (no retry storms);
 //   - Ladder: a degradation ladder — an ordered list of rungs (exact
@@ -40,9 +37,8 @@
 //     many overlap (interactive lane draws on the full budget, batch
 //     on the remainder).
 //
-// The package depends only on the standard library plus internal/obs
-// (itself dependency-free) so every layer of the pipeline (including
-// muve itself) can import it without cycles.
+// The package depends only on the standard library so every layer of
+// the pipeline (including muve itself) can import it without cycles.
 package resilience
 
 import (

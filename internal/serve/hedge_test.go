@@ -69,11 +69,12 @@ func TestHedgeBilledToBatchLane(t *testing.T) {
 	}, "worker shares and hedge token released")
 }
 
-// TestHedgeTokenBucketBoundsConcurrentHedges: with one hedge token,
-// three simultaneously slow requests may start only one hedge; the
-// other two are denied (counted) and ride out their exact solves on
-// undiluted interactive allocations. After the storm, the token is back
-// and a later request can hedge again.
+// TestHedgeTokenBucketBoundsConcurrentHedges: with one hedge token
+// (MaxInFlight 4 derives max(4/4, 1) = 1), three simultaneously slow
+// requests may start only one hedge; the other two are denied (counted)
+// and ride out their exact solves on undiluted interactive allocations.
+// After the storm, the token is back and a later request can hedge
+// again.
 func TestHedgeTokenBucketBoundsConcurrentHedges(t *testing.T) {
 	exactGate := make(chan struct{})
 	hedgeGate := make(chan struct{})
@@ -109,10 +110,9 @@ func TestHedgeTokenBucketBoundsConcurrentHedges(t *testing.T) {
 			}
 		},
 		Hedge:         true,
-		HedgeTokens:   1,
 		Timeout:       2 * time.Second, // hedge trigger = 500ms
 		SolverWorkers: 8,
-		MaxInFlight:   8,
+		MaxInFlight:   4, // one hedge token
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -89,10 +89,6 @@ type Metrics struct {
 	// an unbounded backlog is still visible on /metrics.
 	QueueInteractive Gauge
 	QueueBatch       Gauge
-	// WatermarkInteractive/WatermarkBatch gauge the live CoDel-adaptive
-	// admission watermark per lane (0 when adaptive admission is off).
-	WatermarkInteractive Gauge
-	WatermarkBatch       Gauge
 	// SojournInteractive/SojournBatch observe admission queue sojourn —
 	// enqueue to slot grant, 0 for fast-path grants — per lane.
 	SojournInteractive Histogram
@@ -452,9 +448,6 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE muve_queue_depth gauge\n")
 	fmt.Fprintf(w, "muve_queue_depth{priority=\"interactive\"} %d\n", m.QueueInteractive.Value())
 	fmt.Fprintf(w, "muve_queue_depth{priority=\"batch\"} %d\n", m.QueueBatch.Value())
-	fmt.Fprintf(w, "# TYPE muve_admission_watermark gauge\n")
-	fmt.Fprintf(w, "muve_admission_watermark{priority=\"interactive\"} %d\n", m.WatermarkInteractive.Value())
-	fmt.Fprintf(w, "muve_admission_watermark{priority=\"batch\"} %d\n", m.WatermarkBatch.Value())
 	writeHistogram(w, "muve_planning_seconds", &m.Planning)
 	writeHistogram(w, "muve_request_seconds", &m.EndToEnd)
 	if m.SojournInteractive.Count() > 0 || m.SojournBatch.Count() > 0 {
@@ -551,10 +544,6 @@ func (m *Metrics) VarsHandler() http.Handler {
 			"queue_depth": map[string]int64{
 				"interactive": m.QueueInteractive.Value(),
 				"batch":       m.QueueBatch.Value(),
-			},
-			"admission_watermark": map[string]int64{
-				"interactive": m.WatermarkInteractive.Value(),
-				"batch":       m.WatermarkBatch.Value(),
 			},
 			"sojourn_ms": map[string]any{
 				"interactive": hist(&m.SojournInteractive),

@@ -111,6 +111,37 @@ func TestEngineQueueGaugeLiveWithoutWatermark(t *testing.T) {
 	}
 }
 
+// TestEngineSetupReportsDerivedValues: the startup summary shows what
+// the engine resolved, not the raw options — an unset watermark reads
+// "unbounded", the hedge's token count is derived from MaxInFlight, and
+// the retry budget carries its defaults.
+func TestEngineSetupReportsDerivedValues(t *testing.T) {
+	noop := func(ctx context.Context, req Request, sess *Session) (any, error) { return "ok", nil }
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{
+			Config{Planner: noop, Fallback: noop, Hedge: true, MaxInFlight: 8, Queue: 32, StaleFor: time.Minute},
+			"watermarks interactive=32 batch=unbounded; hedge on, 2 tokens; retry budget burst 4, 0.5/s per session; stale window 1m0s",
+		},
+		{
+			// No Fallback: the hedge has nothing to race, so it is off.
+			Config{Planner: noop, Hedge: true, BatchQueue: 4, RetryBurst: -1},
+			"watermarks interactive=unbounded batch=4; hedge off; retry budget off; stale window off",
+		},
+	} {
+		e, err := NewEngine(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Setup(); got != tc.want {
+			t.Errorf("Setup() = %q\nwant       %q", got, tc.want)
+		}
+		e.Close()
+	}
+}
+
 func TestEngineLadderDescendsToMinimal(t *testing.T) {
 	boom := errors.New("exact blew up")
 	e, err := NewEngine(Config{

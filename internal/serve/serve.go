@@ -202,31 +202,20 @@ type Config struct {
 	// behavior); queue depth is still gauged either way.
 	Queue      int
 	BatchQueue int
-	// AdmissionTarget, when > 0, replaces the static watermarks with
-	// CoDel-style control: each lane's watermark adapts so that queue
-	// sojourn (time from enqueue to slot grant) stays near the target.
-	// The interactive lane uses the target directly; the batch lane
-	// tolerates 4× before shedding, and since freed slots always go to
-	// interactive waiters first, batch is the lane that absorbs the
-	// squeeze when the engine saturates. Queue/BatchQueue then serve as
-	// the watermark ceilings (defaulting to 4×MaxInFlight when unset).
-	AdmissionTarget time.Duration
-	// AdmissionInterval is the CoDel control interval (default 500ms).
-	AdmissionInterval time.Duration
 	// Hedge enables the hedged exact rung: if the exact solve has not
 	// finished by the windowed p90 of recent planning time, the greedy
 	// Fallback starts concurrently and the first finisher wins (the
 	// loser is cancelled). Requires Fallback; answers won by the hedge
 	// are labeled SourceHedged and counted in muve_hedge_total{winner}.
+	//
+	// At most max(MaxInFlight/4, 1) hedges run at once. A hedge runs a
+	// second planner under the same admission slot, so without a bound
+	// a hedging storm could oversubscribe the solver-worker split; each
+	// hedge also charges the batch worker lane rather than riding the
+	// exact solve's interactive allocation. A hedge that finds no token
+	// is denied (the exact solve just continues alone) and counted in
+	// muve_hedge_denied_total.
 	Hedge bool
-	// HedgeTokens bounds concurrent hedge attempts (default
-	// MaxInFlight/4, min 1). A hedge runs a second planner under the
-	// same admission slot, so without a bound a hedging storm could
-	// oversubscribe the solver-worker split; each hedge also charges the
-	// batch worker lane rather than riding the exact solve's interactive
-	// allocation. Exhausted tokens deny the hedge (the exact solve just
-	// continues alone) and count in muve_hedge_denied_total.
-	HedgeTokens int
 	// RetryBurst and RetryPerSec size the per-session retry budget
 	// (token bucket; defaults 4 and 0.5). Requests with Attempt > 0
 	// spend a token or fast-fail with a RetryBudgetError (HTTP 429).
@@ -260,10 +249,6 @@ type Config struct {
 	// CacheTTL expires cached answers (default 5m; <= 0 means never,
 	// appropriate for immutable demo datasets).
 	CacheTTL time.Duration
-	// MaxSessions and SessionTTL bound the session store (defaults
-	// 4096 and 30m).
-	MaxSessions int
-	SessionTTL  time.Duration
 	// Dataset, Solver and WidthPx qualify the cache key so one process
 	// serving several configurations never crosses answers.
 	Dataset string
@@ -313,9 +298,6 @@ type Engine struct {
 	svcTime    *obs.Windowed
 	retryAfter time.Duration
 
-	// codel are the per-lane adaptive watermark controllers (nil when
-	// AdmissionTarget is unset; indexed by resilience.Priority).
-	codel [2]*resilience.CoDel
 	// hedge enables the hedged exact rung; hedgeTokens is the token
 	// bucket bounding concurrent hedge attempts, so hedging can never
 	// oversubscribe the worker split past its configured headroom.
@@ -326,6 +308,8 @@ type Engine struct {
 	retryCfg    resilience.RetryBudgetConfig
 	retryOff    bool
 	retryGlobal *resilience.RetryBudget
+	// setup is the resolved admission setup, rendered once (Setup).
+	setup string
 
 	// baseCtx is the root of every planning context; Close cancels it
 	// so in-flight solves observe shutdown. draining gates new plans;
@@ -385,35 +369,14 @@ func NewEngine(cfg Config) (*Engine, error) {
 	svcTime := obs.NewWindowed(5*time.Second, 16)
 	e := &Engine{svcTime: svcTime, retryAfter: cfg.RetryAfter}
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
-	if cfg.AdmissionTarget > 0 {
-		// CoDel-adaptive watermarks: the configured static watermark (or
-		// 4× the pool) becomes the ceiling the controller may open up to.
-		mkCoDel := func(max int, target time.Duration, g *Gauge) *resilience.CoDel {
-			if max <= 0 {
-				max = 4 * cfg.MaxInFlight
-			}
-			c := resilience.NewCoDel(resilience.CoDelConfig{
-				Target:   target,
-				Interval: cfg.AdmissionInterval,
-				Max:      max,
-				OnChange: func(wm int) { g.Set(int64(wm)) },
-			})
-			g.Set(int64(c.Watermark()))
-			return c
-		}
-		e.codel[resilience.Interactive] = mkCoDel(cfg.Queue, cfg.AdmissionTarget, &m.WatermarkInteractive)
-		e.codel[resilience.Batch] = mkCoDel(cfg.BatchQueue, 4*cfg.AdmissionTarget, &m.WatermarkBatch)
-	}
 	// The admission controller exists even with watermarks disabled so
 	// the queue-depth gauges are always live on /metrics.
 	admission := resilience.NewAdmission(resilience.AdmissionConfig{
-		Capacity:        cfg.MaxInFlight,
-		MaxQueue:        cfg.Queue,
-		MaxBatchQueue:   cfg.BatchQueue,
-		RetryAfter:      cfg.RetryAfter,
-		RetryAfterFn:    e.RetryEstimate,
-		Controller:      e.codel[resilience.Interactive],
-		BatchController: e.codel[resilience.Batch],
+		Capacity:      cfg.MaxInFlight,
+		MaxQueue:      cfg.Queue,
+		MaxBatchQueue: cfg.BatchQueue,
+		RetryAfter:    cfg.RetryAfter,
+		RetryAfterFn:  e.RetryEstimate,
 		OnSojourn: func(p resilience.Priority, d time.Duration) {
 			if p == resilience.Batch {
 				m.SojournBatch.Observe(d)
@@ -467,7 +430,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.keySuffix = "\x00" + cfg.Dataset + "\x00" + cfg.Solver + "\x00" + strconv.Itoa(cfg.WidthPx)
 	e.sessionMaxAge = sessionMaxAge
 	e.cache = cache
-	e.sessions = NewSessionStore(cfg.MaxSessions, cfg.SessionTTL)
+	e.sessions = NewSessionStore(0, 0)
 	e.admission = admission
 	e.workerSplit = resilience.NewWorkerSplit(cfg.SolverWorkers)
 	e.ladder = resilience.NewLadder(rungs...)
@@ -477,13 +440,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.logger = cfg.Logger
 	e.hedge = cfg.Hedge && cfg.Fallback != nil
 	if e.hedge {
-		n := cfg.HedgeTokens
-		if n <= 0 {
-			n = cfg.MaxInFlight / 4
-			if n < 1 {
-				n = 1
-			}
-		}
+		n := max(cfg.MaxInFlight/4, 1)
 		e.hedgeTokens = make(chan struct{}, n)
 		for i := 0; i < n; i++ {
 			e.hedgeTokens <- struct{}{}
@@ -491,15 +448,47 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e.retryOff = cfg.RetryBurst < 0
 	if !e.retryOff {
-		e.retryCfg = resilience.RetryBudgetConfig{Burst: cfg.RetryBurst, PerSec: cfg.RetryPerSec}
+		e.retryCfg = resilience.RetryBudgetConfig{Burst: orDefault(cfg.RetryBurst, 4), PerSec: orDefault(cfg.RetryPerSec, 0.5)}
 		// Sessionless clients share one bucket; 8× a single session's
 		// budget so a few anonymous callers don't starve each other.
 		e.retryGlobal = resilience.NewRetryBudget(resilience.RetryBudgetConfig{
-			Burst: 8 * orDefault(cfg.RetryBurst, 4), PerSec: 8 * orDefault(cfg.RetryPerSec, 0.5),
+			Burst: 8 * e.retryCfg.Burst, PerSec: 8 * e.retryCfg.PerSec,
 		})
 	}
+	e.setup = e.describeSetup(cfg)
 	return e, nil
 }
+
+// describeSetup renders the admission setup NewEngine resolved from
+// cfg: each lane's watermark, the hedge and its derived token count,
+// the per-session retry budget and the stale window.
+func (e *Engine) describeSetup(cfg Config) string {
+	lane := func(max int) string {
+		if max <= 0 {
+			return "unbounded"
+		}
+		return strconv.Itoa(max)
+	}
+	hedge := "off"
+	if e.hedge {
+		hedge = fmt.Sprintf("on, %d tokens", cap(e.hedgeTokens))
+	}
+	retry := "off"
+	if !e.retryOff {
+		retry = fmt.Sprintf("burst %g, %g/s per session", e.retryCfg.Burst, e.retryCfg.PerSec)
+	}
+	stale := "off"
+	if cfg.StaleFor > 0 {
+		stale = cfg.StaleFor.String()
+	}
+	return fmt.Sprintf("watermarks interactive=%s batch=%s; hedge %s; retry budget %s; stale window %s",
+		lane(cfg.Queue), lane(cfg.BatchQueue), hedge, retry, stale)
+}
+
+// Setup describes the resolved admission setup in one line, for the
+// startup log: lane watermarks, hedge tokens, retry budget and stale
+// window as the engine applies them, defaults filled in.
+func (e *Engine) Setup() string { return e.setup }
 
 // orDefault substitutes def for a non-positive v.
 func orDefault(v, def float64) float64 {
@@ -541,20 +530,6 @@ func (e *Engine) Cache() *Cache { return e.cache }
 
 // Sessions exposes the session store.
 func (e *Engine) Sessions() *SessionStore { return e.sessions }
-
-// AdmissionWatermark reports a lane's current effective watermark
-// (live when CoDel-adaptive, the static config otherwise; 0 means the
-// lane is unbounded).
-func (e *Engine) AdmissionWatermark(p resilience.Priority) int {
-	return e.admission.Watermark(p)
-}
-
-// SojournSeries exposes a lane's sliding sojourn histogram when the
-// adaptive admission controller is on (nil otherwise) — muveserver
-// attaches it to the SLO engine so /debug/slo reports live sojourn.
-func (e *Engine) SojournSeries(p resilience.Priority) *obs.Windowed {
-	return e.codel[p].Series()
-}
 
 // ErrDraining reports a planning request refused because the engine is
 // shutting down. Cheap paths (cache, session, stale snapshot entries)
