@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench serve trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke slo-smoke fuzz-smoke overload-smoke scan-smoke ci
+.PHONY: all build vet test race bench serve trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke slo-smoke fuzz-smoke overload-smoke scan-smoke perfbench-test ci
 
 all: ci
 
@@ -18,6 +18,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module (perfbench/go.mod, which
+# replaces muve with ../), so ./... never reaches it; vet and test it
+# here so a root refactor cannot break the benchmark unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Serving-layer micro-benchmarks, the end-to-end plot and voice ask
 # benches, and the greedy and ILP planners on fixed instances.
@@ -99,4 +105,4 @@ scan-smoke:
 overload-smoke:
 	$(GO) run ./cmd/muvebench -overload -overload-json BENCH_overload.json
 
-ci: vet build race trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke scan-smoke slo-smoke fuzz-smoke overload-smoke
+ci: vet build race perfbench-test trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke scan-smoke slo-smoke fuzz-smoke overload-smoke

@@ -156,7 +156,7 @@ func BenchmarkExecShared(b *testing.B) {
 		b.Run(fmt.Sprintf("candidates=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := db.ExecShared(queries); err != nil {
+				if _, _, err := db.ExecSharedResults(queries); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -57,6 +57,23 @@ type hedgeCounts struct {
 	Wins    map[string]uint64 `json:"wins,omitempty"`
 }
 
+// engineCounts reads the engine's retry-budget and hedge counters into
+// the report: a hedge started at every hedge point a token was free for,
+// and Wins names each winner that finished first at least once.
+func engineCounts(m *serve.Metrics, r *retryCounts, h *hedgeCounts) {
+	r.Attempted = m.Retries[serve.RetryAllowed].Value() + m.Retries[serve.RetryDenied].Value()
+	r.Denied = m.Retries[serve.RetryDenied].Value()
+	exact, won := m.Hedge[serve.HedgeExact].Value(), m.Hedge[serve.HedgeWon].Value()
+	h.Started = exact + won + m.Hedge[serve.HedgeFailed].Value()
+	h.Wins = map[string]uint64{}
+	if exact > 0 {
+		h.Wins["exact"] = exact
+	}
+	if won > 0 {
+		h.Wins["hedge"] = won
+	}
+}
+
 // drainCounts records the end-of-run crash-only drain exercise.
 type drainCounts struct {
 	Cancelled int  `json:"cancelled"`
@@ -173,11 +190,7 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	// Exercise the crash-only drain path before reading the counters,
 	// so its cancellations land in the report.
 	rep.Drain = drainChaos(engine, utterances)
-	m := engine.Metrics()
-	rep.Retries.Attempted = m.Retries.Value()
-	rep.Retries.Denied = m.RetryDenied.Value()
-	rep.Hedge.Started = m.HedgeStarted.Value()
-	rep.Hedge.Wins = m.HedgeWins()
+	engineCounts(engine.Metrics(), &rep.Retries, &rep.Hedge)
 	writeChaosText(os.Stdout, rep, outcomes)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)

@@ -191,11 +191,7 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 			st.Rejected, st.Shed, st.Deadline, st.Transport, st.Escaped, st.P50ms, st.P99ms)
 	}
 
-	m := engine.Metrics()
-	rep.Retries.Attempted = m.Retries.Value()
-	rep.Retries.Denied = m.RetryDenied.Value()
-	rep.Hedge.Started = m.HedgeStarted.Value()
-	rep.Hedge.Wins = m.HedgeWins()
+	engineCounts(engine.Metrics(), &rep.Retries, &rep.Hedge)
 
 	last := rep.Steps[len(rep.Steps)-1]
 	var failures []string

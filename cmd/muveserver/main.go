@@ -14,9 +14,11 @@
 //	GET /trend?q=...&by=col    SVG line chart (trend extension)
 //	GET /healthz               liveness probe
 //	GET /readyz                readiness probe (503 once draining)
-//	GET /metrics               Prometheus text metrics (incl. per-stage
-//	                           muve_stage_seconds histograms)
-//	GET /debug/vars            metrics as JSON (with p50/p95/p99)
+//	GET /metrics               Prometheus text metrics: the engine's 26
+//	                           families (README "Metrics reference")
+//	                           plus the Go runtime's muve_go_*
+//	GET /debug/vars            the same engine families as JSON (with
+//	                           p50/p95/p99)
 //	GET /debug/traces          recent pipeline traces (?format=json|text|chrome)
 //	GET /debug/slo             SLO burn-rate report (?format=text; with -slo)
 //	GET /debug/incidents       flight-recorder bundles (?id=inc-N&part=
@@ -27,9 +29,9 @@
 // of a multiplot: the exact fact-set ILP, degrading to greedy fact
 // selection, a stale cached voice answer, and finally a single headline
 // fact. Voice and plot answers are cached under distinct keys, and
-// voice traffic is counted in muve_speak_requests_total,
-// muve_speak_rung_total{rung}, muve_speak_facts_total and
-// muve_speak_words_total (-speak-words bounds the spoken length).
+// voice traffic is counted in muve_speak_total{stat} and under
+// mode="voice" in muve_ladder_rung_total (-speak-words bounds the
+// spoken length).
 //
 // /ask and /ask.json accept three optional parameters: sid=<id> binds
 // the request to a server-side session (consecutive utterances reuse
@@ -64,7 +66,7 @@
 // lane's queue is capped by its watermark, freed slots go to the
 // earliest deadline, and a waiter whose deadline passes while queued is
 // shed before it takes a slot (queue wait in the
-// muve_sojourn_{interactive,batch}_seconds histograms). Three
+// muve_sojourn_seconds{priority} histograms). Three
 // mechanisms carry the load past saturation. Retry budgets: clients
 // propagate deadlines via X-Muve-Deadline (duration or unix-millis;
 // capped by -max-deadline) and label retries via X-Muve-Attempt;
@@ -73,7 +75,7 @@
 // with Retry-After instead of amplifying the overload. Hedging: -hedge
 // races a greedy hedge against exact solves that outlive the windowed
 // p90 planning time, at most max(-max-inflight/4, 1) at once; the first
-// finisher wins (muve_hedge_total{winner}, source "hedged"). Crash-only
+// finisher wins (muve_hedge_total{outcome}, source "hedged"). Crash-only
 // drain, below. Measured with `muvebench -overload` at 2x calibrated
 // capacity on 2 CPUs: 0 rejections, hedges start and win in every run,
 // and retry budgets are never reached because nothing is shed. The
@@ -122,8 +124,8 @@
 // an incident bundle (short CPU profile, heap profile, trace-ring
 // snapshot, metrics dump, SLO state) into a ring of -incident-buffer
 // bundles at /debug/incidents, optionally spilled under -incident-dir.
-// /metrics additionally carries Go runtime health as the muve_go_*
-// family, and all pipeline work runs under pprof labels (stage, lane,
+// /metrics additionally carries Go runtime health as the seven muve_go_*
+// families, and all pipeline work runs under pprof labels (stage, lane,
 // mode, rung) so `go tool pprof -tags` decomposes CPU by stage.
 package main
 
@@ -512,8 +514,8 @@ func recordVoice(m *serve.Metrics, ans *muve.Answer) {
 	if ans.Voice == nil {
 		return
 	}
-	m.SpeakFacts.Add(uint64(len(ans.Voice.Facts.Facts)))
-	m.SpeakWords.Add(uint64(ans.Voice.Words))
+	m.Speak[serve.SpeakFacts].Add(uint64(len(ans.Voice.Facts.Facts)))
+	m.Speak[serve.SpeakWords].Add(uint64(ans.Voice.Words))
 }
 
 // newEngine wires a muve.System into a serve.Engine's degradation
@@ -540,7 +542,7 @@ func newEngine(sys *muve.System, db *sqldb.DB, table string, cfg engineConfig) (
 				return nil, err
 			}
 			if ws := string(ans.Stats.WarmStart); ws != "" {
-				metrics.WarmStart(ws)
+				metrics.WarmStarts.With(ws).Inc()
 			}
 			metrics.RecordScan(ans.Stats.Scan)
 			recordVoice(metrics, ans)
@@ -558,7 +560,7 @@ func newEngine(sys *muve.System, db *sqldb.DB, table string, cfg engineConfig) (
 			return nil, err
 		}
 		if ws := string(ans.Stats.WarmStart); ws != "" {
-			metrics.WarmStart(ws)
+			metrics.WarmStarts.With(ws).Inc()
 		}
 		metrics.RecordScan(ans.Stats.Scan)
 		remember(sess, req.Mode, ans)

@@ -302,8 +302,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"muve_requests_total 2",
-		"muve_cache_hits_total 1",
-		"muve_cache_misses_total 1",
+		`muve_lookups_total{result="cache"} 1`,
+		`muve_lookups_total{result="miss"} 1`,
 		"muve_inflight 0",
 		"muve_request_seconds_count 2",
 	} {
@@ -424,8 +424,8 @@ func TestAskVoiceJSONAndMetrics(t *testing.T) {
 	// The voice request landed in the speak metric families.
 	_, _, metrics := fetch(t, srv.URL+"/metrics")
 	for _, want := range []string{
-		"muve_speak_requests_total 1",
-		`muve_speak_rung_total{rung="exact"} 1`,
+		`muve_speak_total{stat="requests"} 1`,
+		`muve_ladder_rung_total{mode="voice",rung="exact"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("missing %q in /metrics", want)

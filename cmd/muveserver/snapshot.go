@@ -164,7 +164,7 @@ func loadSnapshot(path string, engine *serve.Engine, dataset, solver string, wid
 		return 0, 0, err
 	}
 	skip := func(reason, format string, args ...any) (int, int, error) {
-		engine.Metrics().SnapshotSkipped(reason)
+		engine.Metrics().SnapshotSkipped.With(reason).Inc()
 		return 0, 0, fmt.Errorf("snapshot %s: %s", path, fmt.Sprintf(format, args...))
 	}
 	var env snapshotEnvelope

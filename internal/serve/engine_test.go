@@ -68,8 +68,8 @@ func TestEngineCacheFlow(t *testing.T) {
 		t.Errorf("planner calls = %d, want 2", calls.Load())
 	}
 	m := e.Metrics()
-	if m.Requests.Value() != 3 || m.CacheHits.Value() != 1 || m.CacheMisses.Value() != 1 {
-		t.Errorf("metrics: req=%d hit=%d miss=%d", m.Requests.Value(), m.CacheHits.Value(), m.CacheMisses.Value())
+	if m.Requests.Value() != 3 || m.Lookups[LookupCache].Value() != 1 || m.Lookups[LookupMiss].Value() != 1 {
+		t.Errorf("metrics: req=%d hit=%d miss=%d", m.Requests.Value(), m.Lookups[LookupCache].Value(), m.Lookups[LookupMiss].Value())
 	}
 	if m.EndToEnd.Count() != 3 || m.Planning.Count() != 2 {
 		t.Errorf("histograms: e2e=%d planning=%d", m.EndToEnd.Count(), m.Planning.Count())
@@ -196,8 +196,8 @@ func TestEngineTimeoutAndFallback(t *testing.T) {
 	if primary.Load() != 1 || fallback.Load() != 1 {
 		t.Errorf("primary=%d fallback=%d", primary.Load(), fallback.Load())
 	}
-	if e.Metrics().Fallbacks.Value() != 1 {
-		t.Errorf("fallback metric = %d", e.Metrics().Fallbacks.Value())
+	if n := e.Metrics().Fallbacks.With("unknown").Value(); n != 1 {
+		t.Errorf("fallback metric = %d", n)
 	}
 	// The degraded answer is cached like any other.
 	r2, err := e.Do(context.Background(), Request{Transcript: "slow query"})
@@ -286,8 +286,8 @@ func TestEngineSessionReuse(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("planner calls = %d, want 2", calls.Load())
 	}
-	if e.Metrics().SessionHits.Value() != 1 {
-		t.Errorf("session hits = %d", e.Metrics().SessionHits.Value())
+	if n := e.Metrics().Lookups[LookupSession].Value(); n != 1 {
+		t.Errorf("session hits = %d", n)
 	}
 }
 

@@ -136,10 +136,10 @@ func TestHedgeTokenBucketBoundsConcurrentHedges(t *testing.T) {
 	// All three hit their hedge triggers; exactly one token exists.
 	// Wait for the token-bearing hedge to have recorded the lane state,
 	// not just for the counters to tick — the fallback goroutine starts
-	// after HedgeStarted increments.
+	// after the hedge token is taken.
 	m := e.Metrics()
 	waitFor(t, func() bool {
-		return m.HedgeStarted.Value() == 1 && m.HedgeDenied.Value() == 2 && recorded.Load()
+		return m.Hedge[HedgeDenied].Value() == 2 && recorded.Load()
 	}, "one hedge started, two denied")
 
 	// The storm holds 3 interactive shares (the exact solves) and only
@@ -172,8 +172,8 @@ func TestHedgeTokenBucketBoundsConcurrentHedges(t *testing.T) {
 	if r.Value != "hedge" {
 		t.Fatalf("post-storm value = %v, want hedge win", r.Value)
 	}
-	if m.HedgeStarted.Value() != 2 {
-		t.Errorf("HedgeStarted = %d after storm + retry, want 2", m.HedgeStarted.Value())
+	if n := hedgeStarted(m); n != 2 || m.Hedge[HedgeWon].Value() != 2 {
+		t.Errorf("hedges started = %d, won = %d after storm + retry, want 2 and 2", n, m.Hedge[HedgeWon].Value())
 	}
 }
 

@@ -43,11 +43,70 @@ func TestEngineHedgeWinsOverSlowExact(t *testing.T) {
 		t.Fatalf("response = %q from %q, want greedy answer via hedge", r.Value, r.Source)
 	}
 	m := e.Metrics()
-	if m.HedgeStarted.Value() != 1 {
-		t.Errorf("HedgeStarted = %d, want 1", m.HedgeStarted.Value())
+	if n := hedgeStarted(m); n != 1 {
+		t.Errorf("hedges started = %d, want 1", n)
 	}
-	if wins := m.HedgeWins(); wins["hedge"] != 1 {
-		t.Errorf("HedgeWins = %v, want hedge=1", wins)
+	if n := m.Hedge[HedgeWon].Value(); n != 1 {
+		t.Errorf("hedge wins = %d, want 1", n)
+	}
+}
+
+// hedgeStarted is the number of hedges that started: every hedge point
+// reached with a token ends as exactly one of exact, hedge or failed.
+func hedgeStarted(m *Metrics) uint64 {
+	return m.Hedge[HedgeExact].Value() + m.Hedge[HedgeWon].Value() + m.Hedge[HedgeFailed].Value()
+}
+
+// TestEngineHedgeBothFailCounted: a hedge whose exact attempt and
+// greedy hedge both fail still counts one outcome, "failed", so the
+// hedges actually launched equal exact + hedge + failed.
+func TestEngineHedgeBothFailCounted(t *testing.T) {
+	var exactRunning atomic.Int32
+	var launched atomic.Uint64 // fallback calls made while an exact solve runs
+	e, err := NewEngine(Config{
+		Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
+			exactRunning.Add(1)
+			defer exactRunning.Add(-1)
+			if req.Transcript == "fail" {
+				time.Sleep(200 * time.Millisecond)
+				return nil, errors.New("exact solve failed")
+			}
+			select {
+			case <-time.After(2 * time.Second):
+				return "exact", nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
+		Fallback: func(ctx context.Context, req Request, sess *Session) (any, error) {
+			if exactRunning.Load() > 0 {
+				launched.Add(1)
+			}
+			if req.Transcript == "fail" {
+				return nil, errors.New("greedy failed")
+			}
+			return "greedy", nil
+		},
+		Hedge:   true,
+		Timeout: 400 * time.Millisecond, // hedge trigger = timeout/4 = 100ms
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	if _, err := e.Do(context.Background(), Request{Transcript: "fail"}); err == nil {
+		t.Fatal("both rungs failed, but the request answered")
+	}
+	if r, err := e.Do(context.Background(), Request{Transcript: "slow"}); err != nil || r.Source != SourceHedged {
+		t.Fatalf("slow request = %+v, %v; want a hedge win", r, err)
+	}
+	m := e.Metrics()
+	if f, w := m.Hedge[HedgeFailed].Value(), m.Hedge[HedgeWon].Value(); f != 1 || w != 1 {
+		t.Errorf("hedge outcomes failed=%d hedge=%d, want 1 and 1", f, w)
+	}
+	if n := hedgeStarted(m); n != launched.Load() || n != 2 {
+		t.Errorf("exact + hedge + failed = %d, hedges launched = %d, want both 2", n, launched.Load())
 	}
 }
 
@@ -76,8 +135,8 @@ func TestEngineHedgeExactStillWins(t *testing.T) {
 	if r.Source != SourcePlanned || r.Value != "exact" {
 		t.Fatalf("response = %q from %q, want exact answer unhedged", r.Value, r.Source)
 	}
-	if n := e.Metrics().HedgeStarted.Value(); n != 0 {
-		t.Errorf("HedgeStarted = %d for a fast exact solve, want 0", n)
+	if n := hedgeStarted(e.Metrics()); n != 0 {
+		t.Errorf("hedges started = %d for a fast exact solve, want 0", n)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestEngineAdmissionRejectsPastWatermark(t *testing.T) {
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for e.Metrics().QueueInteractive.Value() < 1 {
+	for e.Metrics().QueueDepth[resilience.Interactive].Value() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("second request never queued")
 		}
@@ -65,11 +65,11 @@ func TestEngineAdmissionRejectsPastWatermark(t *testing.T) {
 	close(gate)
 	wg.Wait()
 	m := e.Metrics()
-	if m.RejectedInteractive.Value() != 1 {
-		t.Errorf("rejected counter = %d", m.RejectedInteractive.Value())
+	if m.Rejected[resilience.Interactive].Value() != 1 {
+		t.Errorf("rejected counter = %d", m.Rejected[resilience.Interactive].Value())
 	}
-	if m.QueueInteractive.Value() != 0 {
-		t.Errorf("queue gauge after drain = %d", m.QueueInteractive.Value())
+	if m.QueueDepth[resilience.Interactive].Value() != 0 {
+		t.Errorf("queue gauge after drain = %d", m.QueueDepth[resilience.Interactive].Value())
 	}
 }
 
@@ -98,16 +98,16 @@ func TestEngineQueueGaugeLiveWithoutWatermark(t *testing.T) {
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for e.Metrics().QueueInteractive.Value() < 2 {
+	for e.Metrics().QueueDepth[resilience.Interactive].Value() < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue gauge stuck at %d, want 2", e.Metrics().QueueInteractive.Value())
+			t.Fatalf("queue gauge stuck at %d, want 2", e.Metrics().QueueDepth[resilience.Interactive].Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
 	wg.Wait()
-	if e.Metrics().QueueInteractive.Value() != 0 {
-		t.Errorf("gauge after drain = %d", e.Metrics().QueueInteractive.Value())
+	if e.Metrics().QueueDepth[resilience.Interactive].Value() != 0 {
+		t.Errorf("gauge after drain = %d", e.Metrics().QueueDepth[resilience.Interactive].Value())
 	}
 }
 
@@ -172,7 +172,7 @@ func TestEngineLadderDescendsToMinimal(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	e.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), `muve_ladder_rung_total{rung="minimal"} 1`) {
+	if !strings.Contains(rec.Body.String(), `muve_ladder_rung_total{mode="plot",rung="minimal"} 1`) {
 		t.Errorf("missing rung counter in:\n%s", rec.Body.String())
 	}
 }

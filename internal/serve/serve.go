@@ -206,15 +206,15 @@ type Config struct {
 	// finished by the windowed p90 of recent planning time, the greedy
 	// Fallback starts concurrently and the first finisher wins (the
 	// loser is cancelled). Requires Fallback; answers won by the hedge
-	// are labeled SourceHedged and counted in muve_hedge_total{winner}.
+	// are labeled SourceHedged and counted in muve_hedge_total{outcome}.
 	//
 	// At most max(MaxInFlight/4, 1) hedges run at once. A hedge runs a
 	// second planner under the same admission slot, so without a bound
 	// a hedging storm could oversubscribe the solver-worker split; each
 	// hedge also charges the batch worker lane rather than riding the
 	// exact solve's interactive allocation. A hedge that finds no token
-	// is denied (the exact solve just continues alone) and counted in
-	// muve_hedge_denied_total.
+	// is denied (the exact solve just continues alone) and counted as
+	// muve_hedge_total{outcome="denied"}.
 	Hedge bool
 	// RetryBurst and RetryPerSec size the per-session retry budget
 	// (token bucket; defaults 4 and 0.5). Requests with Attempt > 0
@@ -377,23 +377,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 		MaxBatchQueue: cfg.BatchQueue,
 		RetryAfter:    cfg.RetryAfter,
 		RetryAfterFn:  e.RetryEstimate,
-		OnSojourn: func(p resilience.Priority, d time.Duration) {
-			if p == resilience.Batch {
-				m.SojournBatch.Observe(d)
-			} else {
-				m.SojournInteractive.Observe(d)
-			}
-		},
-		OnDepth: func(p resilience.Priority, depth int) {
-			if p == resilience.Batch {
-				m.QueueBatch.Set(int64(depth))
-			} else {
-				m.QueueInteractive.Set(int64(depth))
-			}
-		},
-		OnShed: func(p resilience.Priority) {
-			m.AdmissionShed(p.String())
-		},
+		OnSojourn:     func(p resilience.Priority, d time.Duration) { m.Sojourn[p].Observe(d) },
+		OnDepth:       func(p resilience.Priority, depth int) { m.QueueDepth[p].Set(int64(depth)) },
+		OnShed:        func(p resilience.Priority) { m.AdmissionShed[p].Inc() },
 	})
 	var breakers *resilience.BreakerSet
 	if cfg.BreakerThreshold >= 0 {
@@ -401,9 +387,9 @@ func NewEngine(cfg Config) (*Engine, error) {
 			Threshold: cfg.BreakerThreshold,
 			Cooldown:  cfg.BreakerCooldown,
 			OnChange: func(stage string, to resilience.BreakerState) {
-				m.SetBreakerState(stage, int64(to))
+				m.BreakerState.With(stage).Set(int64(to))
 				if to == resilience.Open {
-					m.BreakerTrip(stage)
+					m.BreakerTrips.With(stage).Inc()
 				}
 				if cfg.BreakerNotify != nil {
 					cfg.BreakerNotify(stage, to)
@@ -627,15 +613,14 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	}()
 
 	if req.Mode == ModeVoice {
-		e.metrics.SpeakRequests.Inc()
+		e.metrics.Speak[SpeakRequests].Inc()
 	}
 	key := e.KeyFor(req)
 	sess := e.sessions.Get(req.SessionID)
 
 	if req.Attempt > 0 {
-		e.metrics.Retries.Inc()
 		if !e.retryAllowed(sess) {
-			e.metrics.RetryDenied.Inc()
+			e.metrics.Retries[RetryDenied].Inc()
 			e.metrics.Errors.Inc()
 			ra := e.RetryEstimate()
 			if ra <= 0 {
@@ -643,23 +628,24 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 			}
 			return nil, &resilience.RetryBudgetError{RetryAfter: ra}
 		}
+		e.metrics.Retries[RetryAllowed].Inc()
 	}
 
 	if !req.Refresh {
 		if sess != nil {
 			if v, ok := sess.reuse(key, e.sessionMaxAge, start); ok {
-				e.metrics.SessionHits.Inc()
+				e.metrics.Lookups[LookupSession].Inc()
 				return &Response{Value: v, Source: SourceSession, Elapsed: time.Since(start), Key: key}, nil
 			}
 		}
 		if v, ok := e.cache.Get(key); ok {
-			e.metrics.CacheHits.Inc()
+			e.metrics.Lookups[LookupCache].Inc()
 			if sess != nil {
 				sess.remember(key, v, start)
 			}
 			return &Response{Value: v, Source: SourceCache, Elapsed: time.Since(start), Key: key}, nil
 		}
-		e.metrics.CacheMisses.Inc()
+		e.metrics.Lookups[LookupMiss].Inc()
 	}
 
 	v, shared, err := e.flight.do(ctx, key, func() (any, error) {
@@ -674,11 +660,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 		var ex *resilience.ExhaustedError
 		switch {
 		case errors.As(err, &rej):
-			if rej.Priority == resilience.Batch {
-				e.metrics.RejectedBatch.Inc()
-			} else {
-				e.metrics.RejectedInteractive.Inc()
-			}
+			e.metrics.Rejected[rej.Priority].Inc()
 		case errors.As(err, &ex):
 			e.metrics.Exhausted.Inc()
 		}
@@ -828,11 +810,10 @@ func (e *Engine) plan(callerCtx context.Context, req Request, sess *Session) (an
 		}
 	}
 	if exactFailed && len(e.ladder.Rungs()) > 1 {
-		e.metrics.Fallbacks.Inc()
 		if blamed == "" {
 			blamed = "unknown"
 		}
-		e.metrics.StageFallback(blamed)
+		e.metrics.Fallbacks.With(blamed).Inc()
 		tr.Mark("fallback", obs.Str("blamed_stage", blamed))
 		if e.logger != nil {
 			e.logger.Printf("plan %s: exact rung failed in stage %q after %s, descending",
@@ -848,10 +829,11 @@ func (e *Engine) plan(callerCtx context.Context, req Request, sess *Session) (an
 	if rung == rungExact && hedgedWin {
 		rung = rungHedged
 	}
-	e.metrics.LadderRung(rung)
+	ladder := modePlot
 	if req.Mode == ModeVoice {
-		e.metrics.SpeakRung(rung)
+		ladder = modeVoice
 	}
+	e.metrics.Ladder[ladder].With(rung).Inc()
 	if tr != nil && rung != rungExact {
 		tr.Mark("ladder", obs.Str("rung", rung))
 	}
@@ -982,14 +964,13 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 	select {
 	case <-e.hedgeTokens:
 	default:
-		e.metrics.HedgeDenied.Inc()
+		e.metrics.Hedge[HedgeDenied].Inc()
 		if tr != nil {
 			tr.Mark("hedge", obs.Str("trigger", "denied"))
 		}
 		r := <-exc
 		return e.settleExact(tr, blamed, r.v, r.err)
 	}
-	e.metrics.HedgeStarted.Inc()
 	if tr != nil {
 		tr.Mark("hedge", obs.Str("trigger", "p90"))
 	}
@@ -1019,7 +1000,7 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 		case r := <-exc:
 			if r.err == nil {
 				hCancel()
-				e.metrics.HedgeWin("exact")
+				e.metrics.Hedge[HedgeExact].Inc()
 				return e.settleExact(tr, blamed, r.v, nil)
 			}
 			exErr = r.err
@@ -1027,7 +1008,7 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 		case r := <-hc:
 			if r.err == nil {
 				exCancel()
-				e.metrics.HedgeWin("hedge")
+				e.metrics.Hedge[HedgeWon].Inc()
 				*hedged = true
 				// Neutral settle: the exact attempt never finished.
 				e.breakers.Result("", false)
@@ -1036,5 +1017,6 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 			hc = nil
 		}
 	}
+	e.metrics.Hedge[HedgeFailed].Inc()
 	return e.settleExact(tr, blamed, nil, exErr)
 }

@@ -45,7 +45,7 @@ func TestWithTracingRecordsTrace(t *testing.T) {
 		t.Errorf("spans = %+v", tr.Spans())
 	}
 	// The span duration must have landed in the per-stage histogram.
-	if got := m.Stage("solver").Count(); got != 1 {
+	if got := m.Stages.With("solver").Count(); got != 1 {
 		t.Errorf("solver stage observations = %d, want 1", got)
 	}
 }
@@ -89,8 +89,8 @@ func TestEngineFallbackBlamesStage(t *testing.T) {
 	if resp.Source != SourceFallback || resp.Value != "greedy-answer" {
 		t.Fatalf("resp = %+v", resp)
 	}
-	if m.Fallbacks.Value() != 1 {
-		t.Errorf("fallbacks = %d", m.Fallbacks.Value())
+	if n := m.Fallbacks.With("solver").Value(); n != 1 {
+		t.Errorf("fallbacks = %d", n)
 	}
 
 	// The trace carries the fallback marker with the blamed stage.
@@ -116,7 +116,7 @@ func TestEngineFallbackBlamesStage(t *testing.T) {
 	rec := httptest.NewRecorder()
 	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
-	if !strings.Contains(body, `muve_fallbacks_by_stage_total{stage="solver"} 1`) {
+	if !strings.Contains(body, `muve_fallbacks_total{stage="solver"} 1`) {
 		t.Errorf("missing labeled fallback counter in:\n%s", body)
 	}
 	if strings.Contains(body, `muve_stage_seconds_count{stage="fallback"}`) {
@@ -143,16 +143,16 @@ func TestEngineFallbackWithoutTraceBlamesUnknown(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), `muve_fallbacks_by_stage_total{stage="unknown"} 1`) {
+	if !strings.Contains(rec.Body.String(), `muve_fallbacks_total{stage="unknown"} 1`) {
 		t.Errorf("missing unknown-stage fallback counter in:\n%s", rec.Body.String())
 	}
 }
 
 func TestMetricsStageHistogramExposition(t *testing.T) {
 	m := &Metrics{}
-	m.Stage("nlq").Observe(150 * time.Microsecond)
-	m.Stage("solver").Observe(5 * time.Millisecond)
-	m.Stage("solver").Observe(7 * time.Millisecond)
+	m.Stages.With("nlq").Observe(150 * time.Microsecond)
+	m.Stages.With("solver").Observe(5 * time.Millisecond)
+	m.Stages.With("solver").Observe(7 * time.Millisecond)
 
 	rec := httptest.NewRecorder()
 	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -225,7 +225,7 @@ func TestWithSampledTracingGatesOnlyRing(t *testing.T) {
 	}
 	// ...but the latency histograms see every request: sampling gates
 	// retention, not measurement.
-	if got := m.Stage("solver").Count(); got != 4 {
+	if got := m.Stages.With("solver").Count(); got != 4 {
 		t.Errorf("solver stage observations = %d, want 4", got)
 	}
 }

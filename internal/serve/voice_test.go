@@ -68,7 +68,7 @@ func TestVoiceModeKeysCacheSeparately(t *testing.T) {
 	if err != nil || again.Source != SourceCache || again.Value != "exact:voice" {
 		t.Fatalf("repeat voice request = %+v err=%v", again, err)
 	}
-	if got := e.Metrics().SpeakRequests.Value(); got != 2 {
+	if got := e.Metrics().Speak[SpeakRequests].Value(); got != 2 {
 		t.Errorf("speak requests = %d, want 2", got)
 	}
 }
@@ -137,9 +137,9 @@ func TestVoiceRungMetricsExposed(t *testing.T) {
 	e.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
-		"muve_speak_requests_total 1",
-		`muve_speak_rung_total{rung="greedy"} 1`,
-		`muve_ladder_rung_total{rung="greedy"} 2`,
+		`muve_speak_total{stat="requests"} 1`,
+		`muve_ladder_rung_total{mode="voice",rung="greedy"} 1`,
+		`muve_ladder_rung_total{mode="plot",rung="greedy"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing %q in:\n%s", want, body)

@@ -12,7 +12,8 @@ import (
 
 // ScanStats describes the work one or more shared scans performed. The
 // serving layer aggregates these per answer and exports them as
-// muve_scan_* metrics; zero-valued stats mean no shared scan ran.
+// muve_scan_total{stat} metric, one stat per field; zero-valued stats
+// mean no shared scan ran.
 type ScanStats struct {
 	// Scans is the number of table passes executed.
 	Scans int64
@@ -476,53 +477,6 @@ func (db *DB) ExecSharedResultsSampled(queries []Query, rate float64, seed uint6
 		return nil, ScanStats{}, fmt.Errorf("sqldb: sample rate %v outside (0, 1]", rate)
 	}
 	return db.execShared(queries, rate, seed)
-}
-
-// ExecShared evaluates a set of single-aggregate ungrouped queries, all
-// against the same table, in one shared table pass and returns one
-// scalar Value per query (positionally). It is the scalar convenience
-// form of ExecSharedResults for the multiplot candidate class.
-func (db *DB) ExecShared(queries []Query) ([]Value, ScanStats, error) {
-	if err := requireScalar(queries); err != nil {
-		return nil, ScanStats{}, err
-	}
-	res, stats, err := db.execShared(queries, 0, 0)
-	return scalars(res), stats, err
-}
-
-// ExecSharedSampled is ExecShared over the deterministic uniform sample
-// with the given rate in (0, 1].
-func (db *DB) ExecSharedSampled(queries []Query, rate float64, seed uint64) ([]Value, ScanStats, error) {
-	if err := requireScalar(queries); err != nil {
-		return nil, ScanStats{}, err
-	}
-	if rate <= 0 || rate > 1 {
-		return nil, ScanStats{}, fmt.Errorf("sqldb: sample rate %v outside (0, 1]", rate)
-	}
-	res, stats, err := db.execShared(queries, rate, seed)
-	return scalars(res), stats, err
-}
-
-// requireScalar guards the scalar ExecShared entry points.
-func requireScalar(queries []Query) error {
-	for _, q := range queries {
-		if len(q.Aggs) != 1 || len(q.GroupBy) != 0 {
-			return fmt.Errorf("sqldb: ExecShared requires single ungrouped aggregates, got %q (use ExecSharedResults)", q.SQL())
-		}
-	}
-	return nil
-}
-
-// scalars extracts the single value of each scalar result.
-func scalars(res []Result) []Value {
-	if res == nil {
-		return nil
-	}
-	out := make([]Value, len(res))
-	for i, r := range res {
-		out[i] = r.Rows[0][0]
-	}
-	return out
 }
 
 func (db *DB) execShared(queries []Query, rate float64, seed uint64) ([]Result, ScanStats, error) {

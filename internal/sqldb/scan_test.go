@@ -103,9 +103,9 @@ func TestSharedScanBitIdentical(t *testing.T) {
 			}
 
 			// Exact: shared scan vs one Exec per query.
-			shared, stats, err := db.ExecShared(queries)
+			shared, stats, err := db.ExecSharedResults(queries)
 			if err != nil {
-				t.Fatalf("ExecShared: %v", err)
+				t.Fatalf("ExecSharedResults: %v", err)
 			}
 			if stats.Scans != 1 || stats.Candidates != int64(nq) {
 				t.Fatalf("stats = %+v, want 1 scan over %d candidates", stats, nq)
@@ -116,17 +116,17 @@ func TestSharedScanBitIdentical(t *testing.T) {
 					t.Fatalf("Exec(%s): %v", q.SQL(), err)
 				}
 				want := res.Rows[0][0]
-				if !sameValue(shared[i], want) {
-					t.Fatalf("exact mismatch on %s: shared=%v rowwise=%v", q.SQL(), shared[i], want)
+				if got := shared[i].Rows[0][0]; !sameValue(got, want) {
+					t.Fatalf("exact mismatch on %s: shared=%v rowwise=%v", q.SQL(), got, want)
 				}
 			}
 
 			// Sampled: same property under deterministic sampling.
 			rate := 0.05 + rng.Float64()*0.9
 			seed := rng.Uint64()
-			sharedS, _, err := db.ExecSharedSampled(queries, rate, seed)
+			sharedS, _, err := db.ExecSharedResultsSampled(queries, rate, seed)
 			if err != nil {
-				t.Fatalf("ExecSharedSampled: %v", err)
+				t.Fatalf("ExecSharedResultsSampled: %v", err)
 			}
 			for i, q := range queries {
 				res, err := db.ExecSampled(q, rate, seed)
@@ -134,9 +134,9 @@ func TestSharedScanBitIdentical(t *testing.T) {
 					t.Fatalf("ExecSampled(%s): %v", q.SQL(), err)
 				}
 				want := res.Rows[0][0]
-				if !sameValue(sharedS[i], want) {
+				if got := sharedS[i].Rows[0][0]; !sameValue(got, want) {
 					t.Fatalf("sampled (rate=%v) mismatch on %s: shared=%v rowwise=%v",
-						rate, q.SQL(), sharedS[i], want)
+						rate, q.SQL(), got, want)
 				}
 			}
 		})
@@ -155,7 +155,7 @@ func TestSharedScanDedupsPredicates(t *testing.T) {
 		{Aggs: []Aggregate{{Func: AggSum, Col: "price"}}, Table: "sales", Preds: []Predicate{pred}},
 		{Aggs: []Aggregate{{Func: AggAvg, Col: "qty"}}, Table: "sales", Preds: []Predicate{pred}},
 	}
-	_, stats, err := db.ExecShared(queries)
+	_, stats, err := db.ExecSharedResults(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSharedScanDedupsPredicates(t *testing.T) {
 		for _, p := range spellings {
 			queries = append(queries, Query{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales", Preds: []Predicate{p}})
 		}
-		got, stats, err := db.ExecShared(queries)
+		got, stats, err := db.ExecSharedResults(queries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +199,8 @@ func TestSharedScanDedupsPredicates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameValue(got[i], want.Rows[0][0]) {
-				t.Fatalf("%s: shared=%v rowwise=%v", q.SQL(), got[i], want.Rows[0][0])
+			if !sameValue(got[i].Rows[0][0], want.Rows[0][0]) {
+				t.Fatalf("%s: shared=%v rowwise=%v", q.SQL(), got[i].Rows[0][0], want.Rows[0][0])
 			}
 		}
 	}
@@ -211,7 +211,7 @@ func TestSharedScanRejectsMixedTables(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	db := NewDB()
 	db.Register(randomScanTable(t, rng, 10))
-	_, _, err := db.ExecShared([]Query{
+	_, _, err := db.ExecSharedResults([]Query{
 		{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales"},
 		{Aggs: []Aggregate{{Func: AggCount}}, Table: "other"},
 	})
@@ -444,26 +444,6 @@ func TestSharedScanGroupedBitIdentical(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSharedScanScalarWrapperRejectsGrouped: the scalar ExecShared entry
-// point must refuse grouped and multi-aggregate candidates rather than
-// silently flattening them.
-func TestSharedScanScalarWrapperRejectsGrouped(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	db := NewDB()
-	db.Register(randomScanTable(t, rng, 100))
-	for _, q := range []Query{
-		{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales", GroupBy: []string{"cat"}},
-		{Aggs: []Aggregate{{Func: AggCount}, {Func: AggSum, Col: "qty"}}, Table: "sales"},
-	} {
-		if _, _, err := db.ExecShared([]Query{q, q}); err == nil {
-			t.Errorf("ExecShared accepted non-scalar candidate %s", q.SQL())
-		}
-		if _, _, err := db.ExecSharedSampled([]Query{q, q}, 0.5, 1); err == nil {
-			t.Errorf("ExecSharedSampled accepted non-scalar candidate %s", q.SQL())
-		}
 	}
 }
 
