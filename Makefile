@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench serve trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke slo-smoke fuzz-smoke overload-smoke scan-smoke perfbench-test ci
+.PHONY: all build vet fmt-check test race bench serve trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke slo-smoke fuzz-smoke overload-smoke scan-smoke perfbench-test ci
 
 all: ci
 
@@ -12,6 +12,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails if any Go file (the nested perfbench module included) is not
+# gofmt-formatted.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -105,4 +110,4 @@ scan-smoke:
 overload-smoke:
 	$(GO) run ./cmd/muvebench -overload -overload-json BENCH_overload.json
 
-ci: vet build race perfbench-test trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke scan-smoke slo-smoke fuzz-smoke overload-smoke
+ci: vet fmt-check build race perfbench-test trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke scan-smoke slo-smoke fuzz-smoke overload-smoke

@@ -85,19 +85,14 @@ func run() error {
 		tableName = ds.String()
 	}
 
+	solver, err := muve.ParseSolverKind(*solverFlag)
+	if err != nil {
+		return err
+	}
 	opts := []muve.Option{
 		muve.WithWidth(*widthFlag),
 		muve.WithRows(*screenRows),
-	}
-	switch *solverFlag {
-	case "greedy":
-		opts = append(opts, muve.WithSolver(muve.SolverGreedy))
-	case "ilp":
-		opts = append(opts, muve.WithSolver(muve.SolverILP))
-	case "ilp-inc":
-		opts = append(opts, muve.WithSolver(muve.SolverILPIncremental))
-	default:
-		return fmt.Errorf("unknown solver %q", *solverFlag)
+		muve.WithSolver(solver),
 	}
 	if *noiseFlag > 0 {
 		opts = append(opts, muve.WithSpeechNoise(*noiseFlag, *seedFlag))

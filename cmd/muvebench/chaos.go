@@ -129,7 +129,7 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	}
 	db := sqldb.NewDB()
 	db.Register(tbl)
-	engine, err := chaosEngine(db, tbl.Name, ch, workers)
+	engine, err := ladderEngine(db, tbl.Name, chaosConfig(ch, workers))
 	if err != nil {
 		return err
 	}
@@ -217,11 +217,11 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	return nil
 }
 
-// chaosEngine builds the full four-rung ladder (exact ILP → greedy →
-// stale → minimal) over db, mirroring muveserver's wiring but with
-// tight deadlines and a short cache TTL so injected faults actually
-// push requests down the ladder within a smoke-test's runtime.
-func chaosEngine(db *sqldb.DB, table string, ch *resilience.Chaos, workers int) (*serve.Engine, error) {
+// ladderEngine builds the full four-rung ladder (exact ILP, capped at
+// half the remaining deadline → greedy → stale → minimal) over table,
+// mirroring muveserver's wiring. cfg carries the sizing; the planners,
+// dataset and solver name are filled in here.
+func ladderEngine(db *sqldb.DB, table string, cfg serve.Config) (*serve.Engine, error) {
 	sys, err := muve.New(db, table,
 		muve.WithSolver(muve.SolverILP),
 		muve.WithBudgetFraction(0.5))
@@ -239,16 +239,25 @@ func chaosEngine(db *sqldb.DB, table string, ch *resilience.Chaos, workers int) 
 	if err != nil {
 		return nil, err
 	}
-	return serve.NewEngine(serve.Config{
-		Planner: func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-			return sys.AskContext(ctx, req.Transcript)
-		},
-		Fallback: func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-			return greedySys.AskContext(ctx, req.Transcript)
-		},
-		Minimal: func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-			return minimalSys.AskContext(ctx, req.Transcript)
-		},
+	cfg.Planner = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
+		return sys.AskContext(ctx, req.Transcript)
+	}
+	cfg.Fallback = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
+		return greedySys.AskContext(ctx, req.Transcript)
+	}
+	cfg.Minimal = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
+		return minimalSys.AskContext(ctx, req.Transcript)
+	}
+	cfg.Dataset = table
+	cfg.Solver = muve.SolverILP.String()
+	return serve.NewEngine(cfg)
+}
+
+// chaosConfig sizes the ladder that -chaos and -slo drive: tight
+// deadlines and a short cache TTL, so injected faults actually push
+// requests down the ladder within a smoke test's runtime.
+func chaosConfig(ch *resilience.Chaos, workers int) serve.Config {
+	return serve.Config{
 		MaxInFlight:      workers,
 		Queue:            8 * workers,
 		BatchQueue:       2 * workers,
@@ -262,9 +271,7 @@ func chaosEngine(db *sqldb.DB, table string, ch *resilience.Chaos, workers int) 
 		BreakerCooldown:  300 * time.Millisecond,
 		Hedge:            true,
 		Chaos:            ch,
-		Dataset:          table,
-		Solver:           "ilp",
-	})
+	}
 }
 
 // chaosHTTPServer wraps the engine in the minimal middleware stack the

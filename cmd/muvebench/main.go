@@ -268,16 +268,9 @@ func run() error {
 // runs. It fails (non-zero exit) when the pipeline recorded no spans —
 // that would mean the instrumentation came unwired.
 func runTrace(query, solverName string, runs int, chromePath string, seed int64) error {
-	var solver muve.SolverKind
-	switch solverName {
-	case "greedy":
-		solver = muve.SolverGreedy
-	case "ilp":
-		solver = muve.SolverILP
-	case "ilp-inc":
-		solver = muve.SolverILPIncremental
-	default:
-		return fmt.Errorf("unknown solver %q", solverName)
+	solver, err := muve.ParseSolverKind(solverName)
+	if err != nil {
+		return err
 	}
 	if runs <= 0 {
 		runs = 1

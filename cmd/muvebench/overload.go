@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"muve"
 	"muve/internal/resilience"
 	"muve/internal/serve"
 	"muve/internal/sqldb"
@@ -129,7 +127,24 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 	if inflight < 2 {
 		inflight = 2
 	}
-	engine, err := overloadEngine(db, tbl.Name, ch, inflight)
+	// muveserver's wiring at bench scale with the full overload toolkit
+	// on: static admission watermarks, hedged exact solves, retry
+	// budgets, stale serving.
+	engine, err := ladderEngine(db, tbl.Name, serve.Config{
+		MaxInFlight:      inflight,
+		Queue:            16 * inflight,
+		BatchQueue:       8 * inflight,
+		Timeout:          time.Second,
+		FallbackGrace:    500 * time.Millisecond,
+		MinimalGrace:     250 * time.Millisecond,
+		CacheEntries:     512,
+		CacheTTL:         5 * time.Second,
+		StaleFor:         time.Minute,
+		BreakerThreshold: 5,
+		BreakerCooldown:  500 * time.Millisecond,
+		Hedge:            true,
+		Chaos:            ch,
+	})
 	if err != nil {
 		return err
 	}
@@ -241,55 +256,6 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 	}
 	fmt.Printf("all overload gates passed (goodput at 2x: %.0f%% of peak)\n", 100*last.GoodputRPS/rep.PeakGoodput)
 	return nil
-}
-
-// overloadEngine mirrors muveserver's wiring at bench scale with the
-// full overload toolkit on: static admission watermarks, hedged exact
-// solves, retry budgets, stale serving.
-func overloadEngine(db *sqldb.DB, table string, ch *resilience.Chaos, inflight int) (*serve.Engine, error) {
-	sys, err := muve.New(db, table,
-		muve.WithSolver(muve.SolverILP),
-		muve.WithBudgetFraction(0.5))
-	if err != nil {
-		return nil, err
-	}
-	greedySys, err := muve.New(db, table, muve.WithSolver(muve.SolverGreedy))
-	if err != nil {
-		return nil, err
-	}
-	minimalSys, err := muve.New(db, table,
-		muve.WithSolver(muve.SolverGreedy),
-		muve.WithK(1),
-		muve.WithMaxCandidates(1))
-	if err != nil {
-		return nil, err
-	}
-	return serve.NewEngine(serve.Config{
-		Planner: func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-			return sys.AskContext(ctx, req.Transcript)
-		},
-		Fallback: func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-			return greedySys.AskContext(ctx, req.Transcript)
-		},
-		Minimal: func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-			return minimalSys.AskContext(ctx, req.Transcript)
-		},
-		MaxInFlight:      inflight,
-		Queue:            16 * inflight,
-		BatchQueue:       8 * inflight,
-		Timeout:          time.Second,
-		FallbackGrace:    500 * time.Millisecond,
-		MinimalGrace:     250 * time.Millisecond,
-		CacheEntries:     512,
-		CacheTTL:         5 * time.Second,
-		StaleFor:         time.Minute,
-		BreakerThreshold: 5,
-		BreakerCooldown:  500 * time.Millisecond,
-		Hedge:            true,
-		Chaos:            ch,
-		Dataset:          table,
-		Solver:           "ilp",
-	})
 }
 
 // request issues one paced request (plus at most one budgeted retry on

@@ -69,7 +69,7 @@ func runSLO(spec, chaosSpec string, seed int64, requests, workers int, burn floa
 	}
 	db := sqldb.NewDB()
 	db.Register(tbl)
-	engine, err := chaosEngine(db, tbl.Name, ch, workers)
+	engine, err := ladderEngine(db, tbl.Name, chaosConfig(ch, workers))
 	if err != nil {
 		return err
 	}

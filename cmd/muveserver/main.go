@@ -63,13 +63,13 @@
 // X-Chaos-Transport so harnesses can tell injected damage from real).
 //
 // Overload behavior: admission is a static bound per lane — each
-// lane's queue is capped by its watermark, freed slots go to the
-// earliest deadline, and a waiter whose deadline passes while queued is
-// shed before it takes a slot (queue wait in the
-// muve_sojourn_seconds{priority} histograms). Three
-// mechanisms carry the load past saturation. Retry budgets: clients
-// propagate deadlines via X-Muve-Deadline (duration or unix-millis;
-// capped by -max-deadline) and label retries via X-Muve-Attempt;
+// lane's queue is capped by its watermark, and freed slots go to the
+// interactive lane before the batch lane, in arrival order within a
+// lane (queue wait in the muve_sojourn_seconds{priority} histograms).
+// Three mechanisms carry the load past saturation. Retry budgets:
+// clients bound how long they wait via X-Muve-Deadline (duration or
+// unix-millis; capped by -max-deadline; planning and queue order are
+// unaffected) and label retries via X-Muve-Attempt;
 // retries draw from a per-session token bucket
 // (-retry-burst/-retry-per-sec), and an exhausted budget answers 429
 // with Retry-After instead of amplifying the overload. Hedging: -hedge
@@ -78,7 +78,7 @@
 // finisher wins (muve_hedge_total{outcome}, source "hedged"). Crash-only
 // drain, below. Measured with `muvebench -overload` at 2x calibrated
 // capacity on 2 CPUs: 0 rejections, hedges start and win in every run,
-// and retry budgets are never reached because nothing is shed. The
+// and retry budgets are never reached because nothing is rejected. The
 // startup log line prints the resolved watermarks, hedge tokens, retry
 // budget and stale window.
 //
@@ -247,15 +247,9 @@ func run() error {
 	if *sketchFlag > 0 {
 		db.EnableSketches(*sketchFlag)
 	}
-	solver := muve.SolverGreedy
-	switch *solverFlag {
-	case "greedy":
-	case "ilp":
-		solver = muve.SolverILP
-	case "ilp-inc":
-		solver = muve.SolverILPIncremental
-	default:
-		return fmt.Errorf("unknown solver %q", *solverFlag)
+	solver, err := muve.ParseSolverKind(*solverFlag)
+	if err != nil {
+		return err
 	}
 	sys, err := muve.New(db, ds.String(),
 		muve.WithSolver(solver),
@@ -285,30 +279,30 @@ func run() error {
 	// needs the registry), so breaker notifications late-bind to it; the
 	// variable is assigned before the server accepts traffic.
 	var recorder *obs.Recorder
-	engine, err := newEngine(sys, db, ds.String(), engineConfig{
-		solver:           solver,
-		solverName:       *solverFlag,
-		widthPx:          *widthFlag,
-		maxInFlight:      *inflightFlag,
-		solverWorkers:    *workersFlag,
-		cacheEntries:     *cacheFlag,
-		cacheTTL:         *cacheTTLFlag,
-		timeout:          *timeoutFlag,
-		queue:            *queueFlag,
-		batchQueue:       *batchQFlag,
-		staleFor:         *staleFlag,
-		breakerThreshold: *brkThreshold,
-		breakerCooldown:  *brkCooldown,
-		hedge:            *hedgeFlag,
-		retryBurst:       *retryBurst,
-		retryPerSec:      *retryRate,
-		chaos:            chaos,
-		speakWords:       *speakFlag,
-		breakerNotify: func(stage string, to resilience.BreakerState) {
+	engine, err := newEngine(sys, db, *speakFlag, serve.Config{
+		MaxInFlight:      *inflightFlag,
+		SolverWorkers:    *workersFlag,
+		Timeout:          *timeoutFlag,
+		CacheEntries:     *cacheFlag,
+		CacheTTL:         *cacheTTLFlag,
+		StaleFor:         *staleFlag,
+		Queue:            *queueFlag,
+		BatchQueue:       *batchQFlag,
+		BreakerThreshold: *brkThreshold,
+		BreakerCooldown:  *brkCooldown,
+		Hedge:            *hedgeFlag,
+		RetryBurst:       *retryBurst,
+		RetryPerSec:      *retryRate,
+		Chaos:            chaos,
+		Dataset:          ds.String(),
+		Solver:           *solverFlag,
+		WidthPx:          *widthFlag,
+		BreakerNotify: func(stage string, to resilience.BreakerState) {
 			if recorder != nil && to == resilience.Open {
 				recorder.Trigger("breaker-open:" + stage)
 			}
 		},
+		Logger: log.Default(),
 	})
 	if err != nil {
 		return err
@@ -451,29 +445,6 @@ func run() error {
 	return nil
 }
 
-// engineConfig carries the serving flags into engine construction.
-type engineConfig struct {
-	solver           muve.SolverKind
-	solverName       string
-	widthPx          int
-	maxInFlight      int
-	solverWorkers    int
-	cacheEntries     int
-	cacheTTL         time.Duration
-	timeout          time.Duration
-	queue            int
-	batchQueue       int
-	staleFor         time.Duration
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	hedge            bool
-	retryBurst       float64
-	retryPerSec      float64
-	chaos            *resilience.Chaos
-	speakWords       int
-	breakerNotify    func(stage string, to resilience.BreakerState)
-}
-
 // sessionState keeps a session's latest answer per output modality:
 // warm starts must seed from an answer of the same kind, so a voice
 // follow-up must not clobber the multiplot prior (or vice versa).
@@ -519,16 +490,26 @@ func recordVoice(m *serve.Metrics, ans *muve.Answer) {
 }
 
 // newEngine wires a muve.System into a serve.Engine's degradation
-// ladder, routing each rung by the request's answer mode. When the
-// primary solver is ILP-based, a second greedy system over the same
-// database is the greedy rung for requests that miss their deadline; a
-// stripped-down single-candidate greedy system is always built as the
-// minimal last-resort rung. For format=voice the same descent maps to
-// the fact-set planners: exact fact-set ILP → greedy facts → stale →
-// a single headline fact over one candidate.
-func newEngine(sys *muve.System, db *sqldb.DB, table string, cfg engineConfig) (*serve.Engine, error) {
-	metrics := &serve.Metrics{}
-	planner := func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
+// ladder, routing each rung by the request's answer mode. cfg carries
+// the serving configuration; newEngine fills in its Planner, Fallback
+// and Minimal rungs over cfg.Dataset, sized like sys by cfg.Solver,
+// cfg.WidthPx and speakWords. When the primary solver is ILP-based, a
+// second greedy system over the same database is the greedy rung for
+// requests that miss their deadline; a stripped-down single-candidate
+// greedy system is always built as the minimal last-resort rung. For
+// format=voice the same descent maps to the fact-set planners: exact
+// fact-set ILP → greedy facts → stale → a single headline fact over
+// one candidate.
+func newEngine(sys *muve.System, db *sqldb.DB, speakWords int, cfg serve.Config) (*serve.Engine, error) {
+	solver, err := muve.ParseSolverKind(cfg.Solver)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &serve.Metrics{}
+	}
+	metrics := cfg.Metrics
+	cfg.Planner = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
 		if req.Mode == serve.ModeVoice {
 			// The previous voice answer's fact set, when the session has
 			// one, warm-starts this fact-set solve (muve.WithWarmStart
@@ -566,16 +547,15 @@ func newEngine(sys *muve.System, db *sqldb.DB, table string, cfg engineConfig) (
 		remember(sess, req.Mode, ans)
 		return ans, nil
 	}
-	var fallback serve.Planner
-	if cfg.solver != muve.SolverGreedy {
-		greedySys, err := muve.New(db, table,
+	if solver != muve.SolverGreedy {
+		greedySys, err := muve.New(db, cfg.Dataset,
 			muve.WithSolver(muve.SolverGreedy),
-			muve.WithWidth(cfg.widthPx),
-			muve.WithSpeakWords(cfg.speakWords))
+			muve.WithWidth(cfg.WidthPx),
+			muve.WithSpeakWords(speakWords))
 		if err != nil {
 			return nil, err
 		}
-		fallback = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
+		cfg.Fallback = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
 			var ans *muve.Answer
 			var err error
 			if req.Mode == serve.ModeVoice {
@@ -600,16 +580,16 @@ func newEngine(sys *muve.System, db *sqldb.DB, table string, cfg engineConfig) (
 	// planning — a single plot, or for voice a single headline fact. It
 	// answers in single-digit milliseconds and is the last thing tried
 	// before giving up with a 503.
-	minimalSys, err := muve.New(db, table,
+	minimalSys, err := muve.New(db, cfg.Dataset,
 		muve.WithSolver(muve.SolverGreedy),
-		muve.WithWidth(cfg.widthPx),
+		muve.WithWidth(cfg.WidthPx),
 		muve.WithK(1),
 		muve.WithMaxCandidates(1),
-		muve.WithSpeakWords(cfg.speakWords))
+		muve.WithSpeakWords(speakWords))
 	if err != nil {
 		return nil, err
 	}
-	minimal := func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
+	cfg.Minimal = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
 		if req.Mode == serve.ModeVoice {
 			ans, err := minimalSys.AskVoiceContext(ctx, req.Transcript)
 			if err != nil {
@@ -620,31 +600,7 @@ func newEngine(sys *muve.System, db *sqldb.DB, table string, cfg engineConfig) (
 		}
 		return minimalSys.AskContext(ctx, req.Transcript)
 	}
-	return serve.NewEngine(serve.Config{
-		Metrics:          metrics,
-		Planner:          planner,
-		Fallback:         fallback,
-		Minimal:          minimal,
-		MaxInFlight:      cfg.maxInFlight,
-		SolverWorkers:    cfg.solverWorkers,
-		Timeout:          cfg.timeout,
-		CacheEntries:     cfg.cacheEntries,
-		CacheTTL:         cfg.cacheTTL,
-		StaleFor:         cfg.staleFor,
-		Queue:            cfg.queue,
-		BatchQueue:       cfg.batchQueue,
-		BreakerThreshold: cfg.breakerThreshold,
-		BreakerCooldown:  cfg.breakerCooldown,
-		Hedge:            cfg.hedge,
-		RetryBurst:       cfg.retryBurst,
-		RetryPerSec:      cfg.retryPerSec,
-		Chaos:            cfg.chaos,
-		Dataset:          table,
-		Solver:           cfg.solverName,
-		WidthPx:          cfg.widthPx,
-		BreakerNotify:    cfg.breakerNotify,
-		Logger:           log.Default(),
-	})
+	return serve.NewEngine(cfg)
 }
 
 // answerFor runs one request through the engine and unwraps the muve

@@ -29,14 +29,14 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, "requests", engineConfig{
-		solver:       muve.SolverGreedy,
-		solverName:   "greedy",
-		widthPx:      900,
-		maxInFlight:  8,
-		cacheEntries: 256,
-		cacheTTL:     time.Minute,
-		timeout:      10 * time.Second,
+	engine, err := newEngine(sys, db, 0, serve.Config{
+		MaxInFlight:  8,
+		CacheEntries: 256,
+		CacheTTL:     time.Minute,
+		Timeout:      10 * time.Second,
+		Dataset:      "requests",
+		Solver:       "greedy",
+		WidthPx:      900,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,14 +212,14 @@ func warmTestServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, "requests", engineConfig{
-		solver:       muve.SolverILP,
-		solverName:   "ilp",
-		widthPx:      600,
-		maxInFlight:  8,
-		cacheEntries: 256,
-		cacheTTL:     time.Minute,
-		timeout:      10 * time.Second,
+	engine, err := newEngine(sys, db, 0, serve.Config{
+		MaxInFlight:  8,
+		CacheEntries: 256,
+		CacheTTL:     time.Minute,
+		Timeout:      10 * time.Second,
+		Dataset:      "requests",
+		Solver:       "ilp",
+		WidthPx:      600,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,8 +335,10 @@ func TestRequestIDHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, "requests", engineConfig{
-		solverName: "greedy", widthPx: 900,
+	engine, err := newEngine(sys, db, 0, serve.Config{
+		Dataset: "requests",
+		Solver:  "greedy",
+		WidthPx: 900,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -145,8 +145,9 @@ func saveSnapshot(path string, engine *serve.Engine, dataset, solver string, wid
 }
 
 // loadSnapshot restores a prior replica's spilled state into the
-// engine. Returns how many cache entries and sessions were restored. A
-// missing file is not an error; a damaged, stale, or mismatched
+// engine. Returns how many cache entries were stored as stale-rung
+// answers (none without a stale window) and how many sessions were
+// restored. A missing file is not an error; a damaged, stale, or mismatched
 // snapshot is skipped whole and counted, because restoring half-trusted
 // state is worse than a cold start:
 //
@@ -202,8 +203,7 @@ func loadSnapshot(path string, engine *serve.Engine, dataset, solver string, wid
 		return &ans
 	}
 	for _, e := range snap.Cache {
-		if ans := unmarshalAnswer(e.Answer); ans != nil {
-			engine.Cache().PutStale(e.Key, ans)
+		if ans := unmarshalAnswer(e.Answer); ans != nil && engine.Cache().PutStale(e.Key, ans) {
 			entries++
 		}
 	}

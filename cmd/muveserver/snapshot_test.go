@@ -17,9 +17,10 @@ import (
 	"muve/internal/workload"
 )
 
-// snapEngine builds an engine plus a live test server over it, so tests
-// can populate the cache with a real ask before snapshotting.
-func snapEngine(t *testing.T) (*serve.Engine, *httptest.Server) {
+// snapEngine builds an engine with the given stale window plus a live
+// test server over it, so tests can populate the cache with a real ask
+// before snapshotting.
+func snapEngine(t *testing.T, staleFor time.Duration) (*serve.Engine, *httptest.Server) {
 	t.Helper()
 	tbl, err := workload.Build(workload.NYC311, 2000, 1)
 	if err != nil {
@@ -31,14 +32,15 @@ func snapEngine(t *testing.T) (*serve.Engine, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, "requests", engineConfig{
-		solver:       muve.SolverGreedy,
-		solverName:   "greedy",
-		widthPx:      900,
-		maxInFlight:  8,
-		cacheEntries: 256,
-		cacheTTL:     time.Minute,
-		timeout:      10 * time.Second,
+	engine, err := newEngine(sys, db, 0, serve.Config{
+		MaxInFlight:  8,
+		CacheEntries: 256,
+		CacheTTL:     time.Minute,
+		Timeout:      10 * time.Second,
+		StaleFor:     staleFor,
+		Dataset:      "requests",
+		Solver:       "greedy",
+		WidthPx:      900,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +54,7 @@ func snapEngine(t *testing.T) (*serve.Engine, *httptest.Server) {
 // cache) and spills a snapshot to a temp path, returning that path.
 func writeWarmSnapshot(t *testing.T) string {
 	t.Helper()
-	engine, srv := snapEngine(t)
+	engine, srv := snapEngine(t, time.Minute)
 	status, _, _ := fetch(t, srv.URL+"/ask.json?q=how+many+noise+complaints+in+brooklyn")
 	if status != 200 {
 		t.Fatalf("warming ask = %d", status)
@@ -78,23 +80,65 @@ func skippedReasons(engine *serve.Engine) string {
 	return strings.Join(lines, "\n")
 }
 
+// snapshotKeys returns the cache keys stored in the snapshot at path.
+func snapshotKeys(t *testing.T, path string) []string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env snapshotEnvelope
+	var snap snapshotFile
+	if err := json.Unmarshal(b, &env); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(env.Payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(snap.Cache))
+	for i, e := range snap.Cache {
+		keys[i] = e.Key
+	}
+	return keys
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	path := writeWarmSnapshot(t)
-	engine, _ := snapEngine(t)
+	keys := snapshotKeys(t, path)
+	if len(keys) == 0 {
+		t.Fatal("warm snapshot holds no cache entries")
+	}
+	engine, _ := snapEngine(t, time.Minute)
 	entries, _, err := loadSnapshot(path, engine, "requests", "greedy", 900, time.Hour)
 	if err != nil {
 		t.Fatalf("loadSnapshot: %v", err)
 	}
-	if entries == 0 {
-		t.Fatal("round trip restored no cache entries")
+	if entries != len(keys) {
+		t.Errorf("restored %d cache entries, snapshot holds %d", entries, len(keys))
+	}
+	for _, k := range keys {
+		if _, _, ok := engine.Cache().GetStale(k); !ok {
+			t.Errorf("restored key %q is not served by GetStale", k)
+		}
 	}
 	if got := skippedReasons(engine); got != "" {
 		t.Errorf("clean restore counted skips:\n%s", got)
 	}
+
+	// Without a stale window a restored answer would be unreachable, so
+	// nothing is stored and nothing may be reported as restored.
+	cold, _ := snapEngine(t, 0)
+	entries, _, err = loadSnapshot(path, cold, "requests", "greedy", 900, time.Hour)
+	if err != nil {
+		t.Fatalf("loadSnapshot without stale window: %v", err)
+	}
+	if entries != 0 || cold.Cache().Len() != 0 {
+		t.Errorf("no stale window: reported %d entries, cache holds %d; want 0, 0", entries, cold.Cache().Len())
+	}
 }
 
 func TestSnapshotMissingFileIsNotAnError(t *testing.T) {
-	engine, _ := snapEngine(t)
+	engine, _ := snapEngine(t, time.Minute)
 	entries, sessions, err := loadSnapshot(filepath.Join(t.TempDir(), "absent.json"), engine, "requests", "greedy", 900, time.Hour)
 	if err != nil || entries != 0 || sessions != 0 {
 		t.Fatalf("missing file = (%d, %d, %v), want (0, 0, nil)", entries, sessions, err)
@@ -127,7 +171,7 @@ func rewriteEnvelope(t *testing.T, path string, mutate func(*snapshotEnvelope)) 
 // an error, and bumps muve_snapshot_skipped_total with the given reason.
 func expectSkip(t *testing.T, path, reason string, maxAge time.Duration) {
 	t.Helper()
-	engine, _ := snapEngine(t)
+	engine, _ := snapEngine(t, time.Minute)
 	entries, sessions, err := loadSnapshot(path, engine, "requests", "greedy", 900, maxAge)
 	if err == nil {
 		t.Fatalf("want %s error, got nil", reason)
@@ -179,7 +223,7 @@ func TestSnapshotStaleSkipped(t *testing.T) {
 
 func TestSnapshotConfigMismatchSkipped(t *testing.T) {
 	path := writeWarmSnapshot(t)
-	engine, _ := snapEngine(t)
+	engine, _ := snapEngine(t, time.Minute)
 	entries, sessions, err := loadSnapshot(path, engine, "requests", "exhaustive", 900, time.Hour)
 	if err == nil || entries != 0 || sessions != 0 {
 		t.Fatalf("mismatched config = (%d, %d, %v), want skip", entries, sessions, err)

@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"muve/internal/sqldb"
 	"muve/internal/usermodel"
@@ -334,20 +333,6 @@ func (m Multiplot) Layout(correct int) usermodel.Layout {
 		}
 	}
 	return l
-}
-
-// sortCandidateIdxByProb returns candidate indices sorted by decreasing
-// probability (ties by index for determinism).
-func sortCandidateIdxByProb(cands []Candidate, idxs []int) []int {
-	out := append([]int(nil), idxs...)
-	sort.Slice(out, func(a, b int) bool {
-		pa, pb := cands[out[a]].Prob, cands[out[b]].Prob
-		if pa != pb {
-			return pa > pb
-		}
-		return out[a] < out[b]
-	})
-	return out
 }
 
 // nanEntries initializes entry values to NaN until execution fills them.

@@ -5,7 +5,6 @@
 //     phonetic code such that similar-sounding words share similar codes;
 //   - the Jaro-Winkler string distance, used to score similarity between
 //     phonetic codes;
-//   - Soundex, as a simpler alternative encoder;
 //   - an Index over schema element names and constants that returns the k
 //     most phonetically similar entries for a query fragment, substituting
 //     for the Apache Lucene phonetic-search functionality the paper uses.
@@ -74,16 +73,6 @@ func (e *dmEncoder) stringAt(start, length int, ss ...string) bool {
 	target := e.in[start : start+length]
 	for _, s := range ss {
 		if target == s {
-			return true
-		}
-	}
-	return false
-}
-
-// contains reports whether the input contains any of the substrings.
-func (e *dmEncoder) contains(ss ...string) bool {
-	for _, s := range ss {
-		if strings.Contains(e.in, s) {
 			return true
 		}
 	}

@@ -184,14 +184,11 @@ func TestIndexEntriesOrder(t *testing.T) {
 	}
 }
 
-func TestSoundexAgreesWithMetaphoneOnHomophones(t *testing.T) {
-	// Cross-encoder sanity: classic surname homophones that Soundex
-	// unifies should also score high under the metaphone similarity.
+func TestSimilarityScoresHomophonesHigh(t *testing.T) {
+	// Classic surname homophones must score high under the metaphone
+	// similarity.
 	pairs := [][2]string{{"Robert", "Rupert"}, {"Ashcraft", "Ashcroft"}}
 	for _, pr := range pairs {
-		if Soundex(pr[0]) != Soundex(pr[1]) {
-			t.Errorf("Soundex(%q) != Soundex(%q)", pr[0], pr[1])
-		}
 		if s := Similarity(pr[0], pr[1]); s < 0.7 {
 			t.Errorf("Similarity(%q, %q) = %v, want >= 0.7", pr[0], pr[1], s)
 		}

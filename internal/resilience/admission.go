@@ -34,44 +34,24 @@ type AdmissionConfig struct {
 	// sojourn (0 for fast-path grants) — e.g. into a metrics histogram.
 	// Called outside the admission lock.
 	OnSojourn func(p Priority, d time.Duration)
-	// OnShed, when non-nil, is called for every queued waiter shed
-	// because its deadline expired before a slot freed (under the
-	// controller's lock — keep it to a counter).
-	OnShed func(p Priority)
-	// Clock injects a time source for deterministic tests.
-	Clock func() time.Time
 }
 
-// waiter is one queued Acquire. Its channel (capacity 1) receives true
-// when a freed slot is granted to it, false when it is shed because its
-// deadline expired while queued.
-type waiter struct {
-	ch       chan bool
-	deadline time.Time // zero = no deadline
-}
-
-// expired reports whether the waiter's deadline has passed.
-func (w *waiter) expired(now time.Time) bool {
-	return !w.deadline.IsZero() && !w.deadline.After(now)
-}
-
-// Admission is a slot semaphore with bounded, prioritized,
-// deadline-aware waiting: interactive waiters are granted freed slots
-// before batch waiters, within a lane the earliest deadline is served
-// first (no deadline sorts last, FIFO among equals), waiters whose
-// deadline expired while queued are shed before they can consume a
-// slot, each lane fast-fails past its depth watermark, and queue depths
-// are observable even when the watermarks are disabled. All methods are
-// safe for concurrent use.
+// Admission is a slot semaphore with two bounded FIFO lanes: freed
+// slots go to interactive waiters before batch waiters and, within a
+// lane, in arrival order; each lane fast-fails past its depth
+// watermark, and queue depths are observable even when the watermarks
+// are disabled. A waiter whose ctx has ended never keeps a slot: it
+// passes a grant that reaches it on to the next waiter. All methods
+// are safe for concurrent use.
 type Admission struct {
 	cfg AdmissionConfig
 
 	mu   sync.Mutex
 	free int
-	// Waiter queues per lane, in arrival order; release picks by
-	// deadline, not position. A granted waiter receives its slot
-	// directly (free is not incremented in between).
-	queue [2][]*waiter
+	// Waiter queues per lane, in arrival order. A granted waiter
+	// receives its slot directly on its channel (capacity 1; free is
+	// not incremented in between).
+	queue [2][]chan struct{}
 }
 
 // NewAdmission builds a controller with capacity free slots.
@@ -81,9 +61,6 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	return &Admission{cfg: cfg, free: cfg.Capacity}
 }
@@ -121,16 +98,12 @@ func (a *Admission) notifyDepth(p Priority) {
 	}
 }
 
-// Acquire obtains a slot, queueing in the lane for p if none is free.
-// It returns a release function that must be called exactly once when
-// the work completes. When the lane's queue is at its watermark it
-// returns a *RejectError immediately — the fast-fail path. While
-// queued, the request's ctx deadline becomes its admission deadline:
-// release hands freed slots to the earliest deadline first, and a
-// waiter whose deadline expires before a slot frees is shed with a
-// *ShedError rather than granted a worker it can no longer use. When
-// ctx expires while queued it returns ctx.Err() (or the ShedError if
-// the controller shed it in the same instant).
+// Acquire obtains a slot, queueing at the back of the lane for p if
+// none is free. It returns a release function that must be called
+// exactly once when the work completes. When the lane's queue is at
+// its watermark it returns a *RejectError immediately — the fast-fail
+// path. When ctx ends while queued it returns ctx.Err(), and a slot
+// granted in the same instant is passed on rather than kept.
 func (a *Admission) Acquire(ctx context.Context, p Priority) (release func(), err error) {
 	a.mu.Lock()
 	if a.free > 0 {
@@ -144,21 +117,19 @@ func (a *Admission) Acquire(ctx context.Context, p Priority) (release func(), er
 		a.mu.Unlock()
 		return nil, &RejectError{Priority: p, Depth: depth, RetryAfter: a.retryAfter()}
 	}
-	w := &waiter{ch: make(chan bool, 1)}
-	if dl, ok := ctx.Deadline(); ok {
-		w.deadline = dl
-	}
+	w := make(chan struct{}, 1)
 	a.queue[p] = append(a.queue[p], w)
 	a.notifyDepth(p)
 	a.mu.Unlock()
 
-	enqueued := a.cfg.Clock()
+	enqueued := time.Now()
 	select {
-	case ok := <-w.ch:
-		if !ok {
-			return nil, &ShedError{Priority: p, Waited: a.cfg.Clock().Sub(enqueued)}
+	case <-w:
+		if err := ctx.Err(); err != nil {
+			a.release()
+			return nil, err
 		}
-		a.granted(p, a.cfg.Clock().Sub(enqueued))
+		a.granted(p, time.Since(enqueued))
 		return a.release, nil
 	case <-ctx.Done():
 		a.mu.Lock()
@@ -174,88 +145,32 @@ func (a *Admission) Acquire(ctx context.Context, p Priority) (release func(), er
 		a.notifyDepth(p)
 		a.mu.Unlock()
 		if !removed {
-			// The waiter was signaled between ctx firing and the lock.
-			// Signals are sent under a.mu, so the buffered value is
-			// already there: a granted slot is passed on instead of
-			// leaked; a shed needs nothing released.
-			if ok := <-w.ch; ok {
-				a.release()
-			}
+			// The waiter was granted between ctx ending and the lock.
+			// Grants are sent under a.mu, so the slot is already on the
+			// channel: pass it on instead of leaking it.
+			<-w
+			a.release()
 		}
 		return nil, ctx.Err()
 	}
 }
 
-// release returns a slot. Expired waiters are shed first — they are
-// already past their deadline, so granting them a worker would be pure
-// waste — then the slot goes to the interactive waiter with the
-// earliest deadline, then batch, then back to the free pool. Waiters
-// without a deadline sort after every deadline-bearing waiter, FIFO
-// among themselves.
+// release returns a slot: to the front interactive waiter, else the
+// front batch waiter, else the free pool.
 func (a *Admission) release() {
 	a.mu.Lock()
-	now := a.cfg.Clock()
 	for _, p := range [...]Priority{Interactive, Batch} {
-		a.shedExpired(p, now)
-		if best := a.takeEarliest(p); best != nil {
+		if q := a.queue[p]; len(q) > 0 {
+			q[0] <- struct{}{}
+			q[0] = nil
+			a.queue[p] = q[1:]
 			a.notifyDepth(p)
-			best.ch <- true
 			a.mu.Unlock()
 			return
 		}
 	}
 	a.free++
 	a.mu.Unlock()
-}
-
-// shedExpired removes and sheds every waiter in the lane whose deadline
-// has already passed. Called with a.mu held.
-func (a *Admission) shedExpired(p Priority, now time.Time) {
-	q := a.queue[p]
-	kept := q[:0]
-	for _, w := range q {
-		if w.expired(now) {
-			w.ch <- false
-			if a.cfg.OnShed != nil {
-				a.cfg.OnShed(p)
-			}
-			continue
-		}
-		kept = append(kept, w)
-	}
-	if len(kept) != len(q) {
-		for i := len(kept); i < len(q); i++ {
-			q[i] = nil
-		}
-		a.queue[p] = kept
-		a.notifyDepth(p)
-	}
-}
-
-// takeEarliest removes and returns the lane's earliest-deadline waiter
-// (no deadline = latest; FIFO among equals), or nil when the lane is
-// empty. Called with a.mu held.
-func (a *Admission) takeEarliest(p Priority) *waiter {
-	q := a.queue[p]
-	if len(q) == 0 {
-		return nil
-	}
-	best := 0
-	for i := 1; i < len(q); i++ {
-		bd, id := q[best].deadline, q[i].deadline
-		if bd.IsZero() {
-			if !id.IsZero() {
-				best = i
-			}
-			continue
-		}
-		if !id.IsZero() && id.Before(bd) {
-			best = i
-		}
-	}
-	w := q[best]
-	a.queue[p] = append(q[:best:best], q[best+1:]...)
-	return w
 }
 
 // Depth reports a lane's current queue depth.

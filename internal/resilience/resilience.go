@@ -11,8 +11,7 @@
 //     static depth watermark per lane past which excess requests
 //     fast-fail with a RejectError (mapped to HTTP 429 + Retry-After)
 //     instead of queueing until the request timeout; within a lane
-//     freed slots go to the earliest deadline, and waiters whose
-//     deadline expires while queued are shed with a ShedError;
+//     freed slots go out in arrival order;
 //   - RetryBudget: a per-session token bucket that keeps client
 //     retries a bounded fraction of first attempts (no retry storms);
 //   - Ladder: a degradation ladder — an ordered list of rungs (exact
@@ -83,23 +82,6 @@ type RejectError struct {
 func (e *RejectError) Error() string {
 	return fmt.Sprintf("resilience: %s admission queue full (depth %d), retry after %s",
 		e.Priority, e.Depth, e.RetryAfter)
-}
-
-// ShedError reports a queued request shed by admission control because
-// its deadline passed before a slot freed: granting it a worker would
-// burn capacity computing an answer nobody is waiting for. Servers
-// should map it to HTTP 504.
-type ShedError struct {
-	// Priority is the lane the request was shed from.
-	Priority Priority
-	// Waited is how long the request sat queued before being shed.
-	Waited time.Duration
-}
-
-// Error describes the shed.
-func (e *ShedError) Error() string {
-	return fmt.Sprintf("resilience: %s request shed after %s queued (deadline expired)",
-		e.Priority, e.Waited)
 }
 
 // SkipError is returned by a ladder Attempt to decline a rung without

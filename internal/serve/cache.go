@@ -229,12 +229,13 @@ func (c *Cache) Entries() []CacheEntry {
 // PutStale inserts key as an already-expired entry: Get misses it, but
 // GetStale serves it for the stale window. This is the snapshot
 // restore path — answers carried across a restart are old enough that
-// only the degradation ladder's stale rung should ever serve them. A
-// no-op when the stale window is disabled (the entry would be
-// unreachable) or storage is off.
-func (c *Cache) PutStale(key string, value any) {
+// only the degradation ladder's stale rung should ever serve them. It
+// reports whether the entry was stored: it is not when the stale window
+// is disabled (the entry would be unreachable), storage is off, or key
+// already holds a live entry.
+func (c *Cache) PutStale(key string, value any) bool {
 	if c.perShard == 0 || c.staleFor <= 0 {
-		return
+		return false
 	}
 	expires := c.now().Add(-time.Nanosecond)
 	s := c.shard(key)
@@ -244,11 +245,11 @@ func (c *Cache) PutStale(key string, value any) {
 		// Never downgrade a live entry to stale.
 		e := el.Value.(*cacheEntry)
 		if e.expires.IsZero() || c.now().Before(e.expires) {
-			return
+			return false
 		}
 		e.value = value
 		e.expires = expires
-		return
+		return true
 	}
 	for s.ll.Len() >= c.perShard {
 		oldest := s.ll.Back()
@@ -260,6 +261,7 @@ func (c *Cache) PutStale(key string, value any) {
 		c.evictions.Add(1)
 	}
 	s.index[key] = s.ll.PushFront(&cacheEntry{key: key, value: value, expires: expires})
+	return true
 }
 
 // Len counts live entries (including not-yet-collected expired ones).

@@ -97,6 +97,33 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 }
 
+func TestCachePutStaleReportsStored(t *testing.T) {
+	// Without a stale window the entry would be unreachable: not stored.
+	if c := NewCache(10, time.Minute); c.PutStale("a", 1) || c.Len() != 0 {
+		t.Errorf("PutStale without a stale window stored an entry (len %d)", c.Len())
+	}
+
+	c := NewCache(10, time.Minute)
+	c.SetStaleWindow(time.Hour)
+	if !c.PutStale("a", 1) {
+		t.Fatal("PutStale into an empty slot reported not stored")
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Error("stale entry served by Get")
+	}
+	if v, _, ok := c.GetStale("a"); !ok || v.(int) != 1 {
+		t.Errorf("GetStale = %v, %v; want 1, true", v, ok)
+	}
+	// A live entry is never downgraded.
+	c.Put("b", 2)
+	if c.PutStale("b", 3) {
+		t.Error("PutStale over a live entry reported stored")
+	}
+	if v, ok := c.Get("b"); !ok || v.(int) != 2 {
+		t.Errorf("live entry after PutStale = %v, %v; want 2, true", v, ok)
+	}
+}
+
 func TestCacheZeroCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
 		c := NewCache(capacity, time.Minute)

@@ -208,9 +208,6 @@ type Metrics struct {
 	// is exported even when admission control is disabled so an
 	// unbounded backlog is still visible on /metrics.
 	QueueDepth [len(priorities)]Gauge
-	// AdmissionShed counts queued waiters shed because their deadline
-	// passed before a slot freed, by resilience.Priority.
-	AdmissionShed [len(priorities)]Counter
 	// SnapshotSkipped counts drain-snapshot restores refused, by reason
 	// (truncated|corrupt|stale|mismatch).
 	SnapshotSkipped Family[Counter]
@@ -285,7 +282,6 @@ var families = []family{
 	{"muve_rejected_total", []string{"priority"}, func(m *Metrics) []series { return fixed(priorities[:], m.Rejected[:]) }},
 	{"muve_inflight", nil, func(m *Metrics) []series { return one(&m.InFlight) }},
 	{"muve_queue_depth", []string{"priority"}, func(m *Metrics) []series { return fixed(priorities[:], m.QueueDepth[:]) }},
-	{"muve_admission_shed_total", []string{"priority"}, func(m *Metrics) []series { return fixed(priorities[:], m.AdmissionShed[:]) }},
 	{"muve_snapshot_skipped_total", []string{"reason"}, func(m *Metrics) []series { return m.SnapshotSkipped.series() }},
 	{"muve_breaker_trips_total", []string{"stage"}, func(m *Metrics) []series { return m.BreakerTrips.series() }},
 	{"muve_breaker_state", []string{"stage"}, func(m *Metrics) []series { return m.BreakerState.series() }},

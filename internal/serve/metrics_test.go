@@ -156,12 +156,12 @@ func promFamilies(t *testing.T, m *Metrics) []string {
 	return names
 }
 
-// TestMetricsFamilyCountPinned: the folded registry emits 26 engine
+// TestMetricsFamilyCountPinned: the folded registry emits 25 engine
 // families (44 before the fold), each exactly once.
 func TestMetricsFamilyCountPinned(t *testing.T) {
 	names := promFamilies(t, populated())
-	if len(names) != 26 || len(families) != 26 {
-		t.Errorf("WriteProm emits %d families, table has %d; want 26: %v", len(names), len(families), names)
+	if len(names) != 25 || len(families) != 25 {
+		t.Errorf("WriteProm emits %d families, table has %d; want 25: %v", len(names), len(families), names)
 	}
 	seen := map[string]bool{}
 	for _, n := range names {

@@ -146,20 +146,17 @@ func WithRecovery(logger *log.Logger, metrics *Metrics, next http.Handler) http.
 // StatusOf maps an Engine.Do error to the HTTP status that conveys its
 // retry semantics: 429 for admission rejections and exhausted retry
 // budgets (with Retry-After set by the caller), 503 for a fully
-// exhausted degradation ladder or a draining engine, 504 for a plain
-// deadline miss or a waiter shed from the admission queue after its
-// deadline passed, 499 for a caller that went away, and 422 for
-// everything else (a malformed or unanswerable query).
+// exhausted degradation ladder or a draining engine, 504 for a
+// deadline miss (including one that expired while queued for
+// admission), 499 for a caller that went away, and 422 for everything
+// else (a malformed or unanswerable query).
 func StatusOf(err error) int {
 	var rej *resilience.RejectError
 	var rb *resilience.RetryBudgetError
 	var ex *resilience.ExhaustedError
-	var shed *resilience.ShedError
 	switch {
 	case err == nil:
 		return http.StatusOK
-	case errors.As(err, &shed):
-		return http.StatusGatewayTimeout
 	case errors.As(err, &rej):
 		return http.StatusTooManyRequests
 	case errors.As(err, &rb):

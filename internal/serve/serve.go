@@ -379,7 +379,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		RetryAfterFn:  e.RetryEstimate,
 		OnSojourn:     func(p resilience.Priority, d time.Duration) { m.Sojourn[p].Observe(d) },
 		OnDepth:       func(p resilience.Priority, depth int) { m.QueueDepth[p].Set(int64(depth)) },
-		OnShed:        func(p resilience.Priority) { m.AdmissionShed[p].Inc() },
 	})
 	var breakers *resilience.BreakerSet
 	if cfg.BreakerThreshold >= 0 {

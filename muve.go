@@ -110,6 +110,17 @@ func (k SolverKind) String() string {
 	return fmt.Sprintf("SolverKind(%d)", uint8(k))
 }
 
+// ParseSolverKind maps a solver name ("greedy", "ilp", "ilp-inc") to a
+// SolverKind; it is the inverse of SolverKind.String.
+func ParseSolverKind(name string) (SolverKind, error) {
+	for _, k := range [...]SolverKind{SolverGreedy, SolverILP, SolverILPIncremental} {
+		if name == k.String() {
+			return k, nil
+		}
+	}
+	return SolverGreedy, fmt.Errorf("muve: unknown solver %q (want greedy, ilp or ilp-inc)", name)
+}
+
 // Config collects the tunables of a System. Zero values select the
 // paper's defaults.
 type Config struct {

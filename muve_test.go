@@ -42,6 +42,20 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
+func TestParseSolverKind(t *testing.T) {
+	for _, k := range []SolverKind{SolverGreedy, SolverILP, SolverILPIncremental} {
+		got, err := ParseSolverKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseSolverKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"", "GREEDY", "ilp_inc", "simplex", "SolverKind(3)"} {
+		if _, err := ParseSolverKind(name); err == nil {
+			t.Errorf("ParseSolverKind(%q) accepted an unknown name", name)
+		}
+	}
+}
+
 func TestAskEndToEnd(t *testing.T) {
 	db := demoDB(t)
 	sys, err := New(db, "requests", WithWidth(1024))
