@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench serve trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke slo-smoke fuzz-smoke overload-smoke scan-smoke perfbench-test ci
+.PHONY: all build vet fmt-check test race bench serve trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke slo-smoke fuzz-smoke overload-smoke perfbench-test ci
 
 all: ci
 
@@ -95,14 +95,6 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseObjectives -fuzztime 10s
 	$(GO) test ./internal/merge -run '^$$' -fuzz FuzzSharedPlan -fuzztime 10s
 
-# Cross-candidate shared-scan executor vs row-at-a-time execution over
-# a doubling candidate ladder under a modeled disk-bound scan rate;
-# fails on any bit-level value disagreement between the strategies, or
-# if the shared scan is slower than the baseline at >=8 candidates.
-# Writes BENCH_scan.json.
-scan-smoke:
-	$(GO) run ./cmd/muvebench -scan -scan-json BENCH_scan.json
-
 # Closed-loop overload ramp to 2x calibrated capacity under transport
 # chaos; fails unless no fault escapes, interactive p99 stays under the
 # SLA, goodput at 2x holds >= 70% of the pre-saturation peak, and at
@@ -110,4 +102,4 @@ scan-smoke:
 overload-smoke:
 	$(GO) run ./cmd/muvebench -overload -overload-json BENCH_overload.json
 
-ci: vet fmt-check build race perfbench-test trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke scan-smoke slo-smoke fuzz-smoke overload-smoke
+ci: vet fmt-check build race perfbench-test trace-smoke chaos-smoke warmstart-smoke speak-smoke bench-smoke slo-smoke fuzz-smoke overload-smoke

@@ -170,11 +170,6 @@ func run() error {
 		sloJSON    = flag.String("slo-json", "", "write the -slo summary as JSON to this file")
 		sloProfile = flag.String("slo-cpuprofile", "", "write a replay-wide CPU profile (stage-labeled samples) to this file")
 
-		scanFlag       = flag.Bool("scan", false, "benchmark the cross-candidate shared-scan executor against row-at-a-time execution instead of running experiments; any value disagreement or a shared scan slower than the baseline at >=8 candidates fails the run")
-		scanRows       = flag.Int("scan-rows", 150000, "table rows in -scan mode")
-		scanThroughput = flag.Float64("scan-throughput", 5e6, "modeled backend scan rate in rows/sec for -scan mode (0 = unthrottled in-memory speed)")
-		scanJSON       = flag.String("scan-json", "", "write the -scan latency curve as JSON to this file")
-
 		scalingFlag    = flag.Bool("scaling", false, "measure branch-and-bound scaling across worker counts instead of running experiments")
 		scalingWorkers = flag.String("scaling-workers", "1,2,4,8", "comma-separated worker counts for -scaling mode (\"max\" = GOMAXPROCS)")
 		scalingModels  = flag.Int("scaling-models", 4, "instances per arm in -scaling mode")
@@ -205,9 +200,6 @@ func run() error {
 	}
 	if *scalingFlag {
 		return runScaling(*scalingWorkers, *seedFlag, *scalingModels, *scalingVars, *scalingCons, *scalingJSON)
-	}
-	if *scanFlag {
-		return runScan(*seedFlag, *scanRows, *scanThroughput, *scanJSON)
 	}
 
 	all := bench.Experiments()

@@ -185,8 +185,7 @@ func run() error {
 		batchQFlag   = flag.Int("batch-queue", 0, "batch-lane admission watermark (0 = unbounded)")
 		staleFlag    = flag.Duration("stale-for", 0, "serve expired cached answers up to this long past TTL when planning fails (0 disables)")
 		hedgeFlag    = flag.Bool("hedge", false, "race a greedy hedge against exact solves that outlive the windowed p90 planning time (needs a non-greedy -solver)")
-		sketchFlag   = flag.Float64("sketch-rate", 0, "aggregate-sketch sample rate in (0,1): precompute per-template sketches for instant approximate first paints (0 disables)")
-		scanRateFlag = flag.Float64("scan-throughput", 0, "modeled backend scan rate in rows/sec, as if the table lived on disk; makes sampled first paints and -sketch-rate observable (0 = unthrottled in-memory speed)")
+		sketchFlag   = flag.Float64("sketch-rate", 0, "aggregate-sketch sample rate in (0,1): answer progressive first paints from per-template sketches, each built by one sampled scan (0 disables)")
 		snapAgeFlag  = flag.Duration("snapshot-max-age", time.Hour, "skip drain snapshots older than this at restore (0 = no age cap)")
 		retryBurst   = flag.Float64("retry-burst", 0, "per-session retry budget burst (0 = default 4; negative disables retry budgeting)")
 		retryRate    = flag.Float64("retry-per-sec", 0, "per-session retry budget refill rate (0 = default 0.5)")
@@ -241,9 +240,6 @@ func run() error {
 	}
 	db := sqldb.NewDB()
 	db.Register(tbl)
-	if *scanRateFlag > 0 {
-		db.SetScanThroughput(*scanRateFlag)
-	}
 	if *sketchFlag > 0 {
 		db.EnableSketches(*sketchFlag)
 	}

@@ -747,9 +747,3 @@ func tidy(m Multiplot) Multiplot {
 	}
 	return out
 }
-
-// SolverQuality compares two multiplots under the instance cost; positive
-// delta means b is worse than a. Convenience for experiments.
-func SolverQuality(in *Instance, a, b Multiplot) float64 {
-	return in.Cost(b) - in.Cost(a)
-}

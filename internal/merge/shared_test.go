@@ -58,44 +58,90 @@ func TestSingleCandidateRidesSharedScan(t *testing.T) {
 
 func TestExecuteResultsMatchesSeparate(t *testing.T) {
 	db := mergeDB(t)
-	queries := []sqldb.Query{
-		q("SELECT count(*) FROM requests WHERE borough = 'Brooklyn'"),
-		q("SELECT count(*), avg(response_hours) FROM requests WHERE agency = 'NYPD' GROUP BY borough"),
-		q("SELECT sum(response_hours) FROM requests GROUP BY status, year"),
-		q("SELECT min(response_hours), max(response_hours) FROM requests"),
-		q("SELECT count(*) FROM requests WHERE borough = 'Atlantis' GROUP BY agency"),
+	sets := map[string][]sqldb.Query{
+		"mixed": {
+			q("SELECT count(*) FROM requests WHERE borough = 'Brooklyn'"),
+			q("SELECT count(*), avg(response_hours) FROM requests WHERE agency = 'NYPD' GROUP BY borough"),
+			q("SELECT sum(response_hours) FROM requests GROUP BY status, year"),
+			q("SELECT min(response_hours), max(response_hours) FROM requests"),
+			q("SELECT count(*) FROM requests WHERE borough = 'Atlantis' GROUP BY agency"),
+		},
+		"ladder32":        ladderCandidates(32, false),
+		"groupedLadder32": ladderCandidates(32, true),
 	}
-	p := BuildSharedPlan(queries)
-	got, stats, err := p.ExecuteResults(db, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Scans != 1 {
-		t.Fatalf("stats = %+v, want exactly one shared scan", stats)
-	}
-	want, err := ExecuteSeparatelyResults(db, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi := range queries {
-		if diff := resultDiff(got[qi], want[qi]); diff != "" {
-			t.Errorf("exact mismatch on %s: %s", queries[qi].SQL(), diff)
-		}
-	}
-	// Sampled execution agrees with per-query sampled execution too.
-	gotS, _, err := p.ExecuteResults(db, 0.3, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for qi, query := range queries {
-		res, err := db.ExecSampled(query, 0.3, 42)
+	for name, queries := range sets {
+		p := BuildSharedPlan(queries)
+		got, stats, err := p.ExecuteResults(db, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := resultDiff(gotS[qi], res); diff != "" {
-			t.Errorf("sampled mismatch on %s: %s", query.SQL(), diff)
+		if stats.Scans != 1 {
+			t.Fatalf("%s: stats = %+v, want exactly one shared scan", name, stats)
+		}
+		want, err := ExecuteSeparatelyResults(db, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi := range queries {
+			if diff := resultDiff(got[qi], want[qi]); diff != "" {
+				t.Errorf("%s: exact mismatch on %s: %s", name, queries[qi].SQL(), diff)
+			}
+		}
+		// Sampled execution agrees with per-query sampled execution too.
+		gotS, _, err := p.ExecuteResults(db, 0.3, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, query := range queries {
+			res, err := db.ExecSampled(query, 0.3, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := resultDiff(gotS[qi], res); diff != "" {
+				t.Errorf("%s: sampled mismatch on %s: %s", name, query.SQL(), diff)
+			}
 		}
 	}
+}
+
+// ladderCandidates builds n confusion-set-shaped candidates over the
+// requests table: aggregates and complaint constants cycle so
+// neighbouring candidates share predicates. Ungrouped, every second
+// candidate adds a borough predicate; grouped, the GROUP BY column
+// rotates over borough/agency/status and every third candidate carries
+// a second aggregate.
+func ladderCandidates(n int, grouped bool) []sqldb.Query {
+	aggs := []sqldb.Aggregate{
+		{Func: sqldb.AggCount},
+		{Func: sqldb.AggSum, Col: "response_hours"},
+		{Func: sqldb.AggAvg, Col: "response_hours"},
+		{Func: sqldb.AggMax, Col: "response_hours"},
+	}
+	complaints := []string{"Noise", "Heating", "Parking", "Water Leak", "Rodent", "Graffiti", "Sewer", "Sidewalk"}
+	boroughs := []string{"Brooklyn", "Bronx", "Manhattan", "Queens", "Staten Island"}
+	groupCols := []string{"borough", "agency", "status"}
+	eq := func(col, v string) sqldb.Predicate {
+		return sqldb.Predicate{Col: col, Op: sqldb.OpEq, Values: []sqldb.Value{sqldb.Str(v)}}
+	}
+	out := make([]sqldb.Query, n)
+	for i := range out {
+		qq := sqldb.Query{
+			Aggs:  []sqldb.Aggregate{aggs[i%len(aggs)]},
+			Table: "requests",
+			Preds: []sqldb.Predicate{eq("complaint_type", complaints[i%len(complaints)])},
+		}
+		switch {
+		case grouped:
+			qq.GroupBy = []string{groupCols[i%len(groupCols)]}
+			if i%3 == 2 {
+				qq.Aggs = append(qq.Aggs, aggs[(i+1)%len(aggs)])
+			}
+		case i%2 == 1:
+			qq.Preds = append(qq.Preds, eq("borough", boroughs[(i/2)%len(boroughs)]))
+		}
+		out[i] = qq
+	}
+	return out
 }
 
 // resultDiff reports the first bit-level disagreement between two full

@@ -32,7 +32,6 @@ type Catalog struct {
 
 	columns     []string
 	numericCols []string
-	colIndex    *phonetic.Index
 	numIndex    *phonetic.Index
 	valueIndex  map[string]*phonetic.Index // string column -> values
 	intValues   map[string]map[int64]bool  // int column -> distinct values
@@ -54,7 +53,6 @@ func BuildCatalog(t *sqldb.Table, maxValuesPerColumn int) *Catalog {
 	}
 	c := &Catalog{
 		Table:      t.Name,
-		colIndex:   phonetic.NewIndex(),
 		numIndex:   phonetic.NewIndex(),
 		valueIndex: make(map[string]*phonetic.Index),
 		intValues:  make(map[string]map[int64]bool),
@@ -65,7 +63,6 @@ func BuildCatalog(t *sqldb.Table, maxValuesPerColumn int) *Catalog {
 	for _, col := range t.Columns() {
 		c.columns = append(c.columns, col.Name)
 		c.colKind[col.Name] = col.Kind
-		c.colIndex.Add(col.Name)
 		if col.Kind == sqldb.KindInt || col.Kind == sqldb.KindFloat {
 			c.numericCols = append(c.numericCols, col.Name)
 			c.numIndex.Add(col.Name)
@@ -105,13 +102,8 @@ func (c *Catalog) Kind(col string) (sqldb.Kind, bool) {
 	return k, ok
 }
 
-// SimilarColumns returns the k column names most phonetically similar to
-// the probe.
-func (c *Catalog) SimilarColumns(probe string, k int) []phonetic.Match {
-	return c.colIndex.TopK(probe, k)
-}
-
-// SimilarNumericColumns restricts SimilarColumns to aggregatable columns.
+// SimilarNumericColumns returns the k aggregatable column names most
+// phonetically similar to the probe.
 func (c *Catalog) SimilarNumericColumns(probe string, k int) []phonetic.Match {
 	return c.numIndex.TopK(probe, k)
 }

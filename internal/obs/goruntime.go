@@ -11,7 +11,6 @@ import (
 	"io"
 	"net/http"
 	"runtime/metrics"
-	"sort"
 	"sync"
 	"time"
 )
@@ -159,20 +158,6 @@ func (g *GoStats) Run(ctx context.Context, every time.Duration) {
 			g.Snapshot()
 		}
 	}
-}
-
-// Names lists the runtime metric keys the reader follows, sorted (for
-// documentation endpoints and tests).
-func (g *GoStats) Names() []string {
-	var names []string
-	for _, m := range goGauges {
-		names = append(names, m.name)
-	}
-	for _, m := range goHists {
-		names = append(names, m.name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Handler serves WriteProm over HTTP.

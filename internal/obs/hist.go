@@ -23,9 +23,6 @@ var bucketBounds = func() [NumBuckets]time.Duration {
 	return b
 }()
 
-// BucketBound returns the upper bound of finite bucket i.
-func BucketBound(i int) time.Duration { return bucketBounds[i] }
-
 // Buckets returns the finite bucket upper bounds.
 func Buckets() [NumBuckets]time.Duration { return bucketBounds }
 

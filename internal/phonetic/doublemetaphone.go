@@ -26,12 +26,6 @@ func DoubleMetaphone(word string) (primary, secondary string) {
 	return e.primary.String(), e.secondary.String()
 }
 
-// PrimaryMetaphone returns just the primary Double Metaphone code.
-func PrimaryMetaphone(word string) string {
-	p, _ := DoubleMetaphone(word)
-	return p
-}
-
 // dmEncoder holds the scanning state of a Double Metaphone encoding run.
 type dmEncoder struct {
 	in                 string // uppercased input

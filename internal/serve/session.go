@@ -27,7 +27,6 @@ type Session struct {
 	ID string
 
 	mu       sync.Mutex
-	created  time.Time
 	lastSeen time.Time
 	queries  int
 	lastKey  string
@@ -99,13 +98,6 @@ func (s *Session) Queries() int {
 	return s.queries
 }
 
-// Age reports time since creation.
-func (s *Session) Age() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Since(s.created)
-}
-
 // touch refreshes the idle timer.
 func (s *Session) touch(now time.Time) {
 	s.mu.Lock()
@@ -167,7 +159,7 @@ func (st *SessionStore) Get(id string) *Session {
 		delete(st.sessions, id)
 	}
 	st.pruneLocked(now)
-	s := &Session{ID: id, created: now, lastSeen: now}
+	s := &Session{ID: id, lastSeen: now}
 	st.sessions[id] = s
 	return s
 }

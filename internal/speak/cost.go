@@ -50,17 +50,6 @@ func FromTimeModel(m usermodel.TimeModel) CostModel {
 // derived from the paper's visual user-study model.
 func DefaultCost() CostModel { return FromTimeModel(usermodel.DefaultModel()) }
 
-// Calibrated fits a listening-cost model via the user-study machinery in
-// internal/usermodel: the sweeps are fit to a visual TimeModel first
-// (usermodel.Calibrate) and the result transposed to audio.
-func Calibrated(sweeps []usermodel.SweepResult, base usermodel.TimeModel) (CostModel, error) {
-	m, err := usermodel.Calibrate(sweeps, base)
-	if err != nil {
-		return CostModel{}, err
-	}
-	return FromTimeModel(m), nil
-}
-
 // Valid mirrors usermodel.TimeModel.Valid: positive listening costs
 // strictly below the miss penalty, the assumption behind the greedy
 // heuristic's usefulness.

@@ -8,9 +8,9 @@ import (
 )
 
 // DB is a named collection of tables. All query methods are safe for
-// concurrent use once loading (CreateTable/AppendRow) has finished;
-// registration itself is also guarded so tools can build tables in
-// parallel.
+// concurrent use: Register freezes a table, so loading
+// (NewTable/AppendRow) finishes before queries start. Registration
+// itself is also guarded so tools can build tables in parallel.
 type DB struct {
 	mu             sync.RWMutex
 	tables         map[string]*Table
@@ -25,8 +25,9 @@ func NewDB() *DB {
 }
 
 // Register adds a table to the database, replacing any previous table of
-// the same name.
+// the same name, and freezes it: later AppendRow calls fail.
 func (db *DB) Register(t *Table) {
+	t.frozen.Store(true)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.tables[t.Name] = t
@@ -58,7 +59,10 @@ func (db *DB) tableNamesLocked() []string {
 	return names
 }
 
-// Exec runs a query AST and returns its result.
+// Exec runs a query AST row at a time and returns its result. It is the
+// reference oracle the shared scan is checked against and the executor
+// of the paper's §8.1 merged plans (merge.Plan.Execute); answers are
+// computed by the shared scan (ExecSharedResults).
 func (db *DB) Exec(q Query) (Result, error) {
 	t, err := db.Table(q.Table)
 	if err != nil {
@@ -70,10 +74,12 @@ func (db *DB) Exec(q Query) (Result, error) {
 	return res, err
 }
 
-// ExecSampled runs a query over a deterministic uniform sample of the table
-// with the given rate in (0, 1]; COUNT and SUM results are scaled to
-// estimate the full-data answer. This is the engine-level primitive behind
-// MUVE's approximate processing strategies (Section 8.2).
+// ExecSampled runs a query row at a time over a deterministic uniform
+// sample of the table with the given rate in (0, 1]; COUNT and SUM
+// results are scaled to estimate the full-data answer. Like Exec it is
+// the reference oracle and the §8.1 experiment entry point: it defines
+// the sample that MUVE's approximate processing strategies (Section
+// 8.2) read through ExecSharedResultsSampled and the sketches.
 func (db *DB) ExecSampled(q Query, rate float64, seed uint64) (Result, error) {
 	if rate <= 0 || rate > 1 {
 		return Result{}, fmt.Errorf("sqldb: sample rate %v outside (0, 1]", rate)
@@ -94,10 +100,14 @@ func (db *DB) ExecSampled(q Query, rate float64, seed uint64) (Result, error) {
 // emulates a disk-bound backend like the paper's 10 GB-on-laptop Postgres
 // setup, where scan time dominates: exact execution is charged for every
 // table row, while sampled execution is charged only for the sample (the
-// standard physical-sample model of approximate query processing). The
-// experiments reproducing the paper's user-facing latency comparisons use
-// this to recreate "large data" conditions that the in-memory engine is
-// otherwise too fast to exhibit.
+// standard physical-sample model of approximate query processing).
+//
+// Only the Figure 13 experiment (internal/bench) sets it, to recreate the
+// paper's "large data" conditions that the in-memory engine is otherwise
+// too fast to exhibit. The throttle is a real sleep because Figure 13's
+// ILP-Inc interleaves execution with optimisation under one wall-clock
+// budget: scan time has to consume that budget. Timings taken under it
+// are experiment outputs, not measurements of the engine.
 func (db *DB) SetScanThroughput(rowsPerSecond float64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -282,6 +283,47 @@ func TestColumnDistincts(t *testing.T) {
 	}
 	if got := tbl.DistinctCount("grp"); got != 5 {
 		t.Errorf("distinct after append = %d, want 5", got)
+	}
+}
+
+// TestAppendAfterRegisterFails: Register freezes a table, so a row
+// appended afterwards is refused and the table keeps its rows.
+func TestAppendAfterRegisterFails(t *testing.T) {
+	tbl := bigTable(t, 8)
+	NewDB().Register(tbl)
+	if err := tbl.AppendRow(Str("zz"), Float(1)); err == nil {
+		t.Fatal("AppendRow on a registered table succeeded")
+	}
+	if tbl.NumRows() != 8 || tbl.Column("grp").Len() != 8 {
+		t.Fatalf("rows = %d, grp len = %d, want 8", tbl.NumRows(), tbl.Column("grp").Len())
+	}
+}
+
+// TestConcurrentEstimateCostFirstUse: the first cost estimates over a
+// table nobody analyzed compute its statistics lazily; concurrent
+// callers must share that safely (run under -race).
+func TestConcurrentEstimateCostFirstUse(t *testing.T) {
+	db := NewDB()
+	db.Register(bigTable(t, 2000))
+	q := MustParse("SELECT sum(x) FROM big WHERE grp = 'a'")
+	var wg sync.WaitGroup
+	costs := make([]float64, 4)
+	for g := range costs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			est, err := db.EstimateCost(q)
+			if err != nil {
+				t.Error(err)
+			}
+			costs[g] = est.TotalCost
+		}()
+	}
+	wg.Wait()
+	for _, c := range costs[1:] {
+		if c != costs[0] {
+			t.Fatalf("concurrent estimates differ: %v", costs)
+		}
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 type ScanStats struct {
 	// Scans is the number of table passes executed.
 	Scans int64
-	// Rows is the total rows covered by those passes (table rows per
-	// scan, regardless of sampling — sampling reduces rows *read*, which
-	// the throughput throttle accounts separately).
+	// Rows is the total rows covered by those passes: table rows per
+	// scan, sampled or not, since a sampled scan hashes every row to
+	// draw its sample and only filters and folds the rows drawn.
 	Rows int64
 	// Batches is the number of vectorized batches processed.
 	Batches int64

@@ -289,30 +289,59 @@ func TestSketchErrorBound(t *testing.T) {
 	}
 }
 
-// TestSketchInvalidatedByAppend: appending a row bumps the table
-// generation and must force a sketch rebuild.
-func TestSketchInvalidatedByAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	db := NewDB()
-	tbl := randomScanTable(t, rng, 300)
-	db.Register(tbl)
-	db.EnableSketches(0.5)
-	q := Query{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales",
+// TestSketchFollowsReplacedTable: a sketch belongs to the table it was
+// built from. Registering a different table under the same name — same
+// row count, so nothing about its size tells them apart — must rebuild
+// on the next lookup, and the answer must be the new table's sampled
+// answer. Between the two, repeat lookups are cache hits, and grouped
+// lookups never alias sketch-owned rows (mutating a returned result
+// must not corrupt the cache).
+func TestSketchFollowsReplacedTable(t *testing.T) {
+	scalar := Query{Aggs: []Aggregate{{Func: AggSum, Col: "price"}}, Table: "sales",
 		Preds: []Predicate{{Col: "cat", Op: OpEq, Values: []Value{Str("apples")}}}}
-	_, stats, ok := db.SketchLookup(q)
-	if !ok || stats.SketchBuilds != 1 {
-		t.Fatalf("first lookup: ok=%v stats=%+v, want one build", ok, stats)
-	}
-	_, stats, _ = db.SketchLookup(q)
-	if stats.SketchBuilds != 0 {
-		t.Fatalf("second lookup rebuilt: %+v", stats)
-	}
-	if err := tbl.AppendRow(Str("apples"), Str("region-0"), Int(1), Float(2)); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, _ = db.SketchLookup(q)
-	if stats.SketchBuilds != 1 {
-		t.Fatalf("lookup after append did not rebuild: %+v", stats)
+	grouped := Query{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales", GroupBy: []string{"region"},
+		Preds: []Predicate{{Col: "cat", Op: OpEq, Values: []Value{Str("apples")}}}}
+	db := NewDB()
+	db.EnableSketches(0.5)
+	for i, seed := range []int64{11, 12} {
+		db.Register(randomScanTable(t, rand.New(rand.NewSource(seed)), 300))
+
+		got, stats, ok := db.SketchLookup(scalar)
+		if !ok || stats.SketchBuilds != 1 {
+			t.Fatalf("table %d: first scalar lookup ok=%v stats=%+v, want one build", i, ok, stats)
+		}
+		want, err := db.ExecSampled(scalar, 0.5, sketchSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameValue(got, want.Rows[0][0]) {
+			t.Fatalf("table %d: sketch=%v, sampled query on the registered table=%v", i, got, want.Rows[0][0])
+		}
+		if _, stats, _ = db.SketchLookup(scalar); stats.SketchBuilds != 0 {
+			t.Fatalf("table %d: repeat scalar lookup rebuilt: %+v", i, stats)
+		}
+
+		first, stats, ok := db.SketchLookupResult(grouped)
+		if !ok || stats.SketchBuilds != 1 {
+			t.Fatalf("table %d: first grouped lookup ok=%v stats=%+v, want one build", i, ok, stats)
+		}
+		wantRes, err := db.ExecSampled(grouped, 0.5, sketchSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameResultBits(first, wantRes); diff != "" {
+			t.Fatalf("table %d: grouped sketch vs sampled query: %s", i, diff)
+		}
+		if len(first.Rows) > 0 {
+			first.Rows[0][1] = Float(-1) // must not leak into the cache
+		}
+		second, stats, _ := db.SketchLookupResult(grouped)
+		if stats.SketchBuilds != 0 {
+			t.Fatalf("table %d: repeat grouped lookup rebuilt: %+v", i, stats)
+		}
+		if len(second.Rows) > 0 && second.Rows[0][1].AsFloat() == -1 {
+			t.Fatal("sketch cache aliases returned rows")
+		}
 	}
 }
 
@@ -490,39 +519,5 @@ func TestGroupedSketchMatchesSampledQuery(t *testing.T) {
 		Preds: []Predicate{{Col: "cat", Op: OpEq, Values: []Value{Str("apples")}}}}
 	if _, _, ok := db.SketchLookup(q); ok {
 		t.Fatal("scalar SketchLookup answered a grouped query")
-	}
-}
-
-// TestGroupedSketchInvalidatedByAppend: appends bump the generation and
-// force a grouped-sketch rebuild, and lookups never alias sketch-owned
-// rows (mutating a returned result must not corrupt the cache).
-func TestGroupedSketchInvalidatedByAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	db := NewDB()
-	tbl := randomScanTable(t, rng, 400)
-	db.Register(tbl)
-	db.EnableSketches(0.5)
-	q := Query{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales", GroupBy: []string{"region"},
-		Preds: []Predicate{{Col: "cat", Op: OpEq, Values: []Value{Str("apples")}}}}
-	first, stats, ok := db.SketchLookupResult(q)
-	if !ok || stats.SketchBuilds != 1 {
-		t.Fatalf("first lookup: ok=%v stats=%+v, want one build", ok, stats)
-	}
-	if len(first.Rows) > 0 {
-		first.Rows[0][1] = Float(-1) // must not leak into the cache
-	}
-	second, stats, _ := db.SketchLookupResult(q)
-	if stats.SketchBuilds != 0 {
-		t.Fatalf("second lookup rebuilt: %+v", stats)
-	}
-	if len(second.Rows) > 0 && second.Rows[0][1].AsFloat() == -1 {
-		t.Fatal("sketch cache aliases returned rows")
-	}
-	if err := tbl.AppendRow(Str("apples"), Str("region-0"), Int(1), Float(2)); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, _ = db.SketchLookupResult(q)
-	if stats.SketchBuilds != 1 {
-		t.Fatalf("lookup after append did not rebuild: %+v", stats)
 	}
 }

@@ -15,8 +15,9 @@ import (
 // in-memory sketch with zero data movement. Grouped (trend) templates
 // work the same way one dimension up: one sampled GROUP BY over
 // (predicate column, group column) precomputes every constant's whole
-// approximate series. Sketches are keyed by table generation, so any
-// append invalidates them implicitly.
+// approximate series. A sketch remembers the *Table it was built from,
+// so registering a replacement table under the same name invalidates
+// it; registered tables take no appends.
 
 // sketchSeed fixes the sample for sketch builds; a deterministic sample
 // keeps sketch answers stable across candidates and runs.
@@ -33,15 +34,15 @@ type sketchKey struct {
 	predCol  string
 }
 
-// sketch holds the per-constant approximate values of one template at
-// one table generation. Scalar templates fill vals; grouped templates
-// fill rows (constant → [group label, aggregate] rows, ordered exactly
-// as the sampled grouped query would order them).
+// sketch holds the per-constant approximate values of one template
+// over one table. Scalar templates fill vals; grouped templates fill
+// rows (constant → [group label, aggregate] rows, ordered exactly as
+// the sampled grouped query would order them).
 type sketch struct {
-	gen  uint64
-	rate float64
-	vals map[string]Value
-	rows map[string][][]Value
+	table *Table
+	rate  float64
+	vals  map[string]Value
+	rows  map[string][][]Value
 }
 
 // sketchStore caches sketches per DB; a separate lock keeps builds off
@@ -54,7 +55,7 @@ type sketchStore struct {
 
 // EnableSketches turns on aggregate sketching at the given sample rate
 // in (0, 1); rate 0 disables. The rate bounds build cost (one sampled
-// grouped scan per template per table generation) and first-paint error.
+// grouped scan per template per table) and first-paint error.
 func (db *DB) EnableSketches(rate float64) {
 	db.sketch.mu.Lock()
 	defer db.sketch.mu.Unlock()
@@ -154,7 +155,7 @@ func (db *DB) SketchLookupResult(q Query) (Result, ScanStats, bool) {
 	}
 	var stats ScanStats
 	s := db.sketch.sketches[key]
-	if s == nil || s.gen != t.Generation() || s.rate != rate {
+	if s == nil || s.table != t || s.rate != rate {
 		s, err = buildSketch(db, t, key, rate)
 		if err != nil {
 			return Result{}, ScanStats{}, false
@@ -200,14 +201,15 @@ func buildSketch(db *DB, t *Table, key sketchKey, rate float64) (*sketch, error)
 		q.GroupBy = append(q.GroupBy, key.groupCol)
 	}
 	start := time.Now()
-	res, err := execute(t, q, execOptions{sampleRate: rate, sampleSeed: sketchSeed})
+	out, _, err := sharedScan(t, []Query{q}, rate, sketchSeed)
 	// The build reads the sampled fraction of the table, like any
 	// sampled scan.
 	db.throttle(start, float64(t.NumRows())*rate)
 	if err != nil {
 		return nil, err
 	}
-	s := &sketch{gen: t.Generation(), rate: rate}
+	res := out[0]
+	s := &sketch{table: t, rate: rate}
 	if key.groupCol == "" {
 		s.vals = make(map[string]Value, len(res.Rows))
 		for _, row := range res.Rows {

@@ -3,6 +3,8 @@ package sqldb
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Column is a typed, columnar vector. String columns are dictionary
@@ -170,14 +172,17 @@ type Table struct {
 	byName map[string]int
 	rows   int
 
-	// statistics filled by Analyze; used by the cost model
-	analyzed  bool
-	distincts map[string]int
+	// frozen is set by DB.Register: a registered table is read by
+	// concurrent queries, and aggregate sketches built from it assume
+	// its rows never change, so it takes no more rows.
+	frozen atomic.Bool
 
-	// gen counts mutations: any append bumps it, so derived artifacts
-	// (aggregate sketches, cached answers) keyed by generation detect
-	// staleness without comparing data.
-	gen uint64
+	// Statistics filled lazily by Analyze for the cost model, guarded by
+	// statsMu because concurrent queries may be the first to ask.
+	// statsRows is the row count they describe.
+	statsMu   sync.Mutex
+	statsRows int
+	distincts map[string]int
 }
 
 // NewTable creates an empty table with the given column definitions.
@@ -225,8 +230,12 @@ func (t *Table) Column(name string) *Column {
 	return nil
 }
 
-// AppendRow appends one row; values must match the column count and kinds.
+// AppendRow appends one row; values must match the column count and
+// kinds. It fails once the table is registered with a DB.
 func (t *Table) AppendRow(vals ...Value) error {
+	if t.frozen.Load() {
+		return fmt.Errorf("sqldb: table %q is registered and read-only", t.Name)
+	}
 	if len(vals) != len(t.cols) {
 		return fmt.Errorf("sqldb: table %q has %d columns, got %d values",
 			t.Name, len(t.cols), len(vals))
@@ -241,14 +250,8 @@ func (t *Table) AppendRow(vals ...Value) error {
 		}
 	}
 	t.rows++
-	t.gen++
-	t.analyzed = false
 	return nil
 }
-
-// Generation returns the table's mutation counter. Two calls returning
-// the same value bracket a span during which the data did not change.
-func (t *Table) Generation() uint64 { return t.gen }
 
 // truncate shortens the column to n rows (internal rollback helper).
 func (c *Column) truncate(n int) {
@@ -264,23 +267,30 @@ func (c *Column) truncate(n int) {
 
 // Analyze collects per-column statistics (distinct counts) for the cost
 // model, mirroring Postgres' ANALYZE. It is called lazily by the cost
-// estimator; calling it eagerly after bulk load avoids a first-query stall.
-func (t *Table) Analyze() {
-	if t.analyzed {
-		return
+// estimator; calling it eagerly after bulk load avoids a first-query
+// stall.
+func (t *Table) Analyze() { t.stats() }
+
+// stats returns the distinct counts, computing them first when none
+// exist yet or rows were appended since. Concurrent first queries share
+// one computation.
+func (t *Table) stats() map[string]int {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	if t.distincts == nil || t.statsRows != t.rows {
+		d := make(map[string]int, len(t.cols))
+		for _, c := range t.cols {
+			d[c.Name] = c.DistinctCount()
+		}
+		t.distincts, t.statsRows = d, t.rows
 	}
-	t.distincts = make(map[string]int, len(t.cols))
-	for _, c := range t.cols {
-		t.distincts[c.Name] = c.DistinctCount()
-	}
-	t.analyzed = true
+	return t.distincts
 }
 
 // DistinctCount returns the cached distinct count for a column, running
 // Analyze when statistics are stale.
 func (t *Table) DistinctCount(col string) int {
-	t.Analyze()
-	return t.distincts[col]
+	return t.stats()[col]
 }
 
 // Row materializes row i as values (mostly for tests and small results).
