@@ -87,13 +87,15 @@ slo-smoke:
 		-slo-requests 80 -slo-workers 4 -slo-expect-incidents 1
 
 # Short fuzz runs over the two operator-facing grammars (chaos specs
-# and SLO objectives). `go test -fuzz` takes one fuzzer per run, so
-# the targets run sequentially; corpus finds land in testdata/fuzz and
-# should be committed as regression seeds.
+# and SLO objectives), the shared-scan merge planner, and the ILP
+# solver against 0/1 enumeration. `go test -fuzz` takes one fuzzer per
+# run, so the targets run sequentially; corpus finds land in
+# testdata/fuzz and should be committed as regression seeds.
 fuzz-smoke:
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzParseChaos -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseObjectives -fuzztime 10s
 	$(GO) test ./internal/merge -run '^$$' -fuzz FuzzSharedPlan -fuzztime 10s
+	$(GO) test ./internal/ilp -run '^$$' -fuzz FuzzSolveAgainstBruteForce -fuzztime 10s
 
 # Closed-loop overload ramp to 2x calibrated capacity under transport
 # chaos; fails unless no fault escapes, interactive p99 stays under the

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/pprof"
@@ -44,11 +45,18 @@ type Options struct {
 const intTol = 1e-6
 
 // Solve minimizes the model objective subject to its constraints via
-// LP-relaxation branch & bound over a work-stealing worker pool. The
-// returned Solution is never nil when err is nil.
+// LP-relaxation branch & bound over a work-stealing worker pool. Every
+// variable must be boxed by finite bounds lo <= hi; Solve returns an
+// error naming the first that is not. The returned Solution is never nil
+// when err is nil.
 func (m *Model) Solve(opt Options) (*Solution, error) {
 	if len(m.vars) == 0 {
 		return nil, ErrNoModel
+	}
+	for _, vi := range m.vars {
+		if !(vi.lo <= vi.hi) || math.IsInf(vi.lo, 0) || math.IsInf(vi.hi, 0) {
+			return nil, fmt.Errorf("ilp: variable %q has bounds [%g, %g]; every variable must be boxed by finite bounds lo <= hi", vi.name, vi.lo, vi.hi)
+		}
 	}
 	workers := opt.Workers
 	if workers <= 0 {
@@ -181,10 +189,6 @@ type bbNode struct {
 	// subtree; nodes whose bound cannot beat the incumbent are dropped at
 	// pop time without paying an LP solve.
 	bound float64
-	// hint holds the structural variables basic at the parent optimum,
-	// used to crash-start the child relaxation (shared by both children,
-	// read-only).
-	hint []VarID
 }
 
 // bbShared is the state all workers of one Solve call share.
@@ -273,7 +277,8 @@ func lexLess(a, b []float64) bool {
 
 // bbWorker explores subtrees from a private LIFO deque (depth-first
 // locality, like the old recursion) and steals the shallowest node of a
-// victim's deque when its own runs dry.
+// victim's deque when its own runs dry. It re-solves every node it
+// processes on its own live tableau.
 type bbWorker struct {
 	id int32
 	sh *bbShared
@@ -281,7 +286,8 @@ type bbWorker struct {
 	mu    sync.Mutex
 	deque []bbNode
 
-	sc        bbScratch
+	lp        *boxLP
+	xr        []float64 // rounding heuristic buffer
 	freeFixed [][]int8
 	tick      int
 
@@ -415,18 +421,14 @@ func (w *bbWorker) process(nd bbNode, seedQ *[]bbNode, isRoot bool) {
 	} else {
 		sh.nodes.Add(1)
 	}
-	x, obj, childHint, st, iters := solveRelaxation(sh.model, nd.fixed, nd.hint, sh.deadline, &w.sc)
+	if w.lp == nil {
+		w.lp = newBoxLP(sh.model)
+	}
+	x, obj, st := w.lp.solve(nd.fixed, sh.deadline)
 	w.lpSolves++
-	w.simplexIters += iters
+	w.simplexIters += w.lp.iters
 	switch st {
 	case lpInfeasible:
-		w.releaseFixed(nd.fixed)
-		return
-	case lpUnbounded:
-		// With bounded variables this cannot happen unless the model has
-		// unbounded continuous vars; treat as "no useful bound" and give
-		// up on proving optimality below this node.
-		sh.complete.Store(false)
 		w.releaseFixed(nd.fixed)
 		return
 	case lpAborted:
@@ -470,8 +472,11 @@ func (w *bbWorker) process(nd bbNode, seedQ *[]bbNode, isRoot bool) {
 		}
 	}
 	if branchVar == -1 {
-		// Integral solution: candidate incumbent.
-		sh.offer(x, obj, w.id)
+		// Integral solution: candidate incumbent, once it passes the same
+		// model check as a rounded point.
+		if sh.model.feasible(x, 1e-6) {
+			sh.offer(x, obj, w.id)
+		}
 		w.releaseFixed(nd.fixed)
 		return
 	}
@@ -490,19 +495,22 @@ func (w *bbWorker) process(nd bbNode, seedQ *[]bbNode, isRoot bool) {
 	w.releaseFixed(nd.fixed)
 	if seedQ != nil {
 		sh.pending.Add(2)
-		*seedQ = append(*seedQ, bbNode{fixed: away, bound: obj, hint: childHint},
-			bbNode{fixed: toward, bound: obj, hint: childHint})
+		*seedQ = append(*seedQ, bbNode{fixed: away, bound: obj},
+			bbNode{fixed: toward, bound: obj})
 		return
 	}
-	w.push(bbNode{fixed: away, bound: obj, hint: childHint})
-	w.push(bbNode{fixed: toward, bound: obj, hint: childHint})
+	w.push(bbNode{fixed: away, bound: obj})
+	w.push(bbNode{fixed: toward, bound: obj})
 }
 
 // tryRounding rounds the LP solution to integers and offers it as an
 // incumbent when feasible.
 func (w *bbWorker) tryRounding(x []float64, fixed []int8) {
 	m := w.sh.model
-	r := growFloats(&w.sc.xr, len(x))
+	if w.xr == nil {
+		w.xr = make([]float64, len(x))
+	}
+	r := w.xr
 	copy(r, x)
 	for i, vi := range m.vars {
 		if vi.integer {
@@ -537,158 +545,6 @@ func (w *bbWorker) releaseFixed(f []int8) {
 	if f != nil && len(w.freeFixed) < 64 {
 		w.freeFixed = append(w.freeFixed, f)
 	}
-}
-
-// bbScratch bundles the per-worker buffers of the relaxation builder
-// with the simplex arena underneath it.
-type bbScratch struct {
-	lp    lpScratch
-	prob  lpProblem
-	col   []int
-	varOf []VarID
-	lo    []float64
-	c     []float64
-	aAr   []float64
-	a     [][]float64
-	sense []Sense
-	b     []float64
-	x     []float64
-	xr    []float64
-	hint  []int
-}
-
-// solveRelaxation builds and solves the LP relaxation under the given
-// binary fixings. Fixed binaries are substituted out; remaining variables
-// are shifted to be non-negative and upper bounds become explicit rows.
-// hint carries the parent-basic structural variables for the crash
-// start; the returned childHint is this node's equivalent for its
-// children. x aliases sc and is only valid until the next call.
-func solveRelaxation(m *Model, fixed []int8, hint []VarID, deadline time.Time, sc *bbScratch) (x []float64, obj float64, childHint []VarID, st lpStatus, iters int) {
-	nv := len(m.vars)
-	col := growInts(&sc.col, nv) // model var -> LP column, -1 when fixed
-	lo := growFloats(&sc.lo, nv)
-	if cap(sc.varOf) < nv {
-		sc.varOf = make([]VarID, nv)
-	}
-	varOf := sc.varOf[:nv]
-	n := 0
-	for i, vi := range m.vars {
-		if vi.integer && fixed[i] >= 0 {
-			col[i] = -1
-			continue
-		}
-		col[i] = n
-		varOf[n] = VarID(i)
-		lo[i] = vi.lo
-		n++
-	}
-	c := growFloats(&sc.c, n)
-	objConst := m.objConst
-	for _, t := range m.obj {
-		if cc := col[t.Var]; cc >= 0 {
-			c[cc] += t.Coeff
-			objConst += t.Coeff * lo[t.Var]
-		} else {
-			objConst += t.Coeff * float64(fixed[t.Var])
-		}
-	}
-	maxRows := len(m.cons) + nv
-	rows := rowViews(&sc.aAr, &sc.a, maxRows, n)
-	if cap(sc.sense) < maxRows {
-		sc.sense = make([]Sense, maxRows)
-	}
-	senses := sc.sense[:maxRows]
-	b := growFloats(&sc.b, maxRows)
-	nr := 0
-	for _, con := range m.cons {
-		row := rows[nr]
-		rhs := con.rhs
-		any := false
-		for _, t := range con.terms {
-			if cc := col[t.Var]; cc >= 0 {
-				row[cc] += t.Coeff
-				rhs -= t.Coeff * lo[t.Var]
-				any = true
-			} else {
-				rhs -= t.Coeff * float64(fixed[t.Var])
-			}
-		}
-		if !any {
-			// Constant constraint: check it directly, and scrub the row
-			// buffer for its next occupant.
-			clear(row)
-			ok := true
-			switch con.sense {
-			case LE:
-				ok = rhs >= -1e-9
-			case GE:
-				ok = rhs <= 1e-9
-			case EQ:
-				ok = math.Abs(rhs) <= 1e-9
-			}
-			if !ok {
-				return nil, 0, nil, lpInfeasible, 0
-			}
-			continue
-		}
-		senses[nr] = con.sense
-		b[nr] = rhs
-		nr++
-	}
-	// Upper-bound rows for shifted variables with finite upper bounds.
-	for i, vi := range m.vars {
-		cc := col[i]
-		if cc < 0 || math.IsInf(vi.hi, 1) {
-			continue
-		}
-		rows[nr][cc] = 1
-		senses[nr] = LE
-		b[nr] = vi.hi - vi.lo
-		nr++
-	}
-	// Map the parent's basic variables to this LP's columns.
-	hintCols := sc.hint[:0]
-	for _, v := range hint {
-		if cc := col[v]; cc >= 0 {
-			hintCols = append(hintCols, cc)
-		}
-	}
-	sc.hint = hintCols
-
-	p := &sc.prob
-	p.c = c
-	p.a = rows[:nr]
-	p.sense = senses[:nr]
-	p.b = b[:nr]
-	p.hint = hintCols
-	xs, lpObj, lst := p.solveLPInto(deadline, &sc.lp)
-	if lst != lpOptimal {
-		return nil, 0, nil, lst, p.iters
-	}
-	// Record which structural variables ended basic, as the crash hint
-	// for child relaxations.
-	nBasic := 0
-	for _, bc := range sc.lp.basis {
-		if bc < n {
-			nBasic++
-		}
-	}
-	childHint = make([]VarID, 0, nBasic)
-	for _, bc := range sc.lp.basis {
-		if bc < n {
-			childHint = append(childHint, varOf[bc])
-		}
-	}
-	// Map back to model space.
-	x = growFloats(&sc.x, nv)
-	for i := range m.vars {
-		if cc := col[i]; cc >= 0 {
-			x[i] = xs[cc] + lo[i]
-		} else {
-			x[i] = float64(fixed[i])
-		}
-	}
-	return x, lpObj + objConst, childHint, lpOptimal, p.iters
 }
 
 // cleanIntegers snaps integer variables to exact integral values.

@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -363,5 +364,30 @@ func TestStatusAndSenseStrings(t *testing.T) {
 	v := m.AddBinary("myvar")
 	if m.VarName(v) != "myvar" || m.NumVars() != 1 || m.NumConstraints() != 0 {
 		t.Error("model accessors")
+	}
+}
+
+// TestSolveRejectsUnboxedVariable pins the boxed-variable contract the
+// dual simplex rests on: a variable with an infinite or empty domain is
+// an error that names it, not a silent wrong answer.
+func TestSolveRejectsUnboxedVariable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"up", 0, math.Inf(1)},
+		{"down", math.Inf(-1), 0},
+		{"empty", 2, 1},
+		{"nan", math.NaN(), 1},
+	} {
+		m := NewModel()
+		a := m.AddBinary("a")
+		z := m.AddContinuous(tc.name, tc.lo, tc.hi)
+		m.AddConstraint([]Term{{z, 1}, {a, -1}}, LE, 0)
+		m.SetObjective([]Term{{a, 1}, {z, -1}}, 0)
+		_, err := m.Solve(Options{})
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.name+`"`) {
+			t.Errorf("bounds [%v, %v]: err = %v, want an error naming %q", tc.lo, tc.hi, err, tc.name)
+		}
 	}
 }

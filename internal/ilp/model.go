@@ -1,8 +1,9 @@
 // Package ilp is a self-contained 0/1 integer linear programming solver,
 // substituting for the Gurobi solver the paper uses (Section 9.1). It
-// supports binary and bounded continuous variables, linear constraints, and
-// minimization objectives; solving uses branch & bound over a dense
-// two-phase primal simplex LP relaxation. The solver honours deadlines and
+// supports binary and boxed continuous variables, linear constraints, and
+// minimization objectives; solving uses branch & bound in which each
+// worker re-solves every node's LP relaxation with a bounded-variable
+// dual simplex on one live dense tableau. The solver honours deadlines and
 // reports the best incumbent on timeout — matching the paper's observation
 // that "in case of a timeout, the ILP approach still produces a solution
 // (which is however not guaranteed to be optimal anymore)".
@@ -99,7 +100,8 @@ func (m *Model) SetBranchPriority(v VarID, priority int) {
 	m.vars[v].priority = priority
 }
 
-// AddContinuous adds a continuous variable with bounds [lo, hi].
+// AddContinuous adds a continuous variable with bounds [lo, hi]. Both
+// bounds must be finite: Solve rejects a model with an unboxed variable.
 func (m *Model) AddContinuous(name string, lo, hi float64) VarID {
 	m.vars = append(m.vars, varInfo{name: name, lo: lo, hi: hi})
 	return VarID(len(m.vars) - 1)
@@ -225,14 +227,23 @@ func (m *Model) Feasible(x []float64, tol float64) bool {
 	return m.feasible(x, tol)
 }
 
-// feasible reports whether x satisfies all constraints and bounds within
-// tolerance.
+// feasible reports whether x satisfies all constraints, bounds and
+// integrality requirements within tolerance.
 func (m *Model) feasible(x []float64, tol float64) bool {
 	for i, vi := range m.vars {
-		if x[i] < vi.lo-tol || x[i] > vi.hi+tol {
+		if vi.integer && math.Abs(x[i]-math.Round(x[i])) > tol {
 			return false
 		}
-		if vi.integer && math.Abs(x[i]-math.Round(x[i])) > tol {
+	}
+	return m.satisfies(x, tol)
+}
+
+// satisfies reports whether x satisfies all constraints and bounds
+// within tolerance, integrality aside: the model check every LP
+// relaxation point passes before branch and bound uses it.
+func (m *Model) satisfies(x []float64, tol float64) bool {
+	for i, vi := range m.vars {
+		if x[i] < vi.lo-tol || x[i] > vi.hi+tol {
 			return false
 		}
 	}

@@ -147,33 +147,45 @@ func TestSolveParallelDeadlineStillBounded(t *testing.T) {
 	}
 }
 
-// TestSimplexSteadyStateZeroAlloc locks in the satellite requirement:
-// once an lpScratch is warm, repeated LP solves perform zero heap
-// allocations.
+// TestSimplexSteadyStateZeroAlloc pins the node re-solve hot path:
+// once a worker's live tableau is warm, re-solving a node performs zero
+// heap allocations.
 func TestSimplexSteadyStateZeroAlloc(t *testing.T) {
-	p := &lpProblem{
-		c: []float64{-3, -5, -4, 1},
-		a: [][]float64{
-			{2, 3, 0, 1},
-			{0, 2, 5, -1},
-			{3, 2, 4, 0},
-			{1, 1, 1, 1},
-		},
-		sense: []Sense{LE, LE, LE, GE},
-		b:     []float64{8, 10, 15, -2},
+	m := HardRandomModel(7, 26, 3)
+	lp := newBoxLP(m)
+	fixings := steadyStateFixings(m.NumVars())
+	for _, f := range fixings {
+		if _, _, st := lp.solve(f, time.Time{}); st != lpOptimal {
+			t.Fatalf("warmup status = %v", st)
+		}
 	}
-	var sc lpScratch
-	if _, _, st := p.solveLPInto(time.Time{}, &sc); st != lpOptimal {
-		t.Fatalf("warmup status = %v", st)
-	}
+	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, _, st := p.solveLPInto(time.Time{}, &sc); st != lpOptimal {
+		if _, _, st := lp.solve(fixings[i%len(fixings)], time.Time{}); st != lpOptimal {
 			t.Fatalf("status = %v", st)
 		}
+		i++
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state solveLPInto allocates %v objects per run, want 0", allocs)
+		t.Errorf("steady-state node re-solve allocates %v objects per run, want 0", allocs)
 	}
+}
+
+// steadyStateFixings returns a cycle of branch-and-bound style fixings
+// over n binaries: the root, then prefixes fixed alternately to 0 and 1.
+func steadyStateFixings(n int) [][]int8 {
+	var out [][]int8
+	for depth := 0; depth < 6; depth++ {
+		f := make([]int8, n)
+		for j := range f {
+			f[j] = -1
+			if j < depth {
+				f[j] = int8((j + depth) % 2)
+			}
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // TestSolveWorkersDefaultsToGOMAXPROCS pins the Options.Workers zero
@@ -218,24 +230,17 @@ func BenchmarkILPParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSimplexSteadyState tracks the zero-alloc LP hot path.
+// BenchmarkSimplexSteadyState tracks the zero-alloc node re-solve.
 func BenchmarkSimplexSteadyState(b *testing.B) {
-	p := &lpProblem{
-		c: []float64{-3, -5, -4, 1},
-		a: [][]float64{
-			{2, 3, 0, 1},
-			{0, 2, 5, -1},
-			{3, 2, 4, 0},
-			{1, 1, 1, 1},
-		},
-		sense: []Sense{LE, LE, LE, GE},
-		b:     []float64{8, 10, 15, -2},
+	m := HardRandomModel(7, 26, 3)
+	lp := newBoxLP(m)
+	fixings := steadyStateFixings(m.NumVars())
+	for _, f := range fixings {
+		lp.solve(f, time.Time{}) // warm the tableau
 	}
-	var sc lpScratch
-	p.solveLPInto(time.Time{}, &sc) // warm the arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.solveLPInto(time.Time{}, &sc)
+		lp.solve(fixings[i%len(fixings)], time.Time{})
 	}
 }

@@ -11,448 +11,348 @@ type lpStatus uint8
 const (
 	lpOptimal lpStatus = iota
 	lpInfeasible
-	lpUnbounded
 	lpAborted // deadline or iteration cap hit
 )
 
-// lpProblem is a linear program in the form
-//
-//	min c'x  s.t.  A x (<=|>=|=) b,  x >= 0
-//
-// produced by the branch-and-bound layer after variable shifting and
-// fixing. Upper bounds arrive as explicit <= rows.
-type lpProblem struct {
-	c     []float64   // length n
-	a     [][]float64 // m rows of length n
-	sense []Sense     // length m
-	b     []float64   // length m
-	// hint lists structural columns preferred as entering variables at
-	// the start of phase 2 — the branch-and-bound layer passes the
-	// columns that were basic at the parent node's optimum, so child
-	// relaxations re-walk the parent's basis instead of rediscovering
-	// it from the slack basis (a crash basis in simplex terms).
-	hint []int
-	// iters is the number of simplex iterations the last solveLP call
-	// performed (phase 1 + phase 2), for solver observability.
-	iters int
-}
-
 const (
-	simplexTol = 1e-9
+	// primalTol is how far a basic variable may sit outside its box
+	// before the dual simplex pivots it out.
+	primalTol = 1e-9
+	// dualTol is the reduced cost below which a nonbasic variable has no
+	// preferred bound.
+	dualTol = 1e-9
+	// pivotTol is the smallest pivot-row entry accepted as a pivot.
+	pivotTol = 1e-9
 	// deadlineCheckMask throttles time.Now calls to every 64 iterations.
 	deadlineCheckMask = 63
+	// rebuildEvery scales the pivot budget after which a live tableau is
+	// rebuilt from the slack basis to shed accumulated rounding error:
+	// rebuildEvery·(rows+structurals) pivots.
+	rebuildEvery = 40
 )
 
-// lpScratch is a grow-only arena for everything a solveLP call would
-// otherwise allocate: normalized rows, the dense tableau, basis and
-// cost arrays, the reduced-cost row and the result vector. Each
-// branch-and-bound worker owns one, so the thousands of LP solves a
-// search performs reuse the same backing buffers (steady-state solves
-// are allocation-free; see TestSimplexSteadyStateZeroAlloc).
-type lpScratch struct {
-	rowArena []float64
-	rows     [][]float64
-	b        []float64
-	senses   []Sense
-	tArena   []float64
-	t        [][]float64
-	basis    []int
-	cost     []float64
-	z        []float64
-	artCols  []int
-	isArt    []bool
-	x        []float64
+// boxLP is a live bounded-variable dual simplex tableau over one model's
+// LP relaxation. Every model row i gets one slack s_i,
+//
+//	sum_j a_ij x_j + s_i = rhs_i,
+//
+// boxed by the row's sense: LE [0,∞), GE (−∞,0], EQ [0,0]. Every
+// structural x_j keeps its finite [lo, hi] (Model.Solve rejects any
+// other), so the slack basis with each structural at the bound its cost
+// prefers is dual feasible, and no phase 1 or artificial column is ever
+// needed. A branch-and-bound node is only a set of bound changes: a
+// fixing sets lo = hi. Reduced costs do not depend on bounds, so the
+// previous node's optimal basis stays dual feasible once the nonbasic
+// structurals move to the bounds their reduced costs prefer, and the
+// dual simplex restores primal feasibility in a few pivots. That holds
+// for any node, not only a child of the last one, so each worker keeps
+// one boxLP and re-solves every node it pops on it.
+type boxLP struct {
+	m      *Model
+	nv, nr int // structural columns, rows (= slack columns)
+
+	arena []float64
+	t     [][]float64 // nr rows of B⁻¹[A I], nv+nr columns each
+	d     []float64   // reduced costs by column
+	xb    []float64   // basic values by row
+	basis []int       // column basic in each row
+	pos   []int       // row of a basic column, -1 when nonbasic
+	val   []float64   // value of each nonbasic column, always a bound
+	lo    []float64   // current bounds by column
+	hi    []float64
+	cost  []float64 // objective by structural column
+
+	// idx/vals gather the pivot row's nonzeros once per pivot.
+	idx  []int
+	vals []float64
+	x    []float64 // structural solution of the last solve
+
+	pivots int  // pivots since the last rebuild
+	stale  bool // rebuild before the next solve
+	iters  int  // pivots of the last solve, cold retry included
 }
 
-// growFloats returns (*buf)[:n] with zeroed contents, reallocating only
-// when capacity is insufficient. The resliced header is stored back so
-// the scratch field always reflects the last solve's length.
-func growFloats(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
+// newBoxLP allocates a tableau for m. It is built from the slack basis
+// on the first solve.
+func newBoxLP(m *Model) *boxLP {
+	nv, nr := len(m.vars), len(m.cons)
+	cols := nv + nr
+	lp := &boxLP{
+		m: m, nv: nv, nr: nr,
+		arena: make([]float64, nr*cols),
+		t:     make([][]float64, nr),
+		d:     make([]float64, cols),
+		xb:    make([]float64, nr),
+		basis: make([]int, nr),
+		pos:   make([]int, cols),
+		val:   make([]float64, cols),
+		lo:    make([]float64, cols),
+		hi:    make([]float64, cols),
+		cost:  make([]float64, nv),
+		idx:   make([]int, 0, cols),
+		vals:  make([]float64, 0, cols),
+		x:     make([]float64, nv),
+		stale: true,
 	}
-	s := (*buf)[:n]
-	clear(s)
-	*buf = s
-	return s
-}
-
-// growInts is growFloats for []int.
-func growInts(buf *[]int, n int) []int {
-	if cap(*buf) < n {
-		*buf = make([]int, n)
+	for i := range lp.t {
+		lp.t[i] = lp.arena[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	s := (*buf)[:n]
-	clear(s)
-	*buf = s
-	return s
-}
-
-// rowViews carves m zeroed row slices of the given width out of one
-// flat arena, reusing the arena and the view headers across calls.
-func rowViews(arena *[]float64, views *[][]float64, m, width int) [][]float64 {
-	need := m * width
-	if cap(*arena) < need {
-		*arena = make([]float64, need)
+	for _, term := range m.obj {
+		lp.cost[term.Var] += term.Coeff
 	}
-	flat := (*arena)[:need]
-	clear(flat)
-	if cap(*views) < m {
-		*views = make([][]float64, m)
-	}
-	v := (*views)[:m]
-	for i := range v {
-		v[i] = flat[i*width : (i+1)*width : (i+1)*width]
-	}
-	*arena = flat
-	*views = v
-	return v
-}
-
-// solveLP runs a dense two-phase primal simplex with a throwaway
-// scratch arena. Callers on a hot path should hold an lpScratch and use
-// solveLPInto; this wrapper keeps the one-shot call sites (and the
-// historical tests) simple.
-func (p *lpProblem) solveLP(deadline time.Time) ([]float64, float64, lpStatus) {
-	var sc lpScratch
-	return p.solveLPInto(deadline, &sc)
-}
-
-// solveLPInto runs a dense two-phase primal simplex. It returns the
-// primal solution over the structural variables and the objective
-// value. The returned slice aliases sc and is only valid until the next
-// solve with the same scratch.
-func (p *lpProblem) solveLPInto(deadline time.Time, sc *lpScratch) ([]float64, float64, lpStatus) {
-	p.iters = 0
-	n := len(p.c)
-	if len(p.a) == 0 {
-		// Unconstrained over x >= 0: each variable sits at 0 unless its
-		// cost is negative, in which case the LP is unbounded.
-		for _, cj := range p.c {
-			if cj < -simplexTol {
-				return nil, 0, lpUnbounded
-			}
-		}
-		return growFloats(&sc.x, n), 0, lpOptimal
-	}
-
-	// Normalize rows to minimize artificial variables (artificials force a
-	// phase-1 solve, which dominates LP time on this solver's workloads):
-	//
-	//   1. flip rows so b >= 0;
-	//   2. a GE row with b == 0 negates into a slack-only LE row;
-	//   3. an EQ row with b == 0 splits into two slack-only LE rows.
-	//
-	// MUVE's multiplot models consist almost entirely of zero-rhs logical
-	// constraints (q <= p, s >= h, h_i = sum h, ...), so this usually
-	// removes phase 1 altogether. An EQ split is the only case producing
-	// two rows, so 2*len(p.a) bounds the normalized row count.
-	maxRows := 2 * len(p.a)
-	rows := rowViews(&sc.rowArena, &sc.rows, maxRows, n)
-	b := growFloats(&sc.b, maxRows)
-	if cap(sc.senses) < maxRows {
-		sc.senses = make([]Sense, maxRows)
-	}
-	senses := sc.senses[:maxRows]
-	m := 0
-	for i := range p.a {
-		src := p.a[i]
-		bi := p.b[i]
-		s := p.sense[i]
-		r := rows[m]
-		if bi < 0 {
-			bi = -bi
-			for j, v := range src {
-				r[j] = -v
-			}
-			switch s {
-			case LE:
-				s = GE
-			case GE:
-				s = LE
-			}
-		} else {
-			copy(r, src)
-		}
-		if bi == 0 {
-			switch s {
-			case GE:
-				for j := range r {
-					r[j] = -r[j]
-				}
-				b[m], senses[m] = 0, LE
-				m++
-				continue
-			case EQ:
-				neg := rows[m+1]
-				for j, v := range r {
-					neg[j] = -v
-				}
-				b[m], senses[m] = 0, LE
-				b[m+1], senses[m+1] = 0, LE
-				m += 2
-				continue
-			}
-		}
-		b[m], senses[m] = bi, s
-		m++
-	}
-	rows = rows[:m]
-	b = b[:m]
-	senses = senses[:m]
-
-	// Count columns: structural + one slack/surplus per inequality +
-	// artificials for >= and = rows.
-	nSlack, nArt := 0, 0
-	for _, s := range senses {
-		switch s {
+	for i, con := range m.cons {
+		k := nv + i
+		switch con.sense {
 		case LE:
-			nSlack++
+			lp.lo[k], lp.hi[k] = 0, math.Inf(1)
 		case GE:
-			nSlack++
-			nArt++
+			lp.lo[k], lp.hi[k] = math.Inf(-1), 0
 		case EQ:
-			nArt++
+			lp.lo[k], lp.hi[k] = 0, 0
 		}
 	}
-	total := n + nSlack + nArt
-	// tableau: m rows of length total+1 (last col = rhs), plus cost rows
-	// handled separately.
-	t := rowViews(&sc.tArena, &sc.t, m, total+1)
-	basis := growInts(&sc.basis, m)
-	slackAt := n
-	artAt := n + nSlack
-	if cap(sc.artCols) < nArt {
-		sc.artCols = make([]int, 0, nArt)
-	}
-	artCols := sc.artCols[:0]
-	for i := 0; i < m; i++ {
-		row := t[i]
-		copy(row, rows[i])
-		row[total] = b[i]
-		switch senses[i] {
-		case LE:
-			row[slackAt] = 1
-			basis[i] = slackAt
-			slackAt++
-		case GE:
-			row[slackAt] = -1
-			slackAt++
-			row[artAt] = 1
-			basis[i] = artAt
-			artCols = append(artCols, artAt)
-			artAt++
-		case EQ:
-			row[artAt] = 1
-			basis[i] = artAt
-			artCols = append(artCols, artAt)
-			artAt++
-		}
-	}
-	sc.artCols = artCols[:0]
+	return lp
+}
 
-	iterCap := 200 * (m + total)
-	if iterCap < 2000 {
-		iterCap = 2000
-	}
-
-	// Phase 1: minimize the sum of artificial variables.
-	cost := growFloats(&sc.cost, total)
-	if nArt > 0 {
-		for _, c := range artCols {
-			cost[c] = 1
+// rebuild resets the tableau to the slack basis with every structural
+// at 0; solve then moves each one to a bound of its box.
+func (lp *boxLP) rebuild() {
+	clear(lp.arena)
+	for i, con := range lp.m.cons {
+		row := lp.t[i]
+		for _, term := range con.terms {
+			row[term.Var] = term.Coeff
 		}
-		obj, iters, st := runSimplex(t, basis, cost, total, deadline, iterCap, &sc.z, nil)
-		p.iters += iters
+		row[lp.nv+i] = 1
+		lp.xb[i] = con.rhs
+	}
+	for k := range lp.pos {
+		lp.pos[k] = -1
+	}
+	for i := range lp.basis {
+		lp.basis[i] = lp.nv + i
+		lp.pos[lp.nv+i] = i
+	}
+	copy(lp.d, lp.cost)
+	clear(lp.d[lp.nv:])
+	clear(lp.val)
+	lp.pivots = 0
+	lp.stale = false
+}
+
+// solve re-solves the relaxation under the given binary fixings (-1
+// unfixed) on the live tableau. It returns the structural solution,
+// which aliases lp and is valid until the next solve, and its objective.
+// A point that fails the model check is re-solved once from a rebuilt
+// tableau, so tableau drift can never surface as a solution.
+func (lp *boxLP) solve(fixed []int8, deadline time.Time) ([]float64, float64, lpStatus) {
+	lp.iters = 0
+	for {
+		cold := lp.stale || lp.pivots > rebuildEvery*(lp.nr+lp.nv)
+		if cold {
+			lp.rebuild()
+		}
+		st := lp.resolve(fixed, deadline)
 		if st == lpAborted {
+			lp.stale = true
+			return nil, 0, st
+		}
+		if st == lpInfeasible {
+			return nil, 0, st
+		}
+		x := lp.x
+		obj := lp.m.objConst
+		for j := range x {
+			if r := lp.pos[j]; r >= 0 {
+				x[j] = lp.xb[r]
+			} else {
+				x[j] = lp.val[j]
+			}
+			obj += lp.cost[j] * x[j]
+		}
+		if lp.m.satisfies(x, 1e-6) {
+			return x, obj, lpOptimal
+		}
+		lp.stale = true
+		if cold {
 			return nil, 0, lpAborted
 		}
-		if st == lpUnbounded || obj > 1e-7 {
-			return nil, 0, lpInfeasible
-		}
-		// Pivot remaining basic artificials out when possible.
-		if cap(sc.isArt) < total {
-			sc.isArt = make([]bool, total)
-		}
-		isArt := sc.isArt[:total]
-		for i := range isArt {
-			isArt[i] = false
-		}
-		for _, c := range artCols {
-			isArt[c] = true
-		}
-		for i := 0; i < m; i++ {
-			if !isArt[basis[i]] {
-				continue
-			}
-			for j := 0; j < n+nSlack; j++ {
-				if math.Abs(t[i][j]) > 1e-7 {
-					pivot(t, basis, i, j, total)
-					break
-				}
-			}
-			// When no pivot column exists the row is redundant; the
-			// artificial stays basic at value 0, which is harmless as
-			// long as it can never re-enter. We ensure that by zeroing
-			// its cost in phase 2 and never selecting artificial
-			// columns (see below).
-		}
-		// Forbid artificial columns from re-entering by zeroing them.
-		for i := 0; i < m; i++ {
-			for _, c := range artCols {
-				if basis[i] != c {
-					t[i][c] = 0
-				}
-			}
-		}
-		// Reset the cost buffer for phase 2.
-		clear(cost)
 	}
-
-	// Phase 2: minimize the real objective over structural + slack
-	// columns, crash-started from the parent basis hint when one is set.
-	copy(cost, p.c)
-	obj, iters, st := runSimplex(t, basis, cost, n+nSlack, deadline, iterCap, &sc.z, p.hint)
-	p.iters += iters
-	switch st {
-	case lpAborted:
-		return nil, 0, lpAborted
-	case lpUnbounded:
-		return nil, 0, lpUnbounded
-	}
-	x := growFloats(&sc.x, n)
-	for i, bc := range basis {
-		if bc < n {
-			x[bc] = t[i][total]
-		}
-	}
-	return x, obj, lpOptimal
 }
 
-// runSimplex performs primal simplex iterations on the tableau with the
-// given cost vector, allowing entering columns only below colLimit. It
-// returns the objective value of the final basis and the number of
-// iterations performed. zbuf holds the reduced-cost row across calls;
-// prefer, when non-empty, names columns pivoted in first when their
-// reduced cost is negative (the warm-basis crash).
-func runSimplex(t [][]float64, basis []int, cost []float64, colLimit int, deadline time.Time, iterCap int, zbuf *[]float64, prefer []int) (float64, int, lpStatus) {
-	m := len(t)
-	total := len(t[0]) - 1
-	// Reduced cost row: z[j] = cost[j] - cB' B^-1 A_j, maintained by
-	// pivoting a dedicated row.
-	z := growFloats(zbuf, total+1)
-	copy(z, cost)
-	for i := 0; i < m; i++ {
-		cb := cost[basis[i]]
-		if cb == 0 {
+// resolve applies the node's bounds, moves every nonbasic structural to
+// the bound its reduced cost prefers, and runs the dual simplex.
+func (lp *boxLP) resolve(fixed []int8, deadline time.Time) lpStatus {
+	for j, vi := range lp.m.vars {
+		lo, hi := vi.lo, vi.hi
+		if vi.integer && fixed[j] >= 0 {
+			lo = float64(fixed[j])
+			hi = lo
+		}
+		lp.lo[j], lp.hi[j] = lo, hi
+		if lp.pos[j] >= 0 {
 			continue
 		}
-		for j := 0; j <= total; j++ {
-			z[j] -= cb * t[i][j]
+		target := lo
+		switch dj, v := lp.d[j], lp.val[j]; {
+		case dj < -dualTol:
+			target = hi
+		case dj <= dualTol && v == hi:
+			target = hi
+		}
+		if delta := target - lp.val[j]; delta != 0 {
+			for i, row := range lp.t {
+				if a := row[j]; a != 0 {
+					lp.xb[i] -= delta * a
+				}
+			}
+			lp.val[j] = target
 		}
 	}
-	iter := 0
-	// Crash pivots: re-enter the hinted (parent-basic) columns first.
-	// Each is an ordinary ratio-tested pivot, so correctness does not
-	// depend on the hint — a useless hint only costs the iterations it
-	// spends, an on-target one walks straight back to the parent basis.
-	for _, j := range prefer {
-		if j < 0 || j >= colLimit || z[j] >= -simplexTol {
-			continue
-		}
-		leave := ratioTest(t, basis, j, total)
-		if leave == -1 {
-			return 0, iter, lpUnbounded
-		}
-		pivotWithZ(t, basis, z, leave, j, total)
-		iter++
-	}
-	useBland := false
-	for ; ; iter++ {
-		if iter > iterCap {
-			return 0, iter, lpAborted
+	return lp.dualSimplex(deadline)
+}
+
+// dualSimplex pivots out the most infeasible basic variable until every
+// basic value sits inside its box. Past half the iteration cap it falls
+// back to smallest-index choices (Bland) to break any cycling.
+func (lp *boxLP) dualSimplex(deadline time.Time) lpStatus {
+	iterCap := 20*(lp.nr+lp.nv) + 1000
+	for iter := 0; ; iter++ {
+		if iter >= iterCap {
+			return lpAborted
 		}
 		if iter&deadlineCheckMask == 0 && !deadline.IsZero() && time.Now().After(deadline) {
-			return 0, iter, lpAborted
+			return lpAborted
 		}
-		if iter > iterCap/2 {
-			useBland = true
-		}
-		// Choose entering column.
-		enter := -1
-		best := -simplexTol
-		for j := 0; j < colLimit; j++ {
-			if z[j] < best {
-				if useBland {
-					enter = j
-					break
-				}
-				best = z[j]
-				enter = j
+		bland := iter > iterCap/2
+
+		// Leaving row: the basic variable farthest outside its box.
+		r := -1
+		worst := primalTol
+		for i, bc := range lp.basis {
+			v := lp.xb[i]
+			inf := lp.lo[bc] - v
+			if over := v - lp.hi[bc]; over > inf {
+				inf = over
 			}
+			if inf <= primalTol {
+				continue
+			}
+			if bland {
+				if r == -1 || bc < lp.basis[r] {
+					r = i
+				}
+			} else if inf > worst {
+				worst = inf
+				r = i
+			}
+		}
+		if r == -1 {
+			return lpOptimal
+		}
+		leave := lp.basis[r]
+		bound := lp.hi[leave]
+		up := lp.xb[r] < lp.lo[leave] // the leaving variable must rise
+		if up {
+			bound = lp.lo[leave]
+		}
+
+		// Dual ratio test over the pivot row. Row r reads
+		// x_leave = const − Σ a_k x_k, so raising x_leave needs an a_k < 0
+		// column that can rise (at lo) or an a_k > 0 column that can fall
+		// (at hi); lowering it the opposite. The smallest |d_k|/|a_k| keeps
+		// every reduced cost on its bound's side; ties go to the larger
+		// pivot for stability.
+		row := lp.t[r]
+		enter := -1
+		bestRatio, bestA := math.Inf(1), 0.0
+		for k, a := range row {
+			if a <= pivotTol && a >= -pivotTol {
+				continue
+			}
+			if lp.pos[k] >= 0 || lp.lo[k] == lp.hi[k] {
+				continue
+			}
+			atLo := lp.val[k] == lp.lo[k]
+			if (a < 0) != (up == atLo) {
+				continue
+			}
+			dk := lp.d[k]
+			if !atLo {
+				dk = -dk
+			}
+			if dk < 0 {
+				dk = 0 // drift: a reduced cost a hair past its sign
+			}
+			absA := math.Abs(a)
+			ratio := dk / absA
+			switch {
+			case enter == -1, ratio < bestRatio-1e-12:
+			case ratio <= bestRatio+1e-12 && !bland && absA > bestA:
+			default:
+				continue
+			}
+			enter, bestRatio, bestA = k, ratio, absA
 		}
 		if enter == -1 {
-			return -z[total], iter, lpOptimal
+			return lpInfeasible
 		}
-		leave := ratioTest(t, basis, enter, total)
-		if leave == -1 {
-			return 0, iter, lpUnbounded
-		}
-		pivotWithZ(t, basis, z, leave, enter, total)
-	}
-}
 
-// ratioTest picks the leaving row for an entering column (lexicographic
-// tie-break on the basic variable index, Bland-style, to dodge cycling).
-func ratioTest(t [][]float64, basis []int, enter, total int) int {
-	leave := -1
-	bestRatio := math.Inf(1)
-	for i := range t {
-		a := t[i][enter]
-		if a > simplexTol {
-			ratio := t[i][total] / a
-			if ratio < bestRatio-simplexTol ||
-				(ratio < bestRatio+simplexTol && (leave == -1 || basis[i] < basis[leave])) {
-				bestRatio = ratio
-				leave = i
+		// Primal update: move the entering column until the leaving
+		// variable reaches its bound.
+		step := (lp.xb[r] - bound) / row[enter]
+		for i, ri := range lp.t {
+			if a := ri[enter]; a != 0 {
+				lp.xb[i] -= step * a
 			}
 		}
+		lp.xb[r] = lp.val[enter] + step
+		lp.val[leave] = bound
+		lp.basis[r] = enter
+		lp.pos[enter] = r
+		lp.pos[leave] = -1
+		lp.pivot(r, enter)
+		lp.pivots++
+		lp.iters++
 	}
-	return leave
 }
 
-// pivot performs a Gauss-Jordan pivot on tableau row r, column c.
-func pivot(t [][]float64, basis []int, r, c, total int) {
-	pr := t[r]
-	pv := pr[c]
-	inv := 1 / pv
-	for j := 0; j <= total; j++ {
-		pr[j] *= inv
+// pivot performs a Gauss-Jordan pivot on row r, column c of the tableau
+// and the reduced-cost row. The pivot row's nonzeros are gathered once,
+// and each other row with a nonzero in column c is updated over that
+// list only; the tableau stays sparse enough that a dense row sweep
+// would be mostly multiplications by zero.
+func (lp *boxLP) pivot(r, c int) {
+	pr := lp.t[r]
+	inv := 1 / pr[c]
+	idx, vals := lp.idx[:0], lp.vals[:0]
+	for k, v := range pr {
+		if v != 0 {
+			v *= inv
+			pr[k] = v
+			idx = append(idx, k)
+			vals = append(vals, v)
+		}
 	}
-	for i := range t {
+	pr[c] = 1
+	for i, row := range lp.t {
 		if i == r {
 			continue
 		}
-		f := t[i][c]
+		f := row[c]
 		if f == 0 {
 			continue
 		}
-		row := t[i]
-		for j := 0; j <= total; j++ {
-			row[j] -= f * pr[j]
+		for p, k := range idx {
+			row[k] -= f * vals[p]
 		}
+		row[c] = 0
 	}
-	basis[r] = c
-}
-
-// pivotWithZ pivots and also updates the reduced-cost row z.
-func pivotWithZ(t [][]float64, basis []int, z []float64, r, c, total int) {
-	pivot(t, basis, r, c, total)
-	f := z[c]
-	if f != 0 {
-		pr := t[r]
-		for j := 0; j <= total; j++ {
-			z[j] -= f * pr[j]
+	if f := lp.d[c]; f != 0 {
+		for p, k := range idx {
+			lp.d[k] -= f * vals[p]
 		}
+		lp.d[c] = 0
 	}
+	lp.idx, lp.vals = idx, vals
 }

@@ -79,10 +79,11 @@ type Trace struct {
 	// SampleRate is the sample rate of the first emitted visualization:
 	// 1 for exact-first methods, the approximation rate for App-* runs.
 	SampleRate float64
-	// WarmStart reports how the planner's warm-start hint fared
-	// (hit|partial|infeasible|none); empty for methods or runs without a
-	// hint. See core.WarmStartResult.
-	WarmStart core.WarmStartResult
+	// Solver is the planning call's own report — optimality, timeout,
+	// branch-and-bound effort, and how a warm-start hint fared — for
+	// the methods that plan once (the Default methods and ILP-Inc);
+	// zero for the rest.
+	Solver core.Stats
 	// Scan totals the shared-scan executor's work across all execution
 	// rounds: table passes, rows covered, candidates answered, predicate
 	// sharing, and sketch activity.
@@ -413,7 +414,7 @@ func (d *Default) Present(s *Session) (*Trace, error) {
 	events = append(events, Event{At: time.Since(start), Multiplot: filled})
 	tr := finishTrace(s, events)
 	tr.SampleRate = 1
-	tr.WarmStart = st.WarmStart
+	tr.Solver = st
 	if st.Optimal {
 		tr.EarlyStop = "optimal"
 	}
@@ -698,7 +699,7 @@ func (i ILPInc) Present(s *Session) (*Trace, error) {
 	}
 	tr := finishTrace(s, events)
 	tr.SampleRate = 1
-	tr.WarmStart = st.WarmStart
+	tr.Solver = st
 	switch {
 	case st.Optimal:
 		tr.EarlyStop = "optimal"

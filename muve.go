@@ -502,9 +502,9 @@ func (s *System) answer(ctx context.Context, transcript string, top sqldb.Query,
 	if len(trace.Events) > 0 {
 		ans.Multiplot = trace.Events[len(trace.Events)-1].Multiplot
 	}
+	ans.Stats = trace.Solver
 	ans.Stats.Cost = in.Cost(ans.Multiplot)
 	ans.Stats.Duration = trace.TTime
-	ans.Stats.WarmStart = trace.WarmStart
 	ans.Stats.Scan = trace.Scan
 	bars, redBars, plots, _ := ans.Multiplot.Counts()
 	vsp.SetInt("plots", int64(plots)).

@@ -123,6 +123,38 @@ func TestAskWithILPSolver(t *testing.T) {
 	}
 }
 
+// TestILPAnswerReportsSolverStats pins that an ILP plot answer carries
+// the solver's own report — optimality and the search counters — next
+// to the cost and timing fields the answer path fills in.
+func TestILPAnswerReportsSolverStats(t *testing.T) {
+	db := demoDB(t)
+	for _, kind := range []SolverKind{SolverILP, SolverILPIncremental} {
+		sys, err := New(db, "requests",
+			WithSolver(kind),
+			WithILPTimeout(5*time.Second),
+			WithMaxCandidates(8),
+			WithWidth(600))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, err := sys.Ask("average response hours in Queens")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ans.Stats
+		if !st.Optimal || st.TimedOut {
+			t.Errorf("%v: Optimal = %v, TimedOut = %v; want a proven optimum within 5s", kind, st.Optimal, st.TimedOut)
+		}
+		if st.Nodes <= 0 || st.LPSolves <= 0 || st.SimplexIters <= 0 || st.Workers <= 0 {
+			t.Errorf("%v: search counters missing: Nodes=%d LPSolves=%d SimplexIters=%d Workers=%d",
+				kind, st.Nodes, st.LPSolves, st.SimplexIters, st.Workers)
+		}
+		if st.Cost <= 0 || st.Duration <= 0 {
+			t.Errorf("%v: Cost = %v, Duration = %v; want both set", kind, st.Cost, st.Duration)
+		}
+	}
+}
+
 func TestAskWithSpeechNoise(t *testing.T) {
 	db := demoDB(t)
 	sys, err := New(db, "requests", WithSpeechNoise(0.3, 5), WithWidth(1024))
