@@ -88,10 +88,12 @@ func parseWorkerCounts(spec string) ([]int, error) {
 // runScaling measures branch-and-bound wall time to proven optimality
 // on hard correlated-knapsack instances (the BenchmarkILPParallel set)
 // at each requested worker count, prints a scaling table, and fails
-// (non-zero exit) when either
+// (non-zero exit) when
 //
 //   - any arm proves a different optimal objective than the sequential
-//     arm on any instance (the determinism contract), or
+//     arm on any instance (the determinism contract),
+//   - any arm's search ran on fewer workers than it requested, so the
+//     process-wide worker budget can never silently shrink an arm, or
 //   - on a multi-core host, a multi-worker arm runs more than
 //     scalingSlowdownTolerance slower than the sequential arm — the
 //     `make bench-smoke` gate that parallelism never costs latency.
@@ -142,6 +144,9 @@ func runScaling(workersSpec string, seed int64, nModels, nVars, nCons int, jsonP
 			}
 			if sol.Status != ilp.StatusOptimal {
 				return fmt.Errorf("workers=%d model %d: status %v, want optimal", workers, mi, sol.Status)
+			}
+			if sol.Workers < workers {
+				return fmt.Errorf("workers=%d model %d: the search ran on %d workers", workers, mi, sol.Workers)
 			}
 			arm.Nodes += sol.Nodes
 			arm.Steals += sol.Steals

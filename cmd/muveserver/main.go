@@ -177,7 +177,6 @@ func run() error {
 		widthFlag    = flag.Int("width", 1024, "planned screen width in pixels")
 		seedFlag     = flag.Int64("seed", 1, "data seed")
 		inflightFlag = flag.Int("max-inflight", 32, "max concurrently planning requests (excess queue)")
-		workersFlag  = flag.Int("solver-workers", 0, "engine-wide solver parallelism budget split across concurrent requests (0 = GOMAXPROCS)")
 		cacheFlag    = flag.Int("cache-entries", 1024, "answer cache capacity (negative disables)")
 		cacheTTLFlag = flag.Duration("cache-ttl", 5*time.Minute, "answer cache entry lifetime (0 = never expire)")
 		timeoutFlag  = flag.Duration("timeout", 10*time.Second, "per-request planning budget")
@@ -213,6 +212,9 @@ func run() error {
 		incCoolFlag  = flag.Duration("incident-cooldown", 30*time.Second, "minimum spacing between incident captures (suppressed triggers count as repeats)")
 	)
 	flag.Parse()
+	if err := checkSketchRate(*sketchFlag); err != nil {
+		return err
+	}
 
 	if *rtTraceFlag != "" {
 		f, err := os.Create(*rtTraceFlag)
@@ -240,9 +242,7 @@ func run() error {
 	}
 	db := sqldb.NewDB()
 	db.Register(tbl)
-	if *sketchFlag > 0 {
-		db.EnableSketches(*sketchFlag)
-	}
+	db.EnableSketches(*sketchFlag)
 	solver, err := muve.ParseSolverKind(*solverFlag)
 	if err != nil {
 		return err
@@ -277,7 +277,6 @@ func run() error {
 	var recorder *obs.Recorder
 	engine, err := newEngine(sys, db, *speakFlag, serve.Config{
 		MaxInFlight:      *inflightFlag,
-		SolverWorkers:    *workersFlag,
 		Timeout:          *timeoutFlag,
 		CacheEntries:     *cacheFlag,
 		CacheTTL:         *cacheTTLFlag,
@@ -447,6 +446,15 @@ func run() error {
 type sessionState struct {
 	plot  *muve.Answer
 	voice *muve.Answer
+}
+
+// checkSketchRate rejects a -sketch-rate that sqldb would silently
+// treat as disabled: anything but 0 or a rate strictly inside (0, 1).
+func checkSketchRate(rate float64) error {
+	if rate == 0 || (rate > 0 && rate < 1) {
+		return nil
+	}
+	return fmt.Errorf("-sketch-rate %v: want 0 (off) or a sample rate in (0, 1)", rate)
 }
 
 // stateOf unwraps a session's state (nil-safe on both levels).

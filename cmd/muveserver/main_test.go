@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -445,5 +446,22 @@ func TestAskUnknownFormatRejected(t *testing.T) {
 	srv := testServer(t)
 	if status, _, _ := fetch(t, srv.URL+"/ask?q=hello&format=hologram"); status != 400 {
 		t.Errorf("unknown format status = %d, want 400", status)
+	}
+}
+
+// TestCheckSketchRate: a -sketch-rate that sqldb would silently treat
+// as "no sketches" (>= 1, negative, NaN) fails startup with an error
+// naming the flag; 0 and rates inside (0, 1) pass.
+func TestCheckSketchRate(t *testing.T) {
+	for _, rate := range []float64{0, 0.01, 0.5, 0.99} {
+		if err := checkSketchRate(rate); err != nil {
+			t.Errorf("rate %v: %v, want accepted", rate, err)
+		}
+	}
+	for _, rate := range []float64{1, 2, -0.1, math.NaN()} {
+		err := checkSketchRate(rate)
+		if err == nil || !strings.Contains(err.Error(), "-sketch-rate") {
+			t.Errorf("rate %v: err = %v, want an error naming -sketch-rate", rate, err)
+		}
 	}
 }

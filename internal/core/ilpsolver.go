@@ -44,11 +44,6 @@ type ILPSolver struct {
 	Hint *Multiplot
 	// MaxBarsPerPlot caps bars per plot (0 = derived from screen width).
 	MaxBarsPerPlot int
-	// Parallelism is the number of branch-and-bound subtree workers,
-	// standing in for Gurobi's Threads parameter. 0 uses GOMAXPROCS;
-	// 1 forces the sequential search. Any value returns the same optimal
-	// objective — parallelism trades CPU for wall clock, never quality.
-	Parallelism int
 	// Ctx, when non-nil, bounds the solve: a context deadline earlier
 	// than Timeout wins (the branch-and-bound search then returns its
 	// best incumbent, exactly as on Timeout), and a context already
@@ -122,7 +117,7 @@ func (s *ILPSolver) Solve(in *Instance) (Multiplot, Stats, error) {
 	if err != nil {
 		return Multiplot{}, Stats{}, err
 	}
-	opt := ilp.Options{Workers: s.Parallelism, Ctx: s.Ctx}
+	opt := ilp.Options{Ctx: s.Ctx}
 	if s.Timeout > 0 {
 		opt.Deadline = start.Add(s.Timeout)
 	}

@@ -20,9 +20,6 @@ type IncrementalILP struct {
 	TotalBudget time.Duration
 	// MaxBarsPerPlot is forwarded to the underlying ILP solver.
 	MaxBarsPerPlot int
-	// Parallelism is forwarded to every sequence's ILP solver as its
-	// branch-and-bound worker count (see ILPSolver.Parallelism).
-	Parallelism int
 	// Hint, when non-nil, warm-starts the first sequence with a prior
 	// multiplot (typically the previous utterance's answer in a voice
 	// session); see ILPSolver.Hint for the remapping semantics. Later
@@ -114,7 +111,7 @@ func (s *IncrementalILP) Solve(in *Instance, emit func(Update)) (Multiplot, Stat
 				break
 			}
 		}
-		inner := &ILPSolver{Timeout: seq, MaxBarsPerPlot: s.MaxBarsPerPlot, Parallelism: s.Parallelism, Ctx: s.Ctx}
+		inner := &ILPSolver{Timeout: seq, MaxBarsPerPlot: s.MaxBarsPerPlot, Ctx: s.Ctx}
 		// Seed each sequence with the best multiplot so far, so no
 		// sequence re-proves the incumbent the previous one already paid
 		// for; the first sequence takes the caller's cross-utterance

@@ -3,17 +3,20 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
 
-// TestILPSolverParallelismAgreesWithSequential checks the Parallelism
-// knob is forwarded to branch-and-bound and cannot change the optimum.
+// TestILPSolverParallelismAgreesWithSequential checks the branch-and-
+// bound pool, sized by GOMAXPROCS, cannot change the optimum: GOMAXPROCS
+// 1 forces the sequential search, and wider settings prove the same
+// cost on at most GOMAXPROCS workers.
 func TestILPSolverParallelismAgreesWithSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	in := randomInstance(rng, 14, DefaultScreen())
-	seq := &ILPSolver{Parallelism: 1}
-	_, stSeq, err := seq.Solve(in)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, stSeq, err := (&ILPSolver{}).Solve(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,37 +26,37 @@ func TestILPSolverParallelismAgreesWithSequential(t *testing.T) {
 	if stSeq.Workers != 1 {
 		t.Errorf("sequential Stats.Workers = %d, want 1", stSeq.Workers)
 	}
-	for _, workers := range []int{2, 8} {
-		par := &ILPSolver{Parallelism: workers}
-		_, stPar, err := par.Solve(in)
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		_, stPar, err := (&ILPSolver{}).Solve(in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !stPar.Optimal {
-			t.Fatalf("workers %d: solve not optimal: %+v", workers, stPar)
+			t.Fatalf("GOMAXPROCS %d: solve not optimal: %+v", procs, stPar)
 		}
 		if math.Abs(stPar.Cost-stSeq.Cost) > 1e-9 {
-			t.Errorf("workers %d: cost %v, sequential %v", workers, stPar.Cost, stSeq.Cost)
+			t.Errorf("GOMAXPROCS %d: cost %v, sequential %v", procs, stPar.Cost, stSeq.Cost)
 		}
-		if stPar.Workers != workers {
-			t.Errorf("workers %d: Stats.Workers = %d", workers, stPar.Workers)
+		if stPar.Workers < 1 || stPar.Workers > procs {
+			t.Errorf("GOMAXPROCS %d: Stats.Workers = %d", procs, stPar.Workers)
 		}
 	}
 }
 
 // TestIncrementalILPForwardsParallelism checks the incremental wrapper
-// hands its Parallelism to every sequence and reports it back.
+// reports the worker count its sequences' solves ran with.
 func TestIncrementalILPForwardsParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := randomInstance(rng, 10, DefaultScreen())
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	inc := DefaultIncremental(500 * time.Millisecond)
-	inc.Parallelism = 2
 	_, st, err := inc.Solve(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers != 2 {
-		t.Errorf("Stats.Workers = %d, want 2", st.Workers)
+	if st.Workers < 1 || st.Workers > 2 {
+		t.Errorf("Stats.Workers = %d, want 1 or 2", st.Workers)
 	}
 	if st.Sequences < 1 {
 		t.Errorf("Sequences = %d, want >= 1", st.Sequences)

@@ -31,14 +31,40 @@ type Options struct {
 	// assignment (indexed by VarID). MUVE passes the greedy solution so a
 	// timeout can never return something worse than greedy.
 	WarmStart []float64
-	// Workers is the number of subtree workers exploring the frontier
-	// (the pure-Go substitute for the Gurobi Threads parameter). 0 uses
-	// runtime.GOMAXPROCS(0); 1 forces the sequential search. A completed
-	// search returns the same optimal objective at any worker count;
-	// among equal-objective optima the lexicographically smallest
-	// discovered assignment wins, so the incumbent is canonical whenever
-	// the optimum is unique.
+	// Workers caps the subtree workers exploring the frontier (the
+	// pure-Go substitute for the Gurobi Threads parameter). 0 means
+	// runtime.GOMAXPROCS(0); 1 forces the sequential search. Helpers
+	// beyond the calling goroutine start only while every Solve in the
+	// process together runs at most GOMAXPROCS goroutines (see running),
+	// so a search may run on fewer. A completed search returns the same
+	// optimal objective at any worker count; among equal-objective
+	// optima the lexicographically smallest discovered assignment wins,
+	// so the incumbent is canonical whenever the optimum is unique.
 	Workers int
+}
+
+// running counts the branch-and-bound goroutines of every Solve in the
+// process: each call's own goroutine plus the helpers it reserved. It
+// is the one solver-worker budget: a lone Solve gets every CPU, and
+// overlapping Solves share GOMAXPROCS instead of each starting a full
+// pool and oversubscribing the machine.
+var running atomic.Int64
+
+// acquireHelpers reserves up to want helper goroutines, as many as keep
+// the process-wide count within GOMAXPROCS, and returns how many it
+// reserved. The caller gives them back with running.Add(-n).
+func acquireHelpers(want int) int {
+	limit := int64(runtime.GOMAXPROCS(0))
+	for {
+		cur := running.Load()
+		n := min(int64(want), limit-cur)
+		if n <= 0 {
+			return 0
+		}
+		if running.CompareAndSwap(cur, cur+n) {
+			return int(n)
+		}
+	}
 }
 
 // intTol is the integrality tolerance.
@@ -62,6 +88,12 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// The calling goroutine is the search's first worker; helpers come
+	// from the process-wide budget and go back when Solve returns.
+	running.Add(1)
+	helpers := acquireHelpers(workers - 1)
+	defer running.Add(-1 - int64(helpers))
+	workers = 1 + helpers
 	sh := &bbShared{
 		model:     m,
 		deadline:  opt.Deadline,
@@ -90,8 +122,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	// Seed phase, single-threaded on worker 0: process the root, then
 	// expand the frontier best-first (lowest parent bound first) until
 	// there is enough independent work to hand out. Small models usually
-	// finish entirely inside this phase, which keeps the parallel
-	// machinery free for the searches that actually need it.
+	// finish entirely inside this phase and never start the helpers.
 	w0 := sh.workers[0]
 	var seed []bbNode
 	w0.process(bbNode{fixed: root, bound: math.Inf(-1)}, &seed, true)
@@ -111,7 +142,9 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 		}
 	}
 
+	ran := 1 // a search that ends in the seed phase ran on one goroutine
 	if len(seed) > 0 && !sh.stopped.Load() {
+		ran = workers
 		// Deal the frontier out worst-bound first so every worker's deque
 		// ends with (and therefore pops first) its most promising node.
 		sort.Slice(seed, func(i, j int) bool { return seed[i].bound > seed[j].bound })
@@ -119,27 +152,24 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 			w := sh.workers[i%workers]
 			w.deque = append(w.deque, nd)
 		}
-		if workers == 1 {
-			w0.run()
-		} else {
-			var wg sync.WaitGroup
-			for _, w := range sh.workers {
-				wg.Add(1)
-				go func(w *bbWorker) {
-					defer wg.Done()
-					// Re-apply the caller's pprof labels: goroutines
-					// inherit labels from their spawner, but Solve may be
-					// dispatched from a pool goroutine that never carried
-					// them — the context is the reliable carrier.
-					if opt.Ctx != nil {
-						pprof.Do(opt.Ctx, pprof.Labels(), func(context.Context) { w.run() })
-					} else {
-						w.run()
-					}
-				}(w)
-			}
-			wg.Wait()
+		var wg sync.WaitGroup
+		for _, w := range sh.workers[1:] {
+			wg.Add(1)
+			go func(w *bbWorker) {
+				defer wg.Done()
+				// Re-apply the caller's pprof labels: goroutines inherit
+				// labels from their spawner, but Solve may be dispatched
+				// from a pool goroutine that never carried them — the
+				// context is the reliable carrier.
+				if opt.Ctx != nil {
+					pprof.Do(opt.Ctx, pprof.Labels(), func(context.Context) { w.run() })
+				} else {
+					w.run()
+				}
+			}(w)
 		}
+		w0.run()
+		wg.Wait()
 	}
 
 	lpSolves, simplexIters := 0, 0
@@ -152,7 +182,7 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 		LPSolves:     lpSolves,
 		SimplexIters: simplexIters,
 		Incumbents:   int(sh.incumbents.Load()),
-		Workers:      workers,
+		Workers:      ran,
 		Steals:       int(sh.steals.Load()),
 		SharedPrunes: int(sh.sharedPrunes.Load()),
 	}

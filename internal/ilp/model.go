@@ -183,7 +183,8 @@ type Solution struct {
 	// Incumbents counts how many times a new best integer solution was
 	// adopted (warm start, integral relaxations, and rounding heuristic).
 	Incumbents int
-	// Workers is the number of branch-and-bound subtree workers used.
+	// Workers is the number of branch-and-bound subtree workers that
+	// ran: 1 when the search ended in the single-threaded seed phase.
 	Workers int
 	// Steals counts frontier nodes a worker took from another worker's
 	// deque (work-stealing load balance events).

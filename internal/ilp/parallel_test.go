@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -51,6 +54,7 @@ func countOptima(m *Model) (best float64, bestX []float64, ties int) {
 // the optimum is unique — the identical canonical incumbent. Run under
 // -race this also exercises the work-stealing pool on tiny trees.
 func TestSolveParallelDeterministicAcrossWorkerCounts(t *testing.T) {
+	withGOMAXPROCS(t, 8)
 	workerCounts := []int{1, 2, 8}
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 120; trial++ {
@@ -75,8 +79,9 @@ func TestSolveParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 			if math.Abs(sol.Objective-wantObj) > 1e-9 {
 				t.Errorf("trial %d workers %d: objective = %v, want %v", trial, workers, sol.Objective, wantObj)
 			}
-			if sol.Workers != workers {
-				t.Errorf("trial %d: Solution.Workers = %d, want %d", trial, sol.Workers, workers)
+			// A tree that ends in the seed phase ran on one goroutine.
+			if sol.Workers != 1 && sol.Workers != workers {
+				t.Errorf("trial %d: Solution.Workers = %d, want 1 or %d", trial, sol.Workers, workers)
 			}
 			if !m.feasible(sol.Values, 1e-6) {
 				t.Errorf("trial %d workers %d: returned infeasible assignment", trial, workers)
@@ -99,6 +104,7 @@ func TestSolveParallelDeterministicAcrossWorkerCounts(t *testing.T) {
 // actually executes, and checks the parallel objective against the
 // sequential one.
 func TestSolveParallelHardModelAgrees(t *testing.T) {
+	withGOMAXPROCS(t, 8)
 	m := HardRandomModel(7, 26, 3)
 	seq, err := m.Solve(Options{Workers: 1})
 	if err != nil {
@@ -120,6 +126,9 @@ func TestSolveParallelHardModelAgrees(t *testing.T) {
 		}
 		if par.Nodes <= 0 || par.LPSolves <= 0 {
 			t.Errorf("workers %d: counters not reported: %+v", workers, par)
+		}
+		if par.Workers != workers {
+			t.Errorf("workers %d: Solution.Workers = %d", workers, par.Workers)
 		}
 	}
 }
@@ -204,11 +213,159 @@ func TestSolveWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestSolveSeedOnlyTreeReportsOneWorker: a model solved at the root
+// never starts the pool, so it reports the one goroutine that ran.
+func TestSolveSeedOnlyTreeReportsOneWorker(t *testing.T) {
+	withGOMAXPROCS(t, 8)
+	m := NewModel()
+	a := m.AddBinary("a")
+	m.AddConstraint([]Term{{a, 1}}, LE, 1)
+	m.SetObjective([]Term{{a, -1}}, 0)
+	sol, err := m.Solve(Options{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusOptimal || sol.Workers != 1 {
+		t.Errorf("status %v, Workers = %d; want optimal on 1 worker", sol.Status, sol.Workers)
+	}
+}
+
+// TestSolveWorkerBudget pins the process-wide worker budget: helpers
+// start only while every running Solve together holds at most
+// GOMAXPROCS goroutines, every exit gives them back, and a lone solve
+// still gets the whole machine.
+func TestSolveWorkerBudget(t *testing.T) {
+	const procs = 4
+	withGOMAXPROCS(t, procs)
+	if n := running.Load(); n != 0 {
+		t.Fatalf("running = %d before the test, want 0", n)
+	}
+
+	t.Run("acquire", func(t *testing.T) {
+		running.Add(1) // the calling Solve's own goroutine
+		defer running.Add(-1)
+		if got := acquireHelpers(8); got != procs-1 {
+			t.Errorf("first acquire = %d, want %d", got, procs-1)
+		}
+		if got := acquireHelpers(8); got != 0 {
+			t.Errorf("acquire on a full budget = %d, want 0", got)
+		}
+		running.Add(-(procs - 1))
+		if got := acquireHelpers(1); got != 1 {
+			t.Errorf("acquire after release = %d, want 1", got)
+		}
+		running.Add(-1)
+	})
+
+	t.Run("lone", func(t *testing.T) {
+		sol, err := HardRandomModel(7, 26, 3).Solve(Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Workers != procs {
+			t.Errorf("lone solve ran %d workers, want %d", sol.Workers, procs)
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		// inFlight is raised for every solve before any starts and
+		// lowered only after each returns, so running - inFlight never
+		// undercounts the helpers held at the moment running is read.
+		const solves = procs
+		var inFlight atomic.Int64
+		inFlight.Store(solves)
+		done := make(chan struct{})
+		var peak atomic.Int64
+		go func() {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				solvers := inFlight.Load()
+				if h := running.Load() - solvers; h > peak.Load() {
+					peak.Store(h)
+				}
+				runtime.Gosched()
+			}
+		}()
+		var wg sync.WaitGroup
+		for i := 0; i < solves; i++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				defer inFlight.Add(-1)
+				sol, err := HardRandomModel(seed, 26, 3).Solve(Options{})
+				if err != nil {
+					t.Errorf("seed %d: %v", seed, err)
+				} else if sol.Status != StatusOptimal {
+					t.Errorf("seed %d: status %v, want optimal", seed, sol.Status)
+				}
+			}(int64(20 + i))
+		}
+		wg.Wait()
+		close(done)
+		// Unbudgeted, each solve would start procs-1 helpers of its own.
+		if p := peak.Load(); p > procs-1 {
+			t.Errorf("%d helpers ran at once across %d solves, want <= %d", p, solves, procs-1)
+		}
+	})
+
+	infeasible := NewModel()
+	var terms []Term
+	for i := 0; i < 10; i++ {
+		terms = append(terms, Term{infeasible.AddBinary("x"), 2})
+	}
+	infeasible.AddConstraint(terms, EQ, 9) // LP-feasible, but no even sum is 9
+	infeasible.SetObjective(terms, 0)
+	zero := make([]float64, 40) // all-zero is feasible for <= knapsacks
+	for _, tc := range []struct {
+		name     string
+		m        *Model
+		opt      Options
+		deadline time.Duration
+		want     Status
+	}{
+		{"optimal", HardRandomModel(7, 26, 3), Options{}, 0, StatusOptimal},
+		{"deadline", HardRandomModel(11, 40, 4), Options{WarmStart: zero}, 50 * time.Millisecond, StatusFeasible},
+		{"max-nodes", HardRandomModel(11, 40, 4), Options{WarmStart: zero, MaxNodes: 40}, 0, StatusFeasible},
+		{"infeasible", infeasible, Options{}, 0, StatusInfeasible},
+	} {
+		if tc.deadline > 0 {
+			tc.opt.Deadline = time.Now().Add(tc.deadline)
+		}
+		sol, err := tc.m.Solve(tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sol.Status != tc.want {
+			t.Errorf("%s: status %v, want %v", tc.name, sol.Status, tc.want)
+		}
+		if sol.Workers < 2 {
+			t.Errorf("%s: ran %d workers, want the pool to start", tc.name, sol.Workers)
+		}
+		if n := running.Load(); n != 0 {
+			t.Errorf("%s: running = %d after Solve returned, want 0", tc.name, n)
+		}
+	}
+}
+
+// withGOMAXPROCS raises GOMAXPROCS to n for the test, so the worker
+// budget admits n workers even on a smaller host.
+func withGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // BenchmarkILPParallel measures wall time to optimality on hard
-// correlated knapsacks at several worker counts. `make bench-smoke`
-// runs the same instances through muvebench -scaling and fails when the
-// multi-worker arm is slower than sequential (on multi-core hosts).
+// correlated knapsacks at several worker counts, with GOMAXPROCS raised
+// to the widest arm so the worker budget admits every arm. `make
+// bench-smoke` runs the same instances through muvebench -scaling and
+// fails when the multi-worker arm is slower than sequential (on
+// multi-core hosts).
 func BenchmarkILPParallel(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(8, runtime.GOMAXPROCS(0))))
 	models := make([]*Model, 4)
 	for i := range models {
 		models[i] = HardRandomModel(int64(100+i), 30, 4)

@@ -355,13 +355,9 @@ func NewILPDefault(timeout time.Duration) *Default {
 // warm-start hint (the previous utterance's answer in a voice session);
 // a nil hint is NewILPDefault. The greedy seed stays on either way, so
 // a stale or disjoint hint never makes the answer worse than greedy.
-// Branch-and-bound runs with the per-request worker allocation carried
-// in the context (resilience.WithSolverWorkers), which is how the
-// serving engine's worker split reaches the solver; without one it uses
-// GOMAXPROCS workers (see core.ILPSolver.Parallelism).
 func NewILPWarm(timeout time.Duration, hint *core.Multiplot) *Default {
 	return &Default{name: "ILP", planner: func(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error) {
-		s := &core.ILPSolver{Timeout: timeout, WarmStart: true, Hint: hint, Parallelism: resilience.SolverWorkers(ctx), Ctx: ctx}
+		s := &core.ILPSolver{Timeout: timeout, WarmStart: true, Hint: hint, Ctx: ctx}
 		return s.Solve(in)
 	}}
 }
@@ -650,8 +646,6 @@ func (i ILPInc) Present(s *Session) (*Trace, error) {
 	}
 	inc := core.DefaultIncremental(budget)
 	inc.Hint = i.Hint
-	// The per-request worker allocation, if any; 0 uses GOMAXPROCS.
-	inc.Parallelism = resilience.SolverWorkers(s.Context())
 	var events []Event
 	var execErr error
 	// The span covers the full incremental run, interleaved query

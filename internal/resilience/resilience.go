@@ -29,12 +29,7 @@
 //     bodies) applied by serve's HTTP chaos middleware — so the
 //     ladder, the breakers and the client-facing contract are
 //     exercised by tests and by `muvebench -chaos` rather than
-//     trusted on faith;
-//   - WorkerSplit: fair division of the solver-worker budget across
-//     concurrent requests, so parallel branch-and-bound accelerates a
-//     lone interactive request without oversubscribing the CPU when
-//     many overlap (interactive lane draws on the full budget, batch
-//     on the remainder).
+//     trusted on faith.
 //
 // The package depends only on the standard library so every layer of
 // the pipeline (including muve itself) can import it without cycles.

@@ -44,7 +44,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -188,13 +187,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing planner calls; excess
 	// requests queue for a slot (default 32, <= 0 uses default).
 	MaxInFlight int
-	// SolverWorkers is the engine-wide solver parallelism budget,
-	// divided fairly between concurrent requests (interactive lane
-	// first, batch from the remainder) and carried to each planning
-	// call through its context. 0 uses GOMAXPROCS. A lone interactive
-	// request gets the whole budget; under concurrency shares shrink
-	// toward sequential solves instead of oversubscribing the CPU.
-	SolverWorkers int
 	// Queue and BatchQueue are admission watermarks: when more than
 	// this many requests of the lane are already waiting for a slot,
 	// new ones fast-fail with a retryable RejectError instead of
@@ -210,11 +202,9 @@ type Config struct {
 	//
 	// At most max(MaxInFlight/4, 1) hedges run at once. A hedge runs a
 	// second planner under the same admission slot, so without a bound
-	// a hedging storm could oversubscribe the solver-worker split; each
-	// hedge also charges the batch worker lane rather than riding the
-	// exact solve's interactive allocation. A hedge that finds no token
-	// is denied (the exact solve just continues alone) and counted as
-	// muve_hedge_total{outcome="denied"}.
+	// a hedging storm could double the planning work in flight. A hedge
+	// that finds no token is denied (the exact solve just continues
+	// alone) and counted as muve_hedge_total{outcome="denied"}.
 	Hedge bool
 	// RetryBurst and RetryPerSec size the per-session retry budget
 	// (token bucket; defaults 4 and 0.5). Requests with Attempt > 0
@@ -281,16 +271,15 @@ type Engine struct {
 	// and still be served (the cache TTL; 0 = unbounded).
 	sessionMaxAge time.Duration
 
-	cache       *Cache
-	flight      flightGroup
-	sessions    *SessionStore
-	admission   *resilience.Admission
-	workerSplit *resilience.WorkerSplit
-	ladder      *resilience.Ladder
-	breakers    *resilience.BreakerSet
-	chaos       *resilience.Chaos
-	metrics     *Metrics
-	logger      *log.Logger
+	cache     *Cache
+	flight    flightGroup
+	sessions  *SessionStore
+	admission *resilience.Admission
+	ladder    *resilience.Ladder
+	breakers  *resilience.BreakerSet
+	chaos     *resilience.Chaos
+	metrics   *Metrics
+	logger    *log.Logger
 
 	// svcTime is the sliding-window planning service time (cache misses
 	// only): its 1m p90 is the adaptive Retry-After estimate and the
@@ -299,8 +288,7 @@ type Engine struct {
 	retryAfter time.Duration
 
 	// hedge enables the hedged exact rung; hedgeTokens is the token
-	// bucket bounding concurrent hedge attempts, so hedging can never
-	// oversubscribe the worker split past its configured headroom.
+	// bucket bounding concurrent hedge attempts.
 	hedge       bool
 	hedgeTokens chan struct{}
 	// retryCfg sizes per-session retry buckets; retryOff disables
@@ -417,7 +405,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.cache = cache
 	e.sessions = NewSessionStore(0, 0)
 	e.admission = admission
-	e.workerSplit = resilience.NewWorkerSplit(cfg.SolverWorkers)
 	e.ladder = resilience.NewLadder(rungs...)
 	e.breakers = breakers
 	e.chaos = cfg.Chaos
@@ -759,18 +746,6 @@ func (e *Engine) plan(callerCtx context.Context, req Request, sess *Session) (an
 	}
 	defer release()
 
-	// With a slot held, take this request's share of the solver-worker
-	// budget and carry it to the planner: a lone interactive request
-	// solves with every worker, overlapping requests split the cores
-	// instead of oversubscribing them, and batch traffic only ever uses
-	// what the interactive lane leaves over.
-	alloc, releaseWorkers := e.workerSplit.Acquire(prio)
-	defer releaseWorkers()
-	planCtx = resilience.WithSolverWorkers(planCtx, alloc)
-	if tr != nil {
-		tr.Mark("workers", obs.Int("allocated", int64(alloc)))
-	}
-
 	planStart := time.Now()
 	var blamed string // stage blamed for the exact rung's failure
 	var hedgedWin bool
@@ -954,12 +929,9 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 
 	// Hedge point: race the greedy fallback against the exact solve —
 	// but only with a hedge token in hand. The hedge is a second planner
-	// under the SAME admission slot, so it must bring its own compute
-	// accounting: the token bucket bounds how many hedges run at once,
-	// and the attempt charges the batch worker lane instead of riding
-	// the exact solve's interactive allocation (the innermost context
-	// allocation wins inside the planner). No token: the exact solve
-	// just continues alone, which is the pre-hedge behavior.
+	// under the SAME admission slot, so the token bucket bounds how many
+	// hedges run at once. No token: the exact solve just continues
+	// alone, which is the pre-hedge behavior.
 	select {
 	case <-e.hedgeTokens:
 	default:
@@ -975,21 +947,12 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 	}
 	hCtx, hCancel := context.WithCancel(actx)
 	defer hCancel()
-	halloc, hReleaseWorkers := e.workerSplit.Acquire(resilience.Batch)
-	hCtx = resilience.WithSolverWorkers(hCtx, halloc)
-	var hOnce sync.Once
-	hRelease := func() {
-		hOnce.Do(func() {
-			hReleaseWorkers()
-			e.hedgeTokens <- struct{}{}
-		})
-	}
-	// The wrapper releases inside the hedge goroutine (panic included),
-	// so the token and worker share return exactly when the hedge
-	// attempt truly stops running — not when this frame returns while a
-	// cancelled hedge is still winding down.
+	// The wrapper returns the token inside the hedge goroutine (panic
+	// included), so it comes back exactly when the hedge attempt truly
+	// stops running — not when this frame returns while a cancelled
+	// hedge is still winding down.
 	hc := run(hCtx, func(ctx context.Context, req Request, sess *Session) (any, error) {
-		defer hRelease()
+		defer func() { e.hedgeTokens <- struct{}{} }()
 		return e.fallback(ctx, req, sess)
 	})
 

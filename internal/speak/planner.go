@@ -48,8 +48,6 @@ type Planner struct {
 	// to a cold start, never an infeasible model; Stats.WarmStart
 	// reports how it fared.
 	Hint *FactSet
-	// Parallelism is the branch-and-bound worker count (0 = GOMAXPROCS).
-	Parallelism int
 	// Ctx, when non-nil, bounds the solve like core.ILPSolver.Ctx: an
 	// earlier context deadline wins, and a pre-cancelled context aborts.
 	Ctx context.Context
@@ -92,7 +90,7 @@ func (p *Planner) Solve(in *core.Instance) (FactSet, core.Stats, error) {
 	}
 	v := p.buildModel(in, cost)
 
-	opt := ilp.Options{Workers: p.Parallelism, Ctx: p.Ctx}
+	opt := ilp.Options{Ctx: p.Ctx}
 	if p.Timeout > 0 {
 		opt.Deadline = start.Add(p.Timeout)
 	}

@@ -551,13 +551,12 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 		switch s.cfg.Solver {
 		case SolverILP, SolverILPIncremental:
 			p := &speak.Planner{
-				Cost:        cost,
-				WordBudget:  s.cfg.SpeakWords,
-				Timeout:     s.speakBudget(ctx),
-				WarmStart:   true, // greedy floor: a timeout never speaks worse than greedy
-				Hint:        prior,
-				Parallelism: resilience.SolverWorkers(ctx),
-				Ctx:         ctx,
+				Cost:       cost,
+				WordBudget: s.cfg.SpeakWords,
+				Timeout:    s.ilpBudget(ctx),
+				WarmStart:  true, // greedy floor: a timeout never speaks worse than greedy
+				Hint:       prior,
+				Ctx:        ctx,
 			}
 			planner = p.Name()
 			fs, st, err = p.Solve(in)
@@ -608,10 +607,12 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 	return ans, nil
 }
 
-// speakBudget resolves the exact fact-set planner's time budget, capped
-// by BudgetFraction of the context's remaining deadline exactly like
-// defaultMethod caps the multiplot ILP.
-func (s *System) speakBudget(ctx context.Context) time.Duration {
+// ilpBudget resolves an exact planner's time budget: ILPTimeout, capped
+// at BudgetFraction of the time left before ctx's deadline, so a
+// request that already spent most of its deadline upstream (queueing,
+// speech, NLQ) does not hand the solver a budget it can no longer
+// afford.
+func (s *System) ilpBudget(ctx context.Context) time.Duration {
 	budget := s.cfg.ILPTimeout
 	if f := s.cfg.BudgetFraction; f > 0 {
 		if deadline, ok := ctx.Deadline(); ok {
@@ -623,23 +624,10 @@ func (s *System) speakBudget(ctx context.Context) time.Duration {
 	return budget
 }
 
-// defaultMethod maps the configured solver to a presentation method.
-// When BudgetFraction is set and ctx carries a deadline, the ILP budget
-// shrinks to that fraction of the remaining time, so a request that
-// already spent most of its deadline upstream (queueing, speech, NLQ)
-// does not hand the solver a budget it can no longer afford.
+// defaultMethod maps the configured solver to a presentation method
+// whose ILP budget comes from ilpBudget.
 func (s *System) defaultMethod(ctx context.Context, prior *core.Multiplot) progressive.Method {
-	budget := s.cfg.ILPTimeout
-	if f := s.cfg.BudgetFraction; f > 0 {
-		if deadline, ok := ctx.Deadline(); ok {
-			if capped := time.Duration(f * float64(time.Until(deadline))); capped > 0 && capped < budget {
-				budget = capped
-			}
-		}
-	}
-	// The ILP planners take their branch-and-bound worker count from the
-	// per-request allocation in the context (the serving engine's
-	// WorkerSplit share), or GOMAXPROCS without one.
+	budget := s.ilpBudget(ctx)
 	switch s.cfg.Solver {
 	case SolverILP:
 		return progressive.NewILPWarm(budget, prior)

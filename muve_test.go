@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,6 @@ import (
 	"muve/internal/core"
 	"muve/internal/obs"
 	"muve/internal/progressive"
-	"muve/internal/resilience"
 	"muve/internal/sqldb"
 	"muve/internal/usermodel"
 	"muve/internal/workload"
@@ -383,31 +383,69 @@ func TestConcurrentAsk(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAskContextForwardsSolverWorkers checks that a per-request worker
-// allocation in the Ask context (what the serving engine's WorkerSplit
-// attaches) reaches the branch-and-bound pool of both ILP planners: the
-// solver span reports the worker count the search ran with.
+// TestAskContextForwardsSolverWorkers checks that AskContext forwards
+// the branch-and-bound pool's worker count to the solver span of both
+// ILP planners: exactly one worker when GOMAXPROCS is 1, and never more
+// than GOMAXPROCS otherwise.
 func TestAskContextForwardsSolverWorkers(t *testing.T) {
 	db := demoDB(t)
-	for _, kind := range []SolverKind{SolverILP, SolverILPIncremental} {
-		sys, err := New(db, "requests",
-			WithSolver(kind),
-			WithILPTimeout(2*time.Second),
-			WithMaxCandidates(8),
-			WithWidth(600))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{1, 2} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, kind := range []SolverKind{SolverILP, SolverILPIncremental} {
+			sys, err := New(db, "requests",
+				WithSolver(kind),
+				WithILPTimeout(2*time.Second),
+				WithMaxCandidates(8),
+				WithWidth(600))
+			if err != nil {
+				t.Fatal(err)
+			}
 			tr := obs.NewTrace("ask")
-			ctx := resilience.WithSolverWorkers(obs.WithTrace(context.Background(), tr), n)
+			ctx := obs.WithTrace(context.Background(), tr)
 			if _, err := sys.AskContext(ctx, "how many noise complaints in brooklin"); err != nil {
 				t.Fatal(err)
 			}
 			tr.Finish()
-			if got := spanAttr(tr, "solver", "workers"); got != int64(n) {
-				t.Errorf("solver %v, %d allocated: solver span workers = %v, want %d", kind, n, got, n)
-			}
+			checkSpanWorkers(t, tr, "solver", procs)
+		}
+	}
+}
+
+// checkSpanWorkers checks the workers attribute of the trace's span of
+// the given stage against GOMAXPROCS procs.
+func checkSpanWorkers(t *testing.T, tr *obs.Trace, stage string, procs int) {
+	t.Helper()
+	got, _ := spanAttr(tr, stage, "workers").(int64)
+	if got < 1 || got > int64(procs) || (procs == 1 && got != 1) {
+		t.Errorf("GOMAXPROCS %d: %s span workers = %v, want 1..%d", procs, stage, got, procs)
+	}
+}
+
+// TestILPBudget pins BudgetFraction: the exact planners' budget is
+// ILPTimeout, capped at the fraction of the time left before the
+// context's deadline.
+func TestILPBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		fraction float64
+		left     time.Duration // 0 = no deadline
+		min, max time.Duration
+	}{
+		{"no deadline", 0.5, 0, time.Second, time.Second},
+		{"far deadline", 0.5, time.Hour, time.Second, time.Second},
+		{"near deadline", 0.5, 400 * time.Millisecond, 150 * time.Millisecond, 200 * time.Millisecond},
+		{"fraction 0", 0, 400 * time.Millisecond, time.Second, time.Second},
+	} {
+		s := &System{cfg: Config{ILPTimeout: time.Second, BudgetFraction: tc.fraction}}
+		ctx := context.Background()
+		if tc.left > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, tc.left)
+			defer cancel()
+		}
+		if got := s.ilpBudget(ctx); got < tc.min || got > tc.max {
+			t.Errorf("%s: budget = %v, want in [%v, %v]", tc.name, got, tc.min, tc.max)
 		}
 	}
 }

@@ -2,11 +2,11 @@ package muve
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"muve/internal/core"
 	"muve/internal/obs"
-	"muve/internal/resilience"
 )
 
 func TestAskVoiceEndToEnd(t *testing.T) {
@@ -158,24 +158,25 @@ func TestParseAnswerMode(t *testing.T) {
 	}
 }
 
-// TestAskVoiceContextForwardsSolverWorkers checks that a per-request
-// worker allocation in the context reaches the exact fact-set planner's
-// branch-and-bound pool, reported on the speak span.
+// TestAskVoiceContextForwardsSolverWorkers checks that AskVoiceContext
+// forwards the exact fact-set planner's branch-and-bound worker count to
+// the speak span: exactly one worker when GOMAXPROCS is 1, and never more
+// than GOMAXPROCS otherwise.
 func TestAskVoiceContextForwardsSolverWorkers(t *testing.T) {
 	db := demoDB(t)
 	sys, err := New(db, "requests", WithSolver(SolverILP), WithMaxCandidates(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{1, 2} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
 		tr := obs.NewTrace("ask")
-		ctx := resilience.WithSolverWorkers(obs.WithTrace(context.Background(), tr), n)
+		ctx := obs.WithTrace(context.Background(), tr)
 		if _, err := sys.AskVoiceContext(ctx, "how many noise complaints in brooklin"); err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish()
-		if got := spanAttr(tr, "speak", "workers"); got != int64(n) {
-			t.Errorf("%d allocated: speak span workers = %v, want %d", n, got, n)
-		}
+		checkSpanWorkers(t, tr, "speak", procs)
 	}
 }
