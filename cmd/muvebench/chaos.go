@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -43,12 +42,10 @@ type chaosReport struct {
 	Drain     drainCounts    `json:"drain"`
 }
 
-// retryCounts tracks the client retry contract from both sides: what
-// the harness's clients sent, and what the engine's budgets did.
+// retryCounts counts the plain retries the harness's clients sent: one
+// per request shed with a 429 or 503.
 type retryCounts struct {
-	Client    int    `json:"client"`
-	Attempted uint64 `json:"attempted"`
-	Denied    uint64 `json:"denied"`
+	Client int `json:"client"`
 }
 
 // hedgeCounts summarizes the hedged-exact races.
@@ -57,12 +54,11 @@ type hedgeCounts struct {
 	Wins    map[string]uint64 `json:"wins,omitempty"`
 }
 
-// engineCounts reads the engine's retry-budget and hedge counters into
-// the report: a hedge started at every hedge point a token was free for,
-// and Wins names each winner that finished first at least once.
-func engineCounts(m *serve.Metrics, r *retryCounts, h *hedgeCounts) {
-	r.Attempted = m.Retries[serve.RetryAllowed].Value() + m.Retries[serve.RetryDenied].Value()
-	r.Denied = m.Retries[serve.RetryDenied].Value()
+// hedgeCountsOf reads the engine's hedge counters: a hedge started at
+// every hedge point a token was free for, and Wins names each winner
+// that finished first at least once.
+func hedgeCountsOf(m *serve.Metrics) hedgeCounts {
+	var h hedgeCounts
 	exact, won := m.Hedge[serve.HedgeExact].Value(), m.Hedge[serve.HedgeWon].Value()
 	h.Started = exact + won + m.Hedge[serve.HedgeFailed].Value()
 	h.Wins = map[string]uint64{}
@@ -72,6 +68,7 @@ func engineCounts(m *serve.Metrics, r *retryCounts, h *hedgeCounts) {
 	if won > 0 {
 		h.Wins["hedge"] = won
 	}
+	return h
 }
 
 // drainCounts records the end-of-run crash-only drain exercise.
@@ -190,7 +187,7 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	// Exercise the crash-only drain path before reading the counters,
 	// so its cancellations land in the report.
 	rep.Drain = drainChaos(engine, utterances)
-	engineCounts(engine.Metrics(), &rep.Retries, &rep.Hedge)
+	rep.Hedge = hedgeCountsOf(engine.Metrics())
 	writeChaosText(os.Stdout, rep, outcomes)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
@@ -282,12 +279,10 @@ func chaosConfig(ch *resilience.Chaos, workers int) serve.Config {
 func chaosHTTPServer(engine *serve.Engine, ch *resilience.Chaos) *httptest.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ask", func(w http.ResponseWriter, r *http.Request) {
-		attempt, _ := strconv.Atoi(r.Header.Get(serve.AttemptHeader))
 		resp, err := engine.Do(r.Context(), serve.Request{
 			Transcript: r.URL.Query().Get("q"),
 			Batch:      r.URL.Query().Get("batch") == "1",
 			Refresh:    r.URL.Query().Get("refresh") == "1",
-			Attempt:    attempt,
 		})
 		if err != nil {
 			http.Error(w, err.Error(), serve.StatusOf(err))
@@ -307,13 +302,13 @@ func chaosHTTPServer(engine *serve.Engine, ch *resilience.Chaos) *httptest.Serve
 			serve.WithRecovery(quiet, engine.Metrics(), mux))))
 }
 
-// chaosHTTPRequest issues one request (plus at most one labeled retry
+// chaosHTTPRequest issues one request (plus at most one plain retry
 // after a clean shed) over real HTTP and classifies what the client
 // saw. Injected transport damage is recognizable — the response carries
 // X-Chaos-Transport, or the connection died under a reset — and is
 // counted, not escaped; damage without that marker is an escape.
 func chaosHTTPRequest(client *http.Client, base string, req serve.Request) chaosOutcome {
-	attempt := func(a int) chaosOutcome {
+	attempt := func() chaosOutcome {
 		u := base + "/ask?q=" + url.QueryEscape(req.Transcript)
 		if req.Batch {
 			u += "&batch=1"
@@ -321,9 +316,6 @@ func chaosHTTPRequest(client *http.Client, base string, req serve.Request) chaos
 		hreq, err := http.NewRequest(http.MethodGet, u, nil)
 		if err != nil {
 			return chaosOutcome{escaped: true, detail: err.Error()}
-		}
-		if a > 0 {
-			hreq.Header.Set(serve.AttemptHeader, strconv.Itoa(a))
 		}
 		start := time.Now()
 		resp, err := client.Do(hreq)
@@ -354,9 +346,9 @@ func chaosHTTPRequest(client *http.Client, base string, req serve.Request) chaos
 		}
 		return o
 	}
-	o := attempt(0)
+	o := attempt()
 	if o.status == 429 || o.status == 503 {
-		o = attempt(1)
+		o = attempt()
 		o.retried = true
 	}
 	return o
@@ -413,17 +405,16 @@ func chaosRequest(engine *serve.Engine, req serve.Request, hangLimit time.Durati
 		}
 		o := attempt()
 		if o.status == 429 || o.status == 503 {
-			// One labeled retry per shed request, like a well-behaved
-			// client: the engine charges it against the retry budget and
-			// may shed it again — that is still a clean outcome.
-			req.Attempt = 1
+			// One plain retry per shed request, like a well-behaved
+			// client: it passes admission like a first attempt and may be
+			// shed again — that is still a clean outcome.
 			o = attempt()
 			o.retried = true
 		}
 		done <- o
 	}()
 	// The watchdog allows two full ladder descents: the original attempt
-	// plus the labeled retry.
+	// plus the retry.
 	select {
 	case o := <-done:
 		return o
@@ -490,8 +481,7 @@ func writeChaosText(w io.Writer, rep chaosReport, outcomes []chaosOutcome) {
 	fmt.Fprintf(w, "%-14s %6d\n", "transport", rep.Transport)
 	fmt.Fprintf(w, "%-14s %6d\n", "escaped", rep.Escaped)
 
-	fmt.Fprintf(w, "\nretries: client=%d engine=%d denied=%d\n",
-		rep.Retries.Client, rep.Retries.Attempted, rep.Retries.Denied)
+	fmt.Fprintf(w, "\nretries: client=%d\n", rep.Retries.Client)
 	fmt.Fprintf(w, "hedges:  started=%d", rep.Hedge.Started)
 	winners := make([]string, 0, len(rep.Hedge.Wins))
 	for k := range rep.Hedge.Wins {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,8 +24,8 @@ import (
 // exists for: what happens when offered load exceeds capacity? It
 // calibrates the stack's goodput with a closed-loop warmup, then ramps
 // an open-loop arrival process to 2x that capacity — with transport
-// chaos on the wire, deadline headers on every request, and
-// budget-limited client retries — and gates on four properties:
+// chaos on the wire, deadline headers on every request, and one plain
+// client retry per shed request — and gates on four properties:
 //
 //   - zero fault escapes: every response is an intact answer, a clean
 //     429/503/504, or damage the transport-chaos layer marked as its own;
@@ -42,7 +41,7 @@ import (
 // Client retries only follow a 429 or 503. On a 2-CPU host the static
 // watermarks (16 and 8 waiters per slot) are never reached at 2x, so
 // no request is rejected and no retry is sent here; the chaos harness
-// exercises retry budgets, and unit tests the 429 path.
+// sends retries, and unit tests the 429 path.
 
 // overloadReport is the machine-readable summary (-overload-json), the
 // goodput curve tracked across revisions in BENCH_overload.json.
@@ -83,19 +82,18 @@ type olResult struct {
 	batch     bool
 	transport bool
 	escaped   bool
-	retried   bool
 	detail    string
 	elapsed   time.Duration
 }
 
 // olClient is the shared load-generation context: one HTTP client, one
-// utterance pool, one client-side retry budget.
+// utterance pool, and the count of retries sent.
 type olClient struct {
 	client     *http.Client
 	base       string
 	utterances []string
-	budget     *resilience.RetryBudget
 	seq        atomic.Int64
+	retries    atomic.Int64
 }
 
 func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath string) error {
@@ -128,8 +126,8 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 		inflight = 2
 	}
 	// muveserver's wiring at bench scale with the full overload toolkit
-	// on: static admission watermarks, hedged exact solves, retry
-	// budgets, stale serving.
+	// on: static admission watermarks, hedged exact solves, stale
+	// serving.
 	engine, err := ladderEngine(db, tbl.Name, serve.Config{
 		MaxInFlight:      inflight,
 		Queue:            16 * inflight,
@@ -165,7 +163,6 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 		},
 		base:       srv.URL,
 		utterances: utterances,
-		budget:     resilience.NewRetryBudget(resilience.RetryBudgetConfig{Burst: 16, PerSec: 4}),
 	}
 
 	rep := overloadReport{
@@ -206,7 +203,8 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 			st.Rejected, st.Shed, st.Deadline, st.Transport, st.Escaped, st.P50ms, st.P99ms)
 	}
 
-	engineCounts(engine.Metrics(), &rep.Retries, &rep.Hedge)
+	rep.Retries.Client = int(oc.retries.Load())
+	rep.Hedge = hedgeCountsOf(engine.Metrics())
 
 	last := rep.Steps[len(rep.Steps)-1]
 	var failures []string
@@ -230,8 +228,8 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 	}
 	rep.Passed = len(failures) == 0
 
-	fmt.Printf("\nretries: engine=%d denied=%d   hedges: started=%d wins=%v\n",
-		rep.Retries.Attempted, rep.Retries.Denied, rep.Hedge.Started, rep.Hedge.Wins)
+	fmt.Printf("\nretries: client=%d   hedges: started=%d wins=%v\n",
+		rep.Retries.Client, rep.Hedge.Started, rep.Hedge.Wins)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
 		if err != nil {
@@ -258,24 +256,24 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 	return nil
 }
 
-// request issues one paced request (plus at most one budgeted retry on
-// a clean shed). Every 4th request rides the batch lane, every 5th
+// request issues one paced request (plus at most one plain retry on a
+// clean shed). Every 4th request rides the batch lane, every 5th
 // bypasses the cache so the planner stays genuinely loaded.
 func (c *olClient) request() olResult {
 	i := int(c.seq.Add(1))
 	q := c.utterances[i%len(c.utterances)]
 	batch := i%4 == 3
 	refresh := i%5 == 0
-	res := c.get(q, batch, refresh, 0)
-	if (res.status == 429 || res.status == 503) && c.budget.Allow() {
-		res = c.get(q, batch, refresh, 1)
-		res.retried = true
+	res := c.get(q, batch, refresh)
+	if res.status == 429 || res.status == 503 {
+		c.retries.Add(1)
+		res = c.get(q, batch, refresh)
 	}
 	res.batch = batch
 	return res
 }
 
-func (c *olClient) get(q string, batch, refresh bool, attempt int) olResult {
+func (c *olClient) get(q string, batch, refresh bool) olResult {
 	u := c.base + "/ask?q=" + url.QueryEscape(q)
 	if batch {
 		u += "&batch=1"
@@ -288,9 +286,6 @@ func (c *olClient) get(q string, batch, refresh bool, attempt int) olResult {
 		return olResult{escaped: true, detail: err.Error()}
 	}
 	hreq.Header.Set(serve.DeadlineHeader, "5s")
-	if attempt > 0 {
-		hreq.Header.Set(serve.AttemptHeader, strconv.Itoa(attempt))
-	}
 	start := time.Now()
 	resp, err := c.client.Do(hreq)
 	if err != nil {

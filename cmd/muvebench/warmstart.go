@@ -69,14 +69,15 @@ func runWarmstart(seed int64, utterances int, budget time.Duration, jsonPath str
 	}
 	cat := nlq.BuildCatalog(tbl, 0)
 	gen := nlq.NewGenerator(cat)
-	// A moderate candidate set keeps each exact solve tractable inside a
-	// smoke-test budget while leaving the ILP real work to do: small
-	// enough that a cold run finds real incumbents, large enough that it
-	// usually needs several k·bⁱ sequences to reach its final cost.
-	gen.MaxCandidates = 12
+	// Both arms start every solve from the greedy floor, so only the
+	// prior separates them. The instance must be hard enough that the
+	// cold arm does not converge within the first sequences: on a small
+	// one (12 candidates, 480 px × 1 row) the cold arm converges about
+	// as fast as the warm one and the verdict is a coin flip.
+	gen.MaxCandidates = 32
 	rng := rand.New(rand.NewSource(seed))
 	queries := sessionQueries(tbl, rng, utterances)
-	screen := core.Screen{WidthPx: 480, Rows: 1, PxPerBar: 48, PxPerChar: 7}
+	screen := core.Screen{WidthPx: 1440, Rows: 3, PxPerBar: 48, PxPerChar: 7}
 
 	rep := warmstartReport{Seed: seed, Utterances: utterances, BudgetMS: ms(budget)}
 	var prior *core.Multiplot

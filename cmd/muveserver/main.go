@@ -35,8 +35,8 @@
 //
 // /ask and /ask.json accept three optional parameters: sid=<id> binds
 // the request to a server-side session (consecutive utterances reuse
-// state, and with -warm-start the ILP solvers seed from the session's
-// previous multiplot — outcomes are counted in muve_warmstart_total),
+// state, and the ILP solvers seed from the session's previous
+// multiplot — outcomes are counted in muve_warmstart_total),
 // refresh=1 bypasses the answer cache (and the stale rung), and
 // batch=1 queues the request in the low-priority admission lane.
 // Responses carry X-Muve-Source
@@ -66,21 +66,19 @@
 // lane's queue is capped by its watermark, and freed slots go to the
 // interactive lane before the batch lane, in arrival order within a
 // lane (queue wait in the muve_sojourn_seconds{priority} histograms).
-// Three mechanisms carry the load past saturation. Retry budgets:
-// clients bound how long they wait via X-Muve-Deadline (duration or
+// Three mechanisms carry the load past saturation. Deadlines: clients
+// bound how long they wait via X-Muve-Deadline (duration or
 // unix-millis; capped by -max-deadline; planning and queue order are
-// unaffected) and label retries via X-Muve-Attempt;
-// retries draw from a per-session token bucket
-// (-retry-burst/-retry-per-sec), and an exhausted budget answers 429
-// with Retry-After instead of amplifying the overload. Hedging: -hedge
-// races a greedy hedge against exact solves that outlive the windowed
-// p90 planning time, at most max(-max-inflight/4, 1) at once; the first
-// finisher wins (muve_hedge_total{outcome}, source "hedged"). Crash-only
-// drain, below. Measured with `muvebench -overload` at 2x calibrated
-// capacity on 2 CPUs: 0 rejections, hedges start and win in every run,
-// and retry budgets are never reached because nothing is rejected. The
-// startup log line prints the resolved watermarks, hedge tokens, retry
-// budget and stale window.
+// unaffected). A retry is an ordinary request: it passes the same
+// admission as a first attempt and gets a slot or a watermark 429.
+// Hedging: -hedge races a greedy hedge against exact solves that
+// outlive the windowed p90 planning time, at most
+// max(-max-inflight/4, 1) at once; the first finisher wins
+// (muve_hedge_total{outcome}, source "hedged"). Crash-only drain,
+// below. Measured with `muvebench -overload` at 2x calibrated capacity
+// on 2 CPUs: 0 rejections, and hedges start and win in every run. The
+// startup log line prints the resolved watermarks, hedge tokens and
+// stale window.
 //
 // Shutdown is crash-only: on SIGINT/SIGTERM the server fails /readyz,
 // refuses new planning work (503; cache, session, and stale answers
@@ -96,9 +94,9 @@
 //	           [-max-inflight 32] [-cache-entries 1024] [-cache-ttl 5m]
 //	           [-timeout 10s] [-queue-depth 0] [-batch-queue 0]
 //	           [-stale-for 0] [-breaker-threshold 3] [-breaker-cooldown 5s]
-//	           [-hedge] [-retry-burst 0] [-retry-per-sec 0] [-max-deadline 0]
+//	           [-hedge] [-max-deadline 0]
 //	           [-drain 10s] [-snapshot FILE]
-//	           [-budget-fraction 0] [-warm-start=true]
+//	           [-budget-fraction 0]
 //	           [-chaos spec] [-chaos-seed 1] [-speak-words 0]
 //	           [-trace-buffer 128] [-trace-sample 1] [-trace-slow 250ms]
 //	           [-pprof] [-runtime-trace trace.out]
@@ -186,15 +184,12 @@ func run() error {
 		hedgeFlag    = flag.Bool("hedge", false, "race a greedy hedge against exact solves that outlive the windowed p90 planning time (needs a non-greedy -solver)")
 		sketchFlag   = flag.Float64("sketch-rate", 0, "aggregate-sketch sample rate in (0,1): answer progressive first paints from per-template sketches, each built by one sampled scan (0 disables)")
 		snapAgeFlag  = flag.Duration("snapshot-max-age", time.Hour, "skip drain snapshots older than this at restore (0 = no age cap)")
-		retryBurst   = flag.Float64("retry-burst", 0, "per-session retry budget burst (0 = default 4; negative disables retry budgeting)")
-		retryRate    = flag.Float64("retry-per-sec", 0, "per-session retry budget refill rate (0 = default 0.5)")
 		maxDeadline  = flag.Duration("max-deadline", 0, "cap on client-supplied X-Muve-Deadline values (0 = no cap)")
 		drainFlag    = flag.Duration("drain", 10*time.Second, "shutdown drain deadline: in-flight solves past it are cancelled, not awaited")
 		snapFlag     = flag.String("snapshot", "", "spill warm cache and session hints to this file on drain, and restore them (as stale-rung answers) at startup")
 		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive blamed deadline misses tripping a stage circuit breaker (negative disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker skips the exact rung before probing")
 		budgetFlag   = flag.Float64("budget-fraction", 0, "cap ILP planning at this fraction of the remaining request deadline (0 disables)")
-		warmFlag     = flag.Bool("warm-start", true, "seed ILP planning with the session's previous multiplot (ilp/ilp-inc solvers)")
 		chaosFlag    = flag.String("chaos", "", "fault-injection spec, e.g. 'solver:lat=300ms@0.5,err=0.1' (drills only)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for -chaos randomness")
 		speakFlag    = flag.Int("speak-words", 0, "voice answer word budget for format=voice (0 = default 40)")
@@ -251,7 +246,6 @@ func run() error {
 		muve.WithSolver(solver),
 		muve.WithWidth(*widthFlag),
 		muve.WithBudgetFraction(*budgetFlag),
-		muve.WithWarmStart(*warmFlag),
 		muve.WithSpeakWords(*speakFlag))
 	if err != nil {
 		return err
@@ -286,8 +280,6 @@ func run() error {
 		BreakerThreshold: *brkThreshold,
 		BreakerCooldown:  *brkCooldown,
 		Hedge:            *hedgeFlag,
-		RetryBurst:       *retryBurst,
-		RetryPerSec:      *retryRate,
 		Chaos:            chaos,
 		Dataset:          ds.String(),
 		Solver:           *solverFlag,
@@ -516,8 +508,7 @@ func newEngine(sys *muve.System, db *sqldb.DB, speakWords int, cfg serve.Config)
 	cfg.Planner = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
 		if req.Mode == serve.ModeVoice {
 			// The previous voice answer's fact set, when the session has
-			// one, warm-starts this fact-set solve (muve.WithWarmStart
-			// decides whether the system honors it).
+			// one, warm-starts this fact-set solve.
 			var prior *speak.FactSet
 			if st := stateOf(sess); st != nil && st.voice != nil && st.voice.Voice != nil {
 				prior = &st.voice.Voice.Facts
@@ -620,30 +611,19 @@ func answerFor(w http.ResponseWriter, r *http.Request, engine *serve.Engine) (*m
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return nil, false
 	}
-	attempt, _ := strconv.Atoi(r.Header.Get(serve.AttemptHeader))
 	resp, err := engine.Do(r.Context(), serve.Request{
 		Transcript: q,
 		Mode:       format,
 		SessionID:  strings.TrimSpace(r.URL.Query().Get("sid")),
 		Refresh:    r.URL.Query().Get("refresh") == "1",
 		Batch:      r.URL.Query().Get("batch") == "1",
-		Attempt:    attempt,
 	})
 	if err != nil {
 		status := serve.StatusOf(err)
-		// Both 429 shapes carry a back-off hint: admission rejections and
-		// exhausted retry budgets.
-		var after time.Duration
+		// An admission rejection (429) carries a back-off hint.
 		var rej *resilience.RejectError
-		var rb *resilience.RetryBudgetError
-		switch {
-		case errors.As(err, &rej):
-			after = rej.RetryAfter
-		case errors.As(err, &rb):
-			after = rb.RetryAfter
-		}
-		if after > 0 {
-			secs := int(after / time.Second)
+		if errors.As(err, &rej) && rej.RetryAfter > 0 {
+			secs := int(rej.RetryAfter / time.Second)
 			if secs < 1 {
 				secs = 1
 			}

@@ -189,9 +189,8 @@ func TestSessionReuse(t *testing.T) {
 	}
 }
 
-// warmTestServer serves through the incremental ILP solver with
-// warm-starting on, so consecutive session utterances exercise the
-// hint path end to end.
+// warmTestServer serves through the ILP solver, so consecutive session
+// utterances exercise the warm-start hint path end to end.
 func warmTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	tbl, err := workload.Build(workload.NYC311, 3000, 1)
@@ -208,8 +207,7 @@ func warmTestServer(t *testing.T) *httptest.Server {
 		muve.WithSolver(muve.SolverILP),
 		muve.WithILPTimeout(500*time.Millisecond),
 		muve.WithMaxCandidates(8),
-		muve.WithWidth(600),
-		muve.WithWarmStart(true))
+		muve.WithWidth(600))
 	if err != nil {
 		t.Fatal(err)
 	}

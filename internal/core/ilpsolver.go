@@ -518,6 +518,9 @@ func (s *ILPSolver) warmSeed(in *Instance, v *ilpVars) (WarmStartResult, []float
 	if s.WarmStart {
 		g := &GreedySolver{MaxBarsPerPlot: s.MaxBarsPerPlot}
 		if gm, _, err := g.Solve(in); err == nil {
+			// Greedy fills rows in any order; the model wants the widest
+			// row first.
+			gm = widestRowsFirst(in.Screen, gm)
 			if x, ok := embedMultiplot(in, v, gm); ok && v.model.Feasible(x, warmSeedTol) {
 				if gc := in.Cost(gm); seed == nil || gc < seedCost {
 					seed, seedCost = x, gc
@@ -633,16 +636,23 @@ func packPlots(s Screen, plots []Plot) Multiplot {
 			}
 		}
 	}
-	order := make([]int, len(bins))
-	for i := range order {
-		order[i] = i
+	return widestRowsFirst(s, Multiplot{Rows: bins})
+}
+
+// widestRowsFirst orders m's rows by non-increasing used width, the
+// row order the model's symmetry-breaking constraints require. Each row
+// keeps its plots, so a multiplot that fits the screen still fits.
+func widestRowsFirst(s Screen, m Multiplot) Multiplot {
+	width := func(row []Plot) int {
+		w := 0
+		for _, pl := range row {
+			w += pl.Width(s)
+		}
+		return w
 	}
-	sort.SliceStable(order, func(i, j int) bool { return widths[order[i]] > widths[order[j]] })
-	out := Multiplot{Rows: make([][]Plot, len(bins))}
-	for ri, bi := range order {
-		out.Rows[ri] = bins[bi]
-	}
-	return out
+	rows := append([][]Plot(nil), m.Rows...)
+	sort.SliceStable(rows, func(i, j int) bool { return width(rows[i]) > width(rows[j]) })
+	return Multiplot{Rows: rows}
 }
 
 // embedMultiplot maps a multiplot of the *current* instance onto the

@@ -25,7 +25,9 @@ type IncrementalILP struct {
 	// session); see ILPSolver.Hint for the remapping semantics. Later
 	// sequences are always seeded with the best multiplot found so far,
 	// so no sequence re-proves the incumbent the last one already paid
-	// for. Stats.WarmStart reports how the first sequence's hint fared.
+	// for. The first sequence is always seeded with the greedy
+	// solution too, so the answer never costs more than greedy's.
+	// Stats.WarmStart reports how the first sequence's hint fared.
 	Hint *Multiplot
 	// Ctx, when non-nil, stops refinement between sequences: the best
 	// multiplot found so far is returned (anytime semantics), matching
@@ -111,19 +113,15 @@ func (s *IncrementalILP) Solve(in *Instance, emit func(Update)) (Multiplot, Stat
 				break
 			}
 		}
-		inner := &ILPSolver{Timeout: seq, MaxBarsPerPlot: s.MaxBarsPerPlot, Ctx: s.Ctx}
 		// Seed each sequence with the best multiplot so far, so no
 		// sequence re-proves the incumbent the previous one already paid
-		// for; the first sequence takes the caller's cross-utterance
-		// hint, backed by the greedy floor so a useless hint still never
-		// ends worse than greedy.
-		switch {
-		case haveBest:
+		// for. The first sequence takes the caller's cross-utterance hint,
+		// if any, and always the greedy floor, so even a starved first
+		// sequence never ends worse than greedy.
+		inner := &ILPSolver{Timeout: seq, MaxBarsPerPlot: s.MaxBarsPerPlot, Ctx: s.Ctx, Hint: s.Hint, WarmStart: !haveBest}
+		if haveBest {
 			prev := best
 			inner.Hint = &prev
-		case s.Hint != nil:
-			inner.Hint = s.Hint
-			inner.WarmStart = true
 		}
 		m, st, err := inner.Solve(in)
 		if err != nil {

@@ -723,3 +723,38 @@ func TestCostAgainstManualComputation(t *testing.T) {
 		t.Errorf("savings = %v", got)
 	}
 }
+
+func TestIncrementalUnhintedNeverWorseThanGreedy(t *testing.T) {
+	// Without a prior the first sequence still starts from the greedy
+	// seed: a starved budget may leave the search no time to find an
+	// incumbent of its own, and the answer must then be greedy's, not
+	// the empty multiplot. On several rows greedy may fill a narrower
+	// row above a wider one, which the model's row order forbids; the
+	// seed must survive that too.
+	for _, screen := range []Screen{
+		{WidthPx: 1024, Rows: 1, PxPerBar: 48, PxPerChar: 7},
+		{WidthPx: 1024, Rows: 2, PxPerBar: 48, PxPerChar: 7},
+	} {
+		for seed := int64(1); seed <= 5; seed++ {
+			in := randomInstance(rand.New(rand.NewSource(seed)), 20, screen)
+			_, stG, err := (&GreedySolver{}).Solve(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, budget := range []time.Duration{5 * time.Millisecond, 20 * time.Millisecond} {
+				_, st, err := DefaultIncremental(budget).Solve(in, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Cost > stG.Cost+1e-6 {
+					t.Errorf("%d rows, seed %d, budget %v: ILP-Inc cost %v worse than greedy %v",
+						screen.Rows, seed, budget, st.Cost, stG.Cost)
+				}
+				if st.WarmStart != "" {
+					t.Errorf("%d rows, seed %d, budget %v: no hint given but WarmStart %q",
+						screen.Rows, seed, budget, st.WarmStart)
+				}
+			}
+		}
+	}
+}

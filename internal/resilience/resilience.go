@@ -12,8 +12,6 @@
 //     fast-fail with a RejectError (mapped to HTTP 429 + Retry-After)
 //     instead of queueing until the request timeout; within a lane
 //     freed slots go out in arrival order;
-//   - RetryBudget: a per-session token bucket that keeps client
-//     retries a bounded fraction of first attempts (no retry storms);
 //   - Ladder: a degradation ladder — an ordered list of rungs (exact
 //     ILP → greedy → stale cached answer → minimal single-plot
 //     answer), each attempted only while the remaining deadline budget

@@ -2,91 +2,14 @@ package resilience
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// RetryBudgetConfig sizes a RetryBudget.
-type RetryBudgetConfig struct {
-	// Burst is the bucket capacity: the number of retries a session can
-	// spend back-to-back before the refill rate governs. Default 4.
-	Burst float64
-	// PerSec is the token refill rate. Default 0.5 (one retry every
-	// two seconds, sustained).
-	PerSec float64
-	// Clock injects a time source for deterministic tests.
-	Clock func() time.Time
-}
-
-// RetryBudget is a token-bucket retry limiter, after the gRPC retry
-// design: each permitted retry spends a token and tokens refill at a
-// fixed rate, so retries stay a bounded fraction of first attempts and
-// a failure spike cannot amplify itself into a retry storm. The bucket
-// starts full. A nil *RetryBudget permits everything (budgeting
-// disabled). All methods are safe for concurrent use.
-type RetryBudget struct {
-	cfg RetryBudgetConfig
-
-	mu     sync.Mutex
-	tokens float64
-	last   time.Time
-}
-
-// NewRetryBudget builds a full bucket.
-func NewRetryBudget(cfg RetryBudgetConfig) *RetryBudget {
-	if cfg.Burst <= 0 {
-		cfg.Burst = 4
-	}
-	if cfg.PerSec <= 0 {
-		cfg.PerSec = 0.5
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
-	return &RetryBudget{cfg: cfg, tokens: cfg.Burst, last: cfg.Clock()}
-}
-
-// refill advances the bucket to now. Called with b.mu held.
-func (b *RetryBudget) refill(now time.Time) {
-	if el := now.Sub(b.last); el > 0 {
-		b.tokens += el.Seconds() * b.cfg.PerSec
-		if b.tokens > b.cfg.Burst {
-			b.tokens = b.cfg.Burst
-		}
-	}
-	b.last = now
-}
-
-// Allow spends one token if available and reports whether the retry
-// may proceed.
-func (b *RetryBudget) Allow() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refill(b.cfg.Clock())
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// Tokens reports the current balance (refilled to now).
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refill(b.cfg.Clock())
-	return b.tokens
-}
-
-// RetryBudgetError reports a retry refused because the session's retry
-// budget is exhausted. Servers should map it to HTTP 429 with a
-// Retry-After of RetryAfter: the client should back off, not reissue.
+// RetryBudgetError is the refusal of a per-session retry budget that
+// the engine no longer has: a labelled retry passes the same admission
+// as a first attempt, so nothing returns this error any more. The type
+// stays only because the perfbench module still names it when it
+// tallies rejections; it goes once perfbench stops naming it.
 type RetryBudgetError struct {
 	// RetryAfter is the suggested client back-off.
 	RetryAfter time.Duration

@@ -6,68 +6,6 @@ import (
 	"time"
 )
 
-func TestRetryBudgetBurstThenRefill(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewRetryBudget(RetryBudgetConfig{
-		Burst:  2,
-		PerSec: 1,
-		Clock:  func() time.Time { return now },
-	})
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("fresh bucket holds %g tokens, want full burst 2", got)
-	}
-	if !b.Allow() || !b.Allow() {
-		t.Fatalf("burst retries denied with a full bucket")
-	}
-	if b.Allow() {
-		t.Fatalf("retry allowed with an empty bucket")
-	}
-	// Half a second refills half a token — still not enough.
-	now = now.Add(500 * time.Millisecond)
-	if b.Allow() {
-		t.Fatalf("retry allowed on a fractional token")
-	}
-	// The spent fraction persists: 0.5s more completes the token.
-	now = now.Add(500 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatalf("retry denied after a full token refilled")
-	}
-	// Refill clamps at Burst: a long idle stretch never exceeds it.
-	now = now.Add(time.Hour)
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("idle bucket holds %g tokens, want clamp at burst 2", got)
-	}
-}
-
-func TestRetryBudgetNilPermitsEverything(t *testing.T) {
-	var b *RetryBudget
-	for i := 0; i < 100; i++ {
-		if !b.Allow() {
-			t.Fatalf("nil budget denied a retry")
-		}
-	}
-	if got := b.Tokens(); got != 0 {
-		t.Fatalf("nil budget reports %g tokens, want 0", got)
-	}
-}
-
-func TestRetryBudgetParallelNeverOverspends(t *testing.T) {
-	b := NewRetryBudget(RetryBudgetConfig{Burst: 10, PerSec: 0.0001})
-	allowed := make(chan bool, 64)
-	for i := 0; i < 64; i++ {
-		go func() { allowed <- b.Allow() }()
-	}
-	n := 0
-	for i := 0; i < 64; i++ {
-		if <-allowed {
-			n++
-		}
-	}
-	if n != 10 {
-		t.Fatalf("%d retries allowed from a burst-10 bucket", n)
-	}
-}
-
 func TestRetryBudgetErrorMessage(t *testing.T) {
 	err := &RetryBudgetError{RetryAfter: 2 * time.Second}
 	if !strings.Contains(err.Error(), "retry budget exhausted") ||

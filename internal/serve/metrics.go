@@ -120,13 +120,6 @@ const (
 var lookupResults = [...]string{"session", "cache", "miss"}
 
 const (
-	RetryAllowed = iota // retry spent a budget token
-	RetryDenied         // retry refused by the retry budget
-)
-
-var retryResults = [...]string{"allowed", "denied"}
-
-const (
 	HedgeDenied = iota // hedge point reached with no hedge token
 	HedgeExact         // hedge started; the exact solve finished first
 	HedgeWon           // hedge started and finished first
@@ -166,9 +159,8 @@ var scanStats = [...]string{"passes", "rows", "batches", "candidates", "predicat
 type Metrics struct {
 	// Requests counts every Engine.Do call.
 	Requests Counter
-	// Lookups counts each non-refresh request that passes the retry
-	// budget once, by where its answer came from (LookupSession,
-	// LookupCache, LookupMiss).
+	// Lookups counts each non-refresh request once, by where its answer
+	// came from (LookupSession, LookupCache, LookupMiss).
 	Lookups [len(lookupResults)]Counter
 	// Coalesced counts requests that piggybacked on another's planning.
 	Coalesced Counter
@@ -187,9 +179,6 @@ type Metrics struct {
 	// Speak counts voice requests and the facts and words of served
 	// voice answers (SpeakRequests, SpeakFacts, SpeakWords).
 	Speak [len(speakStats)]Counter
-	// Retries counts requests carrying a retry ordinal (Attempt > 0) by
-	// the retry budget's verdict (RetryAllowed, RetryDenied).
-	Retries [len(retryResults)]Counter
 	// Hedge counts every hedge point reached (the windowed p90 of
 	// planning time) once, by outcome (HedgeDenied, HedgeExact,
 	// HedgeWon, HedgeFailed); started hedges are all but the denied.
@@ -275,7 +264,6 @@ var families = []family{
 	{"muve_panics_total", nil, func(m *Metrics) []series { return one(&m.Panics) }},
 	{"muve_exhausted_total", nil, func(m *Metrics) []series { return one(&m.Exhausted) }},
 	{"muve_speak_total", []string{"stat"}, func(m *Metrics) []series { return fixed(speakStats[:], m.Speak[:]) }},
-	{"muve_retries_total", []string{"result"}, func(m *Metrics) []series { return fixed(retryResults[:], m.Retries[:]) }},
 	{"muve_hedge_total", []string{"outcome"}, func(m *Metrics) []series { return fixed(hedgeOutcomes[:], m.Hedge[:]) }},
 	{"muve_drain_cancelled_total", nil, func(m *Metrics) []series { return one(&m.DrainCancelled) }},
 	{"muve_scan_total", []string{"stat"}, func(m *Metrics) []series { return fixed(scanStats[:], m.Scan[:]) }},

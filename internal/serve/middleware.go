@@ -144,22 +144,19 @@ func WithRecovery(logger *log.Logger, metrics *Metrics, next http.Handler) http.
 }
 
 // StatusOf maps an Engine.Do error to the HTTP status that conveys its
-// retry semantics: 429 for admission rejections and exhausted retry
-// budgets (with Retry-After set by the caller), 503 for a fully
+// retry semantics: 429 for admission rejections (with Retry-After set
+// by the caller), 503 for a fully
 // exhausted degradation ladder or a draining engine, 504 for a
 // deadline miss (including one that expired while queued for
 // admission), 499 for a caller that went away, and 422 for everything
 // else (a malformed or unanswerable query).
 func StatusOf(err error) int {
 	var rej *resilience.RejectError
-	var rb *resilience.RetryBudgetError
 	var ex *resilience.ExhaustedError
 	switch {
 	case err == nil:
 		return http.StatusOK
 	case errors.As(err, &rej):
-		return http.StatusTooManyRequests
-	case errors.As(err, &rb):
 		return http.StatusTooManyRequests
 	case errors.As(err, &ex):
 		return http.StatusServiceUnavailable
@@ -179,11 +176,6 @@ func StatusOf(err error) int {
 // absolute Unix-milliseconds timestamp. WithDeadline propagates it
 // into the request context.
 const DeadlineHeader = "X-Muve-Deadline"
-
-// AttemptHeader is the request header carrying the client's retry
-// ordinal (0 or absent for a first attempt). The engine charges
-// retries against the session's retry budget.
-const AttemptHeader = "X-Muve-Attempt"
 
 // WithDeadline propagates the X-Muve-Deadline request header into the
 // request context as a deadline, capped at max (0 = no cap), so a

@@ -75,12 +75,6 @@ type Request struct {
 	// Batch marks the request as background work: it waits in the batch
 	// admission lane, which any interactive request overtakes.
 	Batch bool
-	// Attempt is the client's retry ordinal: 0 for a first attempt, n
-	// for the n-th retry (the X-Muve-Attempt header). Retries spend the
-	// session's retry budget; past it they fast-fail with a
-	// RetryBudgetError so a failure spike cannot amplify into a retry
-	// storm.
-	Attempt int
 }
 
 // Source says where an answer came from, cheapest first.
@@ -206,13 +200,6 @@ type Config struct {
 	// that finds no token is denied (the exact solve just continues
 	// alone) and counted as muve_hedge_total{outcome="denied"}.
 	Hedge bool
-	// RetryBurst and RetryPerSec size the per-session retry budget
-	// (token bucket; defaults 4 and 0.5). Requests with Attempt > 0
-	// spend a token or fast-fail with a RetryBudgetError (HTTP 429).
-	// Sessionless retries share one engine-wide bucket at 8× the rate.
-	// RetryBurst < 0 disables retry budgeting.
-	RetryBurst  float64
-	RetryPerSec float64
 	// RetryAfter is the client back-off hint carried by rejections when
 	// no service-time estimate exists yet (default 1s). Once the engine
 	// has observed planning latency, rejections instead carry the p90 of
@@ -291,11 +278,6 @@ type Engine struct {
 	// bucket bounding concurrent hedge attempts.
 	hedge       bool
 	hedgeTokens chan struct{}
-	// retryCfg sizes per-session retry buckets; retryOff disables
-	// budgeting; retryGlobal is the sessionless fallback bucket.
-	retryCfg    resilience.RetryBudgetConfig
-	retryOff    bool
-	retryGlobal *resilience.RetryBudget
 	// setup is the resolved admission setup, rendered once (Setup).
 	setup string
 
@@ -418,22 +400,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.hedgeTokens <- struct{}{}
 		}
 	}
-	e.retryOff = cfg.RetryBurst < 0
-	if !e.retryOff {
-		e.retryCfg = resilience.RetryBudgetConfig{Burst: orDefault(cfg.RetryBurst, 4), PerSec: orDefault(cfg.RetryPerSec, 0.5)}
-		// Sessionless clients share one bucket; 8× a single session's
-		// budget so a few anonymous callers don't starve each other.
-		e.retryGlobal = resilience.NewRetryBudget(resilience.RetryBudgetConfig{
-			Burst: 8 * e.retryCfg.Burst, PerSec: 8 * e.retryCfg.PerSec,
-		})
-	}
 	e.setup = e.describeSetup(cfg)
 	return e, nil
 }
 
 // describeSetup renders the admission setup NewEngine resolved from
 // cfg: each lane's watermark, the hedge and its derived token count,
-// the per-session retry budget and the stale window.
+// and the stale window.
 func (e *Engine) describeSetup(cfg Config) string {
 	lane := func(max int) string {
 		if max <= 0 {
@@ -445,30 +418,18 @@ func (e *Engine) describeSetup(cfg Config) string {
 	if e.hedge {
 		hedge = fmt.Sprintf("on, %d tokens", cap(e.hedgeTokens))
 	}
-	retry := "off"
-	if !e.retryOff {
-		retry = fmt.Sprintf("burst %g, %g/s per session", e.retryCfg.Burst, e.retryCfg.PerSec)
-	}
 	stale := "off"
 	if cfg.StaleFor > 0 {
 		stale = cfg.StaleFor.String()
 	}
-	return fmt.Sprintf("watermarks interactive=%s batch=%s; hedge %s; retry budget %s; stale window %s",
-		lane(cfg.Queue), lane(cfg.BatchQueue), hedge, retry, stale)
+	return fmt.Sprintf("watermarks interactive=%s batch=%s; hedge %s; stale window %s",
+		lane(cfg.Queue), lane(cfg.BatchQueue), hedge, stale)
 }
 
 // Setup describes the resolved admission setup in one line, for the
-// startup log: lane watermarks, hedge tokens, retry budget and stale
-// window as the engine applies them, defaults filled in.
+// startup log: lane watermarks, hedge tokens and stale window as the
+// engine applies them, defaults filled in.
 func (e *Engine) Setup() string { return e.setup }
-
-// orDefault substitutes def for a non-positive v.
-func orDefault(v, def float64) float64 {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
 
 // RetryEstimate is the adaptive Retry-After hint: the p90 of the last
 // minute's planning service time — roughly how long until a busy slot
@@ -550,21 +511,6 @@ func (e *Engine) hedgeDelay() time.Duration {
 	return d
 }
 
-// retryAllowed spends one token from the request's retry budget: the
-// session's bucket when the request carries one, the shared
-// engine-wide bucket otherwise.
-func (e *Engine) retryAllowed(sess *Session) bool {
-	if e.retryOff {
-		return true
-	}
-	if sess != nil {
-		return sess.retryBudget(func() *resilience.RetryBudget {
-			return resilience.NewRetryBudget(e.retryCfg)
-		}).Allow()
-	}
-	return e.retryGlobal.Allow()
-}
-
 // Key normalizes a transcript into this engine's cache key: voice
 // transcripts differ in case and incidental whitespace without
 // differing in meaning, so both are folded before the configuration
@@ -603,19 +549,6 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 	}
 	key := e.KeyFor(req)
 	sess := e.sessions.Get(req.SessionID)
-
-	if req.Attempt > 0 {
-		if !e.retryAllowed(sess) {
-			e.metrics.Retries[RetryDenied].Inc()
-			e.metrics.Errors.Inc()
-			ra := e.RetryEstimate()
-			if ra <= 0 {
-				ra = e.retryAfter
-			}
-			return nil, &resilience.RetryBudgetError{RetryAfter: ra}
-		}
-		e.metrics.Retries[RetryAllowed].Inc()
-	}
 
 	if !req.Refresh {
 		if sess != nil {

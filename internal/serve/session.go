@@ -3,8 +3,6 @@ package serve
 import (
 	"sync"
 	"time"
-
-	"muve/internal/resilience"
 )
 
 // Session is per-client conversational state with a bounded lifetime.
@@ -33,7 +31,6 @@ type Session struct {
 	lastVal  any
 	lastAt   time.Time
 	state    any
-	retries  *resilience.RetryBudget
 }
 
 // reuse returns the previous answer when key matches the session's
@@ -78,17 +75,6 @@ func (s *Session) SetState(v any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.state = v
-}
-
-// retryBudget returns the session's retry bucket, creating it with mk
-// on first use.
-func (s *Session) retryBudget(mk func() *resilience.RetryBudget) *resilience.RetryBudget {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.retries == nil {
-		s.retries = mk()
-	}
-	return s.retries
 }
 
 // Queries counts answered requests in this session.

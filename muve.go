@@ -162,13 +162,6 @@ type Config struct {
 	// for execution, rendering and the serving layer's cheaper rungs.
 	// 0 disables the cap (ILPTimeout alone governs).
 	BudgetFraction float64
-	// WarmStart, when true, lets AskContext/AskQueryContext seed ILP
-	// planning with a prior multiplot passed by the caller (typically
-	// the previous utterance's answer in a voice session). Only the ILP
-	// solvers use the hint; greedy planning ignores it. Off by default:
-	// solver comparisons and experiments stay cold unless a caller opts
-	// in.
-	WarmStart bool
 }
 
 // Option mutates a Config.
@@ -223,12 +216,6 @@ func WithPresentation(m progressive.Method) Option {
 // request context's remaining deadline (see Config.BudgetFraction).
 func WithBudgetFraction(f float64) Option {
 	return func(c *Config) { c.BudgetFraction = f }
-}
-
-// WithWarmStart enables (or disables) seeding ILP planning with a prior
-// multiplot passed to AskContext/AskQueryContext (see Config.WarmStart).
-func WithWarmStart(enabled bool) Option {
-	return func(c *Config) { c.WarmStart = enabled }
 }
 
 // System is a configured MUVE instance over one table.
@@ -329,10 +316,11 @@ func (s *System) Ask(text string) (*Answer, error) {
 // stops consuming CPU early and returns ctx's error.
 //
 // An optional prior multiplot (typically the previous utterance's
-// Answer.Multiplot) warm-starts ILP planning when Config.WarmStart is
-// on: the first non-nil, non-empty prior seeds the solver's initial
-// incumbent, and Answer.Stats.WarmStart reports how the seed fared.
-// Priors are ignored by the greedy solver and by a custom Presentation.
+// Answer.Multiplot) warm-starts ILP planning: the first non-nil,
+// non-empty prior seeds the solver's initial incumbent, and
+// Answer.Stats.WarmStart reports how the seed fared. A call without a
+// prior plans cold. Priors are ignored by the greedy solver and by a
+// custom Presentation.
 func (s *System) AskContext(ctx context.Context, text string, prior ...*core.Multiplot) (*Answer, error) {
 	transcript, err := s.transcribe(ctx, text)
 	if err != nil {
@@ -384,8 +372,8 @@ func (s *System) AskVoice(text string) (*Answer, error) {
 // AskVoiceContext is the voice-mode entry point with the cancellation
 // semantics of AskContext. An optional prior fact set (typically the
 // previous utterance's Answer.Voice.Facts) warm-starts the exact
-// fact-set ILP when Config.WarmStart is on, mirroring the multiplot
-// warm-start path; Answer.Stats.WarmStart reports how the hint fared.
+// fact-set ILP, mirroring the multiplot warm-start path;
+// Answer.Stats.WarmStart reports how the hint fared.
 func (s *System) AskVoiceContext(ctx context.Context, text string, prior ...*speak.FactSet) (*Answer, error) {
 	transcript, err := s.transcribe(ctx, text)
 	if err != nil {
@@ -466,9 +454,6 @@ func (s *System) answer(ctx context.Context, transcript string, top sqldb.Query,
 	}
 	method := s.cfg.Presentation
 	if method == nil {
-		if !s.cfg.WarmStart {
-			prior = nil
-		}
 		method = s.defaultMethod(ctx, prior)
 	}
 	psp := obs.StartSpan(ctx, "progressive")
@@ -535,9 +520,6 @@ func (s *System) answerVoice(ctx context.Context, transcript string, top sqldb.Q
 		Mode:       ModeVoice,
 	}
 	cost := speak.FromTimeModel(s.cfg.Model)
-	if !s.cfg.WarmStart {
-		prior = nil
-	}
 
 	sp := obs.StartSpan(ctx, "speak")
 	if err := resilience.Inject(ctx, "speak"); err != nil {

@@ -315,8 +315,7 @@ func TestAskContextWarmStartsFromPrior(t *testing.T) {
 		WithSolver(SolverILPIncremental),
 		WithILPTimeout(500*time.Millisecond),
 		WithMaxCandidates(8),
-		WithWidth(600),
-		WithWarmStart(true))
+		WithWidth(600))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,23 +332,6 @@ func TestAskContextWarmStartsFromPrior(t *testing.T) {
 	}
 	if ans2.Stats.Cost > ans1.Stats.Cost+1e-6 {
 		t.Errorf("warm re-ask cost %v worse than prior %v", ans2.Stats.Cost, ans1.Stats.Cost)
-	}
-
-	// With the knob off the prior is ignored entirely.
-	coldSys, err := New(db, "requests",
-		WithSolver(SolverILPIncremental),
-		WithILPTimeout(300*time.Millisecond),
-		WithMaxCandidates(8),
-		WithWidth(600))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans3, err := coldSys.AskContext(context.Background(), "average response hours in Queens", &ans1.Multiplot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans3.Stats.WarmStart != "" {
-		t.Errorf("WarmStart disabled but prior used: %q", ans3.Stats.WarmStart)
 	}
 }
 

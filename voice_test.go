@@ -38,7 +38,7 @@ func TestAskVoiceEndToEnd(t *testing.T) {
 
 func TestAskVoiceWarmStartAcrossUtterances(t *testing.T) {
 	db := demoDB(t)
-	sys, err := New(db, "requests", WithSolver(SolverILP), WithWarmStart(true))
+	sys, err := New(db, "requests", WithSolver(SolverILP))
 	if err != nil {
 		t.Fatal(err)
 	}
