@@ -87,8 +87,9 @@ slo-smoke:
 		-slo-requests 80 -slo-workers 4 -slo-expect-incidents 1
 
 # Short fuzz runs over the two operator-facing grammars (chaos specs
-# and SLO objectives), the shared-scan merge planner, and the ILP
-# solver against 0/1 enumeration. `go test -fuzz` takes one fuzzer per
+# and SLO objectives), the shared-scan merge planner, the ILP solver
+# against 0/1 enumeration, and the template index against the
+# string-keyed reference grouping. `go test -fuzz` takes one fuzzer per
 # run, so the targets run sequentially; corpus finds land in
 # testdata/fuzz and should be committed as regression seeds.
 fuzz-smoke:
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseObjectives -fuzztime 10s
 	$(GO) test ./internal/merge -run '^$$' -fuzz FuzzSharedPlan -fuzztime 10s
 	$(GO) test ./internal/ilp -run '^$$' -fuzz FuzzSolveAgainstBruteForce -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzTemplateIndex -fuzztime 10s
 
 # Closed-loop overload ramp to 2x calibrated capacity under transport
 # chaos; fails unless no fault escapes, interactive p99 stays under the

@@ -165,7 +165,7 @@ func BenchmarkExecShared(b *testing.B) {
 }
 
 // benchInstance builds a planning instance of the given size.
-func benchInstance(b *testing.B, nCands, rows, widthPx int) *core.Instance {
+func benchInstance(b testing.TB, nCands, rows, widthPx int) *core.Instance {
 	b.Helper()
 	tbl, err := workload.Build(workload.NYC311, 4000, 9)
 	if err != nil {
@@ -186,14 +186,38 @@ func benchInstance(b *testing.B, nCands, rows, widthPx int) *core.Instance {
 	}
 }
 
+// freshInstance returns a new Instance over in's candidates. An Instance
+// keeps its template grouping after the first solve; every answer builds
+// a new one, so the solver benches pay for the grouping on every op too.
+func freshInstance(in *core.Instance) *core.Instance {
+	return &core.Instance{Candidates: in.Candidates, Screen: in.Screen, Model: in.Model}
+}
+
 func BenchmarkGreedySolver20Candidates(b *testing.B) {
 	in := benchInstance(b, 20, 1, 1024)
 	g := &core.GreedySolver{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := g.Solve(in); err != nil {
+		if _, _, err := g.Solve(freshInstance(in)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// greedyAllocCeiling bounds one greedy plan of the 20-candidate bench
+// instance, template grouping included.
+const greedyAllocCeiling = 1500
+
+func TestGreedySolver20CandidatesAllocs(t *testing.T) {
+	in := benchInstance(t, 20, 1, 1024)
+	g := &core.GreedySolver{}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := g.Solve(freshInstance(in)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > greedyAllocCeiling {
+		t.Errorf("greedy plan of 20 candidates: %.0f allocs, ceiling %d", allocs, greedyAllocCeiling)
 	}
 }
 
@@ -202,7 +226,7 @@ func BenchmarkILPSolver8Candidates(b *testing.B) {
 	s := &core.ILPSolver{Timeout: 5 * time.Second}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.Solve(in); err != nil {
+		if _, _, err := s.Solve(freshInstance(in)); err != nil {
 			b.Fatal(err)
 		}
 	}

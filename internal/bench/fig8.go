@@ -116,34 +116,31 @@ func RunFig8(cfg Config) (*Fig8Result, error) {
 	for _, m := range methods {
 		var dCosts, pCosts, times []float64
 		for _, it := range instances {
-			in := *it.in // shallow copy so bounds don't leak across methods
-			in.ProcCostBound = 0
+			// A fresh instance per method, so bounds don't leak across
+			// methods.
+			variant := func(groups []core.ProcessingGroup, bound float64) *core.Instance {
+				return &core.Instance{Candidates: it.in.Candidates, Screen: it.in.Screen, Model: it.in.Model,
+					Groups: groups, ProcCostBound: bound, ProcCostWeight: it.in.ProcCostWeight}
+			}
 			var mp core.Multiplot
 			var st core.Stats
 			var err error
 			switch m.name {
 			case "Greedy":
-				inNoGroups := in
-				inNoGroups.Groups = nil
 				g := &core.GreedySolver{}
-				mp, st, err = g.Solve(&inNoGroups)
+				mp, st, err = g.Solve(variant(nil, 0))
 			case "ILP(D-Cost)":
-				inNoGroups := in
-				inNoGroups.Groups = nil
 				s := &core.ILPSolver{Timeout: timeout, WarmStart: true}
-				mp, st, err = s.Solve(&inNoGroups)
+				mp, st, err = s.Solve(variant(nil, 0))
 			default:
-				in.ProcCostBound = m.boundFrac * it.planCost
 				s := &core.ILPSolver{Timeout: timeout, WarmStart: true}
-				mp, st, err = s.Solve(&in)
+				mp, st, err = s.Solve(variant(it.in.Groups, m.boundFrac*it.planCost))
 			}
 			if err != nil {
 				return nil, fmt.Errorf("bench: fig8 %s: %w", m.name, err)
 			}
 			// Score with the plain user model so methods are comparable.
-			scoreIn := *it.in
-			scoreIn.Groups = nil
-			dCosts = append(dCosts, scoreIn.Cost(mp))
+			dCosts = append(dCosts, variant(nil, 0).Cost(mp))
 			pCosts = append(pCosts, procCostOf(it.in, mp))
 			times = append(times, float64(st.Duration.Microseconds())/1000)
 		}

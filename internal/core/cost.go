@@ -12,16 +12,13 @@ package core
 // this one function, so their costs are directly comparable.
 func (in *Instance) Cost(m Multiplot) float64 {
 	b, bR, p, pR := m.Counts()
-	states := m.QueryStates(len(in.Candidates))
-	var rR, rV float64
-	for i, st := range states {
-		switch st {
-		case StateHighlighted:
-			rR += in.Candidates[i].Prob
-		case StateVisible:
-			rV += in.Candidates[i].Prob
-		}
-	}
+	return in.costOf(m.QueryStates(len(in.Candidates)), b, bR, p, pR)
+}
+
+// costOf is Cost from a multiplot's query states and counts. Greedy's
+// trial costs call it directly, so they equal Cost bit for bit.
+func (in *Instance) costOf(states []QueryState, b, bR, p, pR int) float64 {
+	rR, rV := in.probCovered(states)
 	cost := in.Model.Expected(rR, rV, b, bR, p, pR)
 	if in.ProcCostWeight > 0 {
 		cost += in.ProcCostWeight * in.processingCost(states)
@@ -102,7 +99,12 @@ func (in *Instance) groupCover(states []QueryState) (float64, []int) {
 
 // ProbCovered returns (rR, rV): total probability highlighted and visible.
 func (in *Instance) ProbCovered(m Multiplot) (rR, rV float64) {
-	states := m.QueryStates(len(in.Candidates))
+	return in.probCovered(m.QueryStates(len(in.Candidates)))
+}
+
+// probCovered sums highlighted and visible probability in candidate
+// order.
+func (in *Instance) probCovered(states []QueryState) (rR, rV float64) {
 	for i, st := range states {
 		switch st {
 		case StateHighlighted:

@@ -17,7 +17,7 @@ func TestILPDebugSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("vars=%d constraints=%d templates=%d", v.model.NumVars(), v.model.NumConstraints(), len(v.keys))
+	t.Logf("vars=%d constraints=%d templates=%d", v.model.NumVars(), v.model.NumConstraints(), len(v.idx.groups))
 	s2 := &ILPSolver{Timeout: 3 * time.Second}
 	start := time.Now()
 	_, st, err := s2.Solve(in)

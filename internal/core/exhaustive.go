@@ -31,15 +31,16 @@ func (e *ExhaustiveSolver) Solve(in *Instance) (Multiplot, Stats, error) {
 	}
 	g := &GreedySolver{}
 	colored := g.coloredCandidates(in)
-	// Bucket options by template for one-choice-per-template enumeration.
-	var templates []string
-	byTemplate := make(map[string][]coloredPlot)
-	for _, c := range colored {
-		key := c.group.Template.Key
-		if _, ok := byTemplate[key]; !ok {
-			templates = append(templates, key)
+	// Bucket options by template for one-choice-per-template enumeration;
+	// one template's options are contiguous.
+	var byTemplate [][]coloredPlot
+	for i := 0; i < len(colored); {
+		j := i + 1
+		for j < len(colored) && colored[j].id == colored[i].id {
+			j++
 		}
-		byTemplate[key] = append(byTemplate[key], c)
+		byTemplate = append(byTemplate, colored[i:j])
+		i = j
 	}
 	screenW := in.Screen.WidthUnits()
 	rows := in.Screen.Rows
@@ -56,7 +57,7 @@ func (e *ExhaustiveSolver) Solve(in *Instance) (Multiplot, Stats, error) {
 		if states > maxStates {
 			return fmt.Errorf("core: exhaustive search exceeded %d states; use a smaller instance", maxStates)
 		}
-		if ti == len(templates) {
+		if ti == len(byTemplate) {
 			m := Multiplot{}
 			for _, r := range current {
 				if len(r) > 0 {
@@ -74,7 +75,7 @@ func (e *ExhaustiveSolver) Solve(in *Instance) (Multiplot, Stats, error) {
 			return err
 		}
 		// Option 2: place one of its colored versions in some row.
-		for _, c := range byTemplate[templates[ti]] {
+		for _, c := range byTemplate[ti] {
 			for r := 0; r < rows; r++ {
 				if rowUsed[r]+c.width > screenW {
 					continue

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"muve/internal/sqldb"
@@ -20,10 +19,10 @@ type GreedySolver struct {
 	MaxBarsPerPlot int
 	// SkipPolish disables the final cleanup step (ablation).
 	SkipPolish bool
-	// DensityGreedy selects items by marginal-gain/width density (the
-	// knapsack-aware rule of Yu et al.). When false, plain marginal gain
-	// is used (the cardinality-constrained Nemhauser variant the paper
-	// mentions for fixed plot widths). Density is the default.
+	// PlainGain selects items by plain marginal gain (the cardinality-
+	// constrained Nemhauser variant the paper mentions for fixed plot
+	// widths). When false, the default, items are selected by
+	// marginal-gain/width density (the knapsack-aware rule of Yu et al.).
 	PlainGain bool
 	// Ctx, when non-nil, lets callers cancel a solve between phases and
 	// between greedy selection rounds. Nil means never cancelled.
@@ -113,7 +112,8 @@ func (g *GreedySolver) Solve(in *Instance) (Multiplot, Stats, error) {
 // coloredPlot is a fully specified plot candidate: a template, the top-n
 // most likely compatible queries, and the top-k of those highlighted.
 type coloredPlot struct {
-	group *templateGroup
+	group *TemplateGroup
+	id    int // the group's template ID
 	n, k  int
 	width int
 }
@@ -121,30 +121,34 @@ type coloredPlot struct {
 // coloredCandidates generates Algorithms 2 and 3's output: for each
 // template, prefix subsets of its queries by decreasing probability
 // (Theorem 2 restricts attention to such prefixes), each with every
-// highlight count k in [0, n].
+// highlight count k in [0, n]. Options of one template are contiguous,
+// in ascending template-key order.
 func (g *GreedySolver) coloredCandidates(in *Instance) []coloredPlot {
-	groups := GroupByTemplate(in.Candidates)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic iteration
+	groups := in.templates().groups
 	screenW := in.Screen.WidthUnits()
-	var out []coloredPlot
-	for _, key := range keys {
-		grp := groups[key]
-		base := in.Screen.TitleUnits(len(grp.Template.Title))
-		maxBars := len(grp.Queries)
-		if g.MaxBarsPerPlot > 0 && maxBars > g.MaxBarsPerPlot {
-			maxBars = g.MaxBarsPerPlot
+	// maxBars is the widest prefix of group id that fits a row.
+	maxBars := func(id int) (base, n int) {
+		base = in.Screen.TitleUnits(len(groups[id].Template.Title))
+		n = len(groups[id].Queries)
+		if g.MaxBarsPerPlot > 0 && n > g.MaxBarsPerPlot {
+			n = g.MaxBarsPerPlot
 		}
-		for n := 1; n <= maxBars; n++ {
-			w := base + n
-			if w > screenW {
-				break // wider prefixes cannot fit any row
-			}
+		if n > screenW-base {
+			n = max(screenW-base, 0) // wider prefixes cannot fit any row
+		}
+		return base, n
+	}
+	total := 0
+	for id := range groups {
+		_, n := maxBars(id)
+		total += n * (n + 3) / 2 // prefixes 1..n, each with k in [0, n]
+	}
+	out := make([]coloredPlot, 0, total)
+	for id := range groups {
+		base, maxN := maxBars(id)
+		for n := 1; n <= maxN; n++ {
 			for k := 0; k <= n; k++ {
-				out = append(out, coloredPlot{group: &grp, n: n, k: k, width: w})
+				out = append(out, coloredPlot{group: &groups[id], id: id, n: n, k: k, width: base + n})
 			}
 		}
 	}
@@ -164,22 +168,74 @@ func (c coloredPlot) materialize() Plot {
 	return Plot{Template: c.group.Template, Entries: nanEntries(entries)}
 }
 
+// trialCosts prices "the current multiplot plus one colored plot"
+// without building it: it keeps the current multiplot's query states and
+// counts, and evaluates a trial through Instance.costOf on a reused
+// scratch copy of the states, so a trial equals Instance.Cost of the
+// materialized multiplot bit for bit.
+type trialCosts struct {
+	in            *Instance
+	states, trial []QueryState
+	b, bR, p, pR  int
+}
+
+func newTrialCosts(in *Instance) *trialCosts {
+	n := len(in.Candidates)
+	return &trialCosts{in: in, states: make([]QueryState, n), trial: make([]QueryState, n)}
+}
+
+// apply raises the states of c's queries: highlighted for its top k,
+// visible for the rest.
+func apply(states []QueryState, c coloredPlot) {
+	for i, qi := range c.group.Queries[:c.n] {
+		s := StateVisible
+		if i < c.k {
+			s = StateHighlighted
+		}
+		if s > states[qi] {
+			states[qi] = s
+		}
+	}
+}
+
+// plotCounts returns c's contribution to (b, bR, p, pR).
+func plotCounts(c coloredPlot) (b, bR, p, pR int) {
+	if c.k > 0 {
+		pR = 1
+	}
+	return c.n, c.k, 1, pR
+}
+
+// cost is Instance.Cost of the current multiplot with c added.
+func (t *trialCosts) cost(c coloredPlot) float64 {
+	copy(t.trial, t.states)
+	apply(t.trial, c)
+	b, bR, p, pR := plotCounts(c)
+	return t.in.costOf(t.trial, t.b+b, t.bR+bR, t.p+p, t.pR+pR)
+}
+
+// place adds c to the current multiplot.
+func (t *trialCosts) place(c coloredPlot) {
+	apply(t.states, c)
+	b, bR, p, pR := plotCounts(c)
+	t.b, t.bR, t.p, t.pR = t.b+b, t.bR+bR, t.p+p, t.pR+pR
+}
+
 // scanCandidate evaluates one colored candidate against the current
 // multiplot: the fullest row it still fits, its marginal gain, and its
 // selection score. row == -1 means the candidate is inapplicable this
 // round (template used, no row fits, or no positive gain).
-func (g *GreedySolver) scanCandidate(in *Instance, c coloredPlot, usedTemplate map[string]bool, rowUsed []int, current Multiplot, currentCost float64) (row int, score, gain float64) {
-	rows := in.Screen.Rows
-	screenW := in.Screen.WidthUnits()
-	if usedTemplate[c.group.Template.Key] {
+func (g *GreedySolver) scanCandidate(in *Instance, c coloredPlot, usedTemplate []bool, rowUsed []int, trials *trialCosts, currentCost float64) (row int, score, gain float64) {
+	if usedTemplate[c.id] {
 		return -1, 0, 0
 	}
 	// Identical gain in every row; only the capacity differs. Try
 	// the fullest row that still fits, which packs tightly.
+	screenW := in.Screen.WidthUnits()
 	row = -1
-	for r := 0; r < rows; r++ {
-		if rowUsed[r]+c.width <= screenW {
-			if row == -1 || rowUsed[r] > rowUsed[row] {
+	for r, used := range rowUsed {
+		if used+c.width <= screenW {
+			if row == -1 || used > rowUsed[row] {
 				row = r
 			}
 		}
@@ -187,10 +243,7 @@ func (g *GreedySolver) scanCandidate(in *Instance, c coloredPlot, usedTemplate m
 	if row == -1 {
 		return -1, 0, 0
 	}
-	trial := current
-	trial.Rows = append([][]Plot(nil), current.Rows...)
-	trial.Rows[row] = append(append([]Plot(nil), current.Rows[row]...), c.materialize())
-	gain = currentCost - in.Cost(trial)
+	gain = currentCost - trials.cost(c)
 	if gain <= 1e-12 {
 		return -1, 0, 0
 	}
@@ -209,8 +262,9 @@ func (g *GreedySolver) scanCandidate(in *Instance, c coloredPlot, usedTemplate m
 func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot, int) {
 	rows := in.Screen.Rows
 	rowUsed := make([]int, rows)
-	usedTemplate := make(map[string]bool)
+	usedTemplate := make([]bool, len(in.templates().groups))
 	current := Multiplot{Rows: make([][]Plot, rows)}
+	trials := newTrialCosts(in)
 	currentCost := in.Cost(current)
 	rounds := 0
 
@@ -225,7 +279,7 @@ func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot
 		bestIdx, bestRow := -1, -1
 		var bestScore, bestGain float64
 		for ci := range colored {
-			row, score, gain := g.scanCandidate(in, colored[ci], usedTemplate, rowUsed, current, currentCost)
+			row, score, gain := g.scanCandidate(in, colored[ci], usedTemplate, rowUsed, trials, currentCost)
 			if row == -1 {
 				continue
 			}
@@ -238,8 +292,9 @@ func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot
 		}
 		c := colored[bestIdx]
 		current.Rows[bestRow] = append(current.Rows[bestRow], c.materialize())
+		trials.place(c)
 		rowUsed[bestRow] += c.width
-		usedTemplate[c.group.Template.Key] = true
+		usedTemplate[c.id] = true
 		currentCost -= bestGain
 		rounds++
 	}
@@ -258,16 +313,19 @@ func (g *GreedySolver) pickPlots(in *Instance, colored []coloredPlot) (Multiplot
 // step of Algorithm 1). Removing never hurts: duplicate bars add reading
 // cost without adding coverage.
 func polish(in *Instance, m Multiplot) Multiplot {
-	groups := GroupByTemplate(in.Candidates)
+	idx := in.templates()
 	type slot struct{ row, plot, entry int }
-	best := make(map[int]slot) // query -> winning occurrence
+	best := make([]slot, len(in.Candidates)) // query -> winning occurrence
+	for qi := range best {
+		best[qi].row = -1 // not displayed
+	}
 	// Pass 1: choose, per query, the occurrence to keep (highlighted wins,
 	// then earliest position).
 	for ri, row := range m.Rows {
 		for pi, pl := range row {
 			for ei, e := range pl.Entries {
-				cur, ok := best[e.Query]
-				if !ok {
+				cur := best[e.Query]
+				if cur.row < 0 {
 					best[e.Query] = slot{ri, pi, ei}
 					continue
 				}
@@ -278,9 +336,9 @@ func polish(in *Instance, m Multiplot) Multiplot {
 			}
 		}
 	}
-	displayed := make(map[int]bool, len(best))
-	for q := range best {
-		displayed[q] = true
+	displayed := make([]bool, len(in.Candidates))
+	for qi, s := range best {
+		displayed[qi] = s.row >= 0
 	}
 	// Pass 2: rebuild plots, dropping losing duplicates and refilling.
 	out := Multiplot{Rows: make([][]Plot, len(m.Rows))}
@@ -298,7 +356,8 @@ func polish(in *Instance, m Multiplot) Multiplot {
 			// Refill gaps with the most likely compatible queries not yet
 			// displayed anywhere (width stays constant: one bar per gap).
 			if removed > 0 {
-				if grp, ok := groups[pl.Template.Key]; ok {
+				if id, ok := idx.byKey[pl.Template.Key]; ok {
+					grp := &idx.groups[id]
 					for gi, qi := range grp.Queries {
 						if removed == 0 {
 							break

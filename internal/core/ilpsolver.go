@@ -81,19 +81,19 @@ const (
 // ilpVars records the variable layout of one model build for decoding.
 type ilpVars struct {
 	model *ilp.Model
-	// plotVar[t][r] -> p_{t,r}; -1 when the plot cannot fit in any row.
-	plotVar map[string][]ilp.VarID
+	// Per template ID t (its position in idx.groups):
+	// plotVar[t][r] -> p_{t,r}; empty when the plot cannot fit in any row.
+	plotVar [][]ilp.VarID
 	// barVar/hlVar[t][r][j] -> q and h vars for the j-th query of group t.
-	barVar map[string][][]ilp.VarID
-	hlVar  map[string][][]ilp.VarID
+	barVar [][][]ilp.VarID
+	hlVar  [][][]ilp.VarID
 	// sVar[t][r] -> s_{t,r}: plot t in row r contains a highlighted bar.
-	sVar map[string][]ilp.VarID
+	sVar [][]ilp.VarID
 	// zVars[qi] -> the four continuous product auxiliaries (zhB, zhP,
 	// zdB, zdP) with their big-M bounds, for warm-start value derivation.
 	zVars map[int][4]zAux
-	// groups by key, with deterministic order in keys.
-	groups map[string]templateGroup
-	keys   []string
+	// idx is the instance's template index.
+	idx *templateIndex
 	// per-query aggregate vars.
 	disp []ilp.VarID // qd_i: displayed anywhere
 	hl   []ilp.VarID // h_i: highlighted anywhere
@@ -169,12 +169,8 @@ func (s *ILPSolver) Solve(in *Instance) (Multiplot, Stats, error) {
 // buildModel constructs the integer program.
 func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 	m := ilp.NewModel()
-	groups := GroupByTemplate(in.Candidates)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	idx := in.templates()
+	groups := idx.groups
 
 	rows := in.Screen.Rows
 	screenW := in.Screen.WidthUnits()
@@ -182,13 +178,12 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 
 	v := &ilpVars{
 		model:   m,
-		plotVar: make(map[string][]ilp.VarID, len(keys)),
-		barVar:  make(map[string][][]ilp.VarID, len(keys)),
-		hlVar:   make(map[string][][]ilp.VarID, len(keys)),
-		sVar:    make(map[string][]ilp.VarID, len(keys)),
+		plotVar: make([][]ilp.VarID, len(groups)),
+		barVar:  make([][][]ilp.VarID, len(groups)),
+		hlVar:   make([][][]ilp.VarID, len(groups)),
+		sVar:    make([][]ilp.VarID, len(groups)),
 		zVars:   make(map[int][4]zAux, nq),
-		groups:  groups,
-		keys:    keys,
+		idx:     idx,
 		disp:    make([]ilp.VarID, nq),
 		hl:      make([]ilp.VarID, nq),
 		dnh:     make([]ilp.VarID, nq),
@@ -205,8 +200,8 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 		maxBars = nq
 	}
 	maxPlots := 0
-	for _, key := range keys {
-		base := in.Screen.TitleUnits(len(groups[key].Template.Title))
+	for t := range groups {
+		base := in.Screen.TitleUnits(len(groups[t].Template.Title))
 		if base+1 <= screenW {
 			maxPlots++
 		}
@@ -231,8 +226,8 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 	perQueryBars := make([][]ilp.Term, nq) // q_{i,t,r} terms per query
 	perQueryHL := make([][]ilp.Term, nq)
 
-	for _, key := range keys {
-		grp := groups[key]
+	for t := range groups {
+		grp := &groups[t]
 		base := in.Screen.TitleUnits(len(grp.Template.Title))
 		if base+1 > screenW {
 			continue // plot cannot hold even one bar
@@ -291,10 +286,10 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 			once[r] = ilp.Term{Var: pv[r], Coeff: 1}
 		}
 		m.AddConstraint(once, ilp.LE, 1)
-		v.plotVar[key] = pv
-		v.sVar[key] = sv
-		v.barVar[key] = bv
-		v.hlVar[key] = hv
+		v.plotVar[t] = pv
+		v.sVar[t] = sv
+		v.barVar[t] = bv
+		v.hlVar[t] = hv
 	}
 
 	// Row width knapsacks: sum_t p_t^r*W_t + sum bars <= W.
@@ -450,25 +445,21 @@ func (v *ilpVars) decode(sol *ilp.Solution) Multiplot {
 		}
 	}
 	m := Multiplot{Rows: make([][]Plot, rows)}
-	for _, key := range v.keys {
-		pv, ok := v.plotVar[key]
-		if !ok {
-			continue
-		}
-		grp := v.groups[key]
+	for t, pv := range v.plotVar {
+		grp := &v.idx.groups[t]
 		for r := range pv {
 			if !sol.IsSet(pv[r]) {
 				continue
 			}
 			var entries []Entry
-			for j, bvar := range v.barVar[key][r] {
+			for j, bvar := range v.barVar[t][r] {
 				if !sol.IsSet(bvar) {
 					continue
 				}
 				entries = append(entries, Entry{
 					Query:       grp.Queries[j],
 					Label:       grp.Labels[j],
-					Highlighted: sol.IsSet(v.hlVar[key][r][j]),
+					Highlighted: sol.IsSet(v.hlVar[t][r][j]),
 				})
 			}
 			if len(entries) == 0 {
@@ -553,16 +544,16 @@ func remapHint(in *Instance, v *ilpVars, hint Multiplot) (Multiplot, WarmStartRe
 		return Multiplot{}, WarmNone
 	}
 	usedQuery := make(map[int]bool)
-	usedTmpl := make(map[string]bool)
+	usedTmpl := make([]bool, len(v.idx.groups))
 	var plots []Plot
 	for _, row := range hint.Rows {
 		for _, pl := range row {
-			key := pl.Template.Key
-			grp, ok := v.groups[key]
-			if !ok || usedTmpl[key] {
+			t, ok := v.idx.byKey[pl.Template.Key]
+			if !ok || usedTmpl[t] {
 				continue
 			}
-			bv := v.barVar[key]
+			grp := &v.idx.groups[t]
+			bv := v.barVar[t]
 			if len(bv) == 0 || len(bv[0]) == 0 {
 				continue // template exists but cannot display a single bar
 			}
@@ -590,7 +581,7 @@ func remapHint(in *Instance, v *ilpVars, hint Multiplot) (Multiplot, WarmStartRe
 			if len(entries) == 0 {
 				continue
 			}
-			usedTmpl[key] = true
+			usedTmpl[t] = true
 			plots = append(plots, Plot{Template: grp.Template, Entries: entries})
 		}
 	}
@@ -666,12 +657,12 @@ func embedMultiplot(in *Instance, v *ilpVars, m Multiplot) ([]float64, bool) {
 	stateDisp := make([]bool, len(in.Candidates))
 	for ri, row := range m.Rows {
 		for _, pl := range row {
-			pv, ok := v.plotVar[pl.Template.Key]
-			if !ok || ri >= len(pv) {
+			t, ok := v.idx.byKey[pl.Template.Key]
+			if !ok || ri >= len(v.plotVar[t]) {
 				return nil, false
 			}
-			x[pv[ri]] = 1
-			grp := v.groups[pl.Template.Key]
+			x[v.plotVar[t][ri]] = 1
+			grp := &v.idx.groups[t]
 			idxOf := make(map[int]int, len(grp.Queries))
 			for j, qi := range grp.Queries {
 				idxOf[qi] = j
@@ -679,19 +670,19 @@ func embedMultiplot(in *Instance, v *ilpVars, m Multiplot) ([]float64, bool) {
 			anyHL := false
 			for _, e := range pl.Entries {
 				j, ok := idxOf[e.Query]
-				if !ok || j >= len(v.barVar[pl.Template.Key][ri]) {
+				if !ok || j >= len(v.barVar[t][ri]) {
 					return nil, false
 				}
-				x[v.barVar[pl.Template.Key][ri][j]] = 1
+				x[v.barVar[t][ri][j]] = 1
 				stateDisp[e.Query] = true
 				if e.Highlighted {
-					x[v.hlVar[pl.Template.Key][ri][j]] = 1
+					x[v.hlVar[t][ri][j]] = 1
 					stateHL[e.Query] = true
 					anyHL = true
 				}
 			}
 			if anyHL {
-				x[v.sVar[pl.Template.Key][ri]] = 1
+				x[v.sVar[t][ri]] = 1
 			}
 		}
 	}

@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"muve/internal/sqldb"
 	"muve/internal/usermodel"
@@ -112,6 +113,11 @@ type ProcessingGroup struct {
 }
 
 // Instance is one multiplot selection problem (paper Definition 5).
+//
+// Candidates must not change once a solver (or TemplateGroups) has seen
+// the instance: the template grouping is built from them on first use
+// and kept for every later solve. Build a new Instance for a new
+// candidate set. An Instance must not be copied after first use.
 type Instance struct {
 	Candidates []Candidate
 	Screen     Screen
@@ -127,6 +133,9 @@ type Instance struct {
 	// ProcCostWeight, when > 0, adds weighted processing cost to the
 	// objective so ties in disambiguation cost break toward cheaper plans.
 	ProcCostWeight float64
+
+	tmplOnce sync.Once
+	tmpl     *templateIndex
 }
 
 // Validate checks instance consistency.
@@ -308,7 +317,7 @@ func (m Multiplot) Layout(correct int) usermodel.Layout {
 		for _, pl := range row {
 			// The user-model layout convention places highlighted bars at
 			// indices [0, RedBars); reorder entries accordingly.
-			red, rest := 0, 0
+			red := 0
 			for _, e := range pl.Entries {
 				if e.Highlighted {
 					red++
@@ -328,7 +337,6 @@ func (m Multiplot) Layout(correct int) usermodel.Layout {
 					pla.TargetBar = idx
 				}
 			}
-			_ = rest
 			l.Plots = append(l.Plots, pla)
 		}
 	}

@@ -118,6 +118,83 @@ func TestGreedyDeterministic(t *testing.T) {
 	}
 }
 
+// TestGreedyTrialCostMatchesCost pins greedy's allocation-free trial
+// costs to Instance.Cost: through every selection round, each trial's
+// gain must equal currentCost - in.Cost(trial) bit for bit, where trial
+// is the current multiplot with the candidate plot materialized into a
+// row.
+func TestGreedyTrialCostMatchesCost(t *testing.T) {
+	configs := []struct {
+		name   string
+		groups bool
+		weight float64
+	}{{"plain", false, 0}, {"groups", true, 0}, {"groups+weight", true, 0.5}}
+	for _, rows := range []int{1, 3} {
+		for _, cfg := range configs {
+			for seed := int64(1); seed <= 4; seed++ {
+				in := randomInstance(rand.New(rand.NewSource(seed)), 16, Screen{WidthPx: 1024, Rows: rows, PxPerBar: 48, PxPerChar: 7})
+				if cfg.groups {
+					// Consecutive pairs; the last candidate is in no group,
+					// which takes processingCost's standalone branch.
+					for i := 0; i+2 < len(in.Candidates); i += 2 {
+						in.Groups = append(in.Groups, ProcessingGroup{Queries: []int{i, i + 1}, Cost: float64(1 + i%5)})
+					}
+				}
+				in.ProcCostWeight = cfg.weight
+				g := &GreedySolver{}
+				colored := g.coloredCandidates(in)
+				usedTemplate := make([]bool, len(in.TemplateGroups()))
+				rowUsed := make([]int, rows)
+				current := Multiplot{Rows: make([][]Plot, rows)}
+				trials := newTrialCosts(in)
+				currentCost := in.Cost(current)
+				checked := 0
+				for {
+					bestIdx, bestRow := -1, -1
+					var bestScore, bestGain float64
+					for ci, c := range colored {
+						if usedTemplate[c.id] {
+							continue
+						}
+						trial := Multiplot{Rows: append([][]Plot(nil), current.Rows...)}
+						trial.Rows[0] = append(append([]Plot(nil), current.Rows[0]...), c.materialize())
+						want := currentCost - in.Cost(trial)
+						if got := currentCost - trials.cost(c); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%d rows, %s, seed %d, candidate %d: trial gain %v, want %v", rows, cfg.name, seed, ci, got, want)
+						}
+						checked++
+						row, score, gain := g.scanCandidate(in, c, usedTemplate, rowUsed, trials, currentCost)
+						if row >= 0 && math.Float64bits(gain) != math.Float64bits(want) {
+							t.Fatalf("%d rows, %s, seed %d, candidate %d: scanCandidate gain %v, want %v", rows, cfg.name, seed, ci, gain, want)
+						}
+						if row >= 0 && (score > bestScore+1e-12 || (bestIdx == -1 && score > 0)) {
+							bestIdx, bestRow, bestScore, bestGain = ci, row, score, gain
+						}
+					}
+					if bestIdx == -1 {
+						break
+					}
+					c := colored[bestIdx]
+					current.Rows[bestRow] = append(current.Rows[bestRow], c.materialize())
+					trials.place(c)
+					rowUsed[bestRow] += c.width
+					usedTemplate[c.id] = true
+					currentCost -= bestGain
+				}
+				if checked == 0 {
+					t.Fatalf("%d rows, %s, seed %d: no trials checked", rows, cfg.name, seed)
+				}
+				// The rounds above are pickPlots' rounds, so they must end
+				// where the solver does.
+				m, _ := g.pickPlots(in, colored)
+				if got, want := tidy(current).String(), m.String(); got != want {
+					t.Errorf("%d rows, %s, seed %d: replayed rounds ended at %s, pickPlots at %s", rows, cfg.name, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestGreedyHighlightsPrefixByProbability(t *testing.T) {
 	// Theorem 2: within each plot, the highlighted set is the k most
 	// likely queries shown in it.
@@ -240,7 +317,7 @@ func TestSavingsMonotoneInPlots(t *testing.T) {
 		}
 	}
 	in2 := &Instance{Candidates: cands, Screen: DefaultScreen(), Model: usermodel.DefaultModel()}
-	groups := GroupByTemplate(cands)
+	groups := in2.TemplateGroups()
 	var m2 Multiplot
 	m2.Rows = [][]Plot{nil}
 	prev = in2.Savings(m2)
@@ -616,9 +693,9 @@ func TestILPBarDisplaysItsQuery(t *testing.T) {
 	}
 	// The template that varies the borough constant groups all four
 	// queries into one plot.
-	var grp templateGroup
-	for _, key := range v.keys {
-		if g := v.groups[key]; len(g.Queries) == len(in.Candidates) {
+	var grp TemplateGroup
+	for _, g := range v.idx.groups {
+		if len(g.Queries) == len(in.Candidates) {
 			grp = g
 		}
 	}
@@ -700,9 +777,8 @@ func TestScreenGeometry(t *testing.T) {
 func TestCostAgainstManualComputation(t *testing.T) {
 	in := valueVariantInstance([]float64{0.5, 0.3}, DefaultScreen())
 	// One plot, both bars, first highlighted.
-	groups := GroupByTemplate(in.Candidates)
-	var grp templateGroup
-	for _, g := range groups {
+	var grp TemplateGroup
+	for _, g := range in.TemplateGroups() {
 		if len(g.Queries) == 2 {
 			grp = g
 		}

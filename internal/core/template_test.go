@@ -152,14 +152,13 @@ func TestGroupByTemplate(t *testing.T) {
 		{Query: q("SELECT count(*) FROM r WHERE b = 'y'"), Prob: 0.5},
 		{Query: q("SELECT count(*) FROM r WHERE b = 'z'"), Prob: 0.3},
 	}
-	groups := GroupByTemplate(cands)
+	groups := (&Instance{Candidates: cands}).TemplateGroups()
 	// Groups: b=? (3 queries), ?=x, ?=y, ?=z (1 each), ?-agg per constant
 	// (3 distinct since the fixed predicate differs).
-	var big *templateGroup
+	var big *TemplateGroup
 	for k := range groups {
-		g := groups[k]
-		if len(g.Queries) == 3 {
-			big = &g
+		if len(groups[k].Queries) == 3 {
+			big = &groups[k]
 		}
 	}
 	if big == nil {

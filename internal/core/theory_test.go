@@ -46,7 +46,7 @@ func TestKnapsackReduction(t *testing.T) {
 		Model:      usermodel.TimeModel{CB: 1e-9, CP: 2e-9, DM: 1000},
 	}
 	// Ground-truth knapsack over the *actual* widths the model derives.
-	groups := GroupByTemplate(cands)
+	groups := in.TemplateGroups()
 	widthOf := make(map[int]int, len(cands))
 	for _, g := range groups {
 		if len(g.Queries) == 1 && g.Template.Slot == SlotPredVal {

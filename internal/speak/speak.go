@@ -10,12 +10,12 @@
 // utterance length plus the re-ask penalty for interpretations the
 // answer does not cover — is minimal. This package reuses the engine's
 // existing machinery end to end: facts are extracted from the same
-// template groups the multiplot planner uses (core.GroupByTemplate), the
-// listening-cost model is derived from the calibrated visual TimeModel
-// in internal/usermodel, the exact planner is a 0/1 ILP over
-// internal/ilp with prior-utterance warm starts mirroring
-// core.ILPSolver.Hint, and a greedy density heuristic provides the
-// degraded-mode fallback.
+// template groups the multiplot planner uses
+// (core.Instance.TemplateGroups), the listening-cost model is derived
+// from the calibrated visual TimeModel in internal/usermodel, the exact
+// planner is a 0/1 ILP over internal/ilp with prior-utterance warm
+// starts mirroring core.ILPSolver.Hint, and a greedy density heuristic
+// provides the degraded-mode fallback.
 package speak
 
 import (
@@ -154,17 +154,12 @@ const maxScope = 8
 // visited in sorted key order and members in decreasing probability, so
 // extraction is deterministic.
 func Extract(in *core.Instance) []Fact {
-	groups := core.GroupByTemplate(in.Candidates)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
+	groups := in.TemplateGroups()
 	var facts []Fact
 	seenValue := make(map[string]bool)
-	for _, k := range keys {
-		g := groups[k]
+	for gi := range groups {
+		g := &groups[gi]
+		k := g.Template.Key
 		titleW := wordCount(g.Template.Title)
 		for i, qi := range g.Queries {
 			label := g.Labels[i]

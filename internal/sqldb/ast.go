@@ -72,7 +72,7 @@ func (a Aggregate) String() string {
 	if a.Col == "" {
 		return a.Func.String() + "(*)"
 	}
-	return fmt.Sprintf("%s(%s)", a.Func, a.Col)
+	return a.Func.String() + "(" + a.Col + ")"
 }
 
 // PredOp enumerates predicate operators.
@@ -97,13 +97,13 @@ type Predicate struct {
 func (p Predicate) String() string {
 	switch p.Op {
 	case OpEq:
-		return fmt.Sprintf("%s = %s", p.Col, p.Values[0])
+		return p.Col + " = " + p.Values[0].String()
 	case OpIn:
 		parts := make([]string, len(p.Values))
 		for i, v := range p.Values {
 			parts[i] = v.String()
 		}
-		return fmt.Sprintf("%s IN (%s)", p.Col, strings.Join(parts, ", "))
+		return p.Col + " IN (" + strings.Join(parts, ", ") + ")"
 	}
 	return "?"
 }
