@@ -88,6 +88,7 @@ func BenchmarkPhoneticTopK(b *testing.B) {
 	for i := 0; i < 2000; i++ {
 		ix.Add(fmt.Sprintf("value-%c%c%d", 'a'+rng.Intn(26), 'a'+rng.Intn(26), i))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.TopK("valye-ab17", 20)
@@ -204,9 +205,18 @@ func BenchmarkGreedySolver20Candidates(b *testing.B) {
 	}
 }
 
-// greedyAllocCeiling bounds one greedy plan of the 20-candidate bench
-// instance, template grouping included.
-const greedyAllocCeiling = 1500
+// Allocation ceilings of the gated hot paths.
+const (
+	// greedyAllocCeiling bounds one greedy plan of the 20-candidate bench
+	// instance, template grouping included.
+	greedyAllocCeiling = 1500
+	// textToMultiSQLAllocCeiling bounds translating and expanding one of
+	// textToMultiSQLUtterances, on average over the set.
+	textToMultiSQLAllocCeiling = 350
+	// endToEndAskAllocCeiling bounds one answer to endToEndUtterance:
+	// translation, candidates, planning, the shared scan and rendering.
+	endToEndAskAllocCeiling = 1400
+)
 
 func TestGreedySolver20CandidatesAllocs(t *testing.T) {
 	in := benchInstance(t, 20, 1, 1024)
@@ -294,12 +304,20 @@ func BenchmarkWarmVsColdIncremental(b *testing.B) {
 	b.Run("warm", func(b *testing.B) { run(b, &prior) })
 }
 
-func BenchmarkTextToMultiSQL(b *testing.B) {
+// nyc311Pipeline is the text-to-multi-SQL stage over the 4000-row NYC
+// 311 table.
+func nyc311Pipeline(tb testing.TB) *nlq.Pipeline {
+	tb.Helper()
 	tbl, err := workload.Build(workload.NYC311, 4000, 9)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	pipe := nlq.NewPipeline(nlq.BuildCatalog(tbl, 0))
+	return nlq.NewPipeline(nlq.BuildCatalog(tbl, 0))
+}
+
+func BenchmarkTextToMultiSQL(b *testing.B) {
+	pipe := nyc311Pipeline(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipe.Run("how many noise complaints in brucklyn"); err != nil {
@@ -308,22 +326,70 @@ func BenchmarkTextToMultiSQL(b *testing.B) {
 	}
 }
 
-func BenchmarkEndToEndAsk(b *testing.B) {
+// textToMultiSQLUtterances are spoken NYC 311 questions: misheard words,
+// bigram values, a spoken year, and up to three predicates.
+var textToMultiSQLUtterances = []string{
+	"how many noise complaints in brucklyn",
+	"what is the average response hours where borough is bronx and complaint type is heating",
+	"what is the count where status is open and agency is nypd and channel type is mobile",
+	"what is the maximum response hours where complaint type is street light and borough is staten island",
+	"how many blocked driveway complaints in 2015",
+	"total response hours for rodent complaints in manhatan",
+}
+
+func TestTextToMultiSQLAllocs(t *testing.T) {
+	pipe := nyc311Pipeline(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, u := range textToMultiSQLUtterances {
+			if _, err := pipe.Run(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := allocs / float64(len(textToMultiSQLUtterances)); per > textToMultiSQLAllocCeiling {
+		t.Errorf("text to multi-SQL: %.0f allocs per utterance, ceiling %d", per, textToMultiSQLAllocCeiling)
+	}
+}
+
+// endToEndUtterance is the question BenchmarkEndToEndAsk plans.
+const endToEndUtterance = "average response hours for heating in the bronx"
+
+// endToEndSystem is a greedy 1024 px plot system over the 20k-row NYC 311
+// table.
+func endToEndSystem(tb testing.TB) *System {
+	tb.Helper()
 	tbl, err := workload.Build(workload.NYC311, 20_000, 9)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	db := sqldb.NewDB()
 	db.Register(tbl)
 	sys, err := New(db, "requests", WithWidth(1024))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sys
+}
+
+func BenchmarkEndToEndAsk(b *testing.B) {
+	sys := endToEndSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Ask("average response hours for heating in the bronx"); err != nil {
+		if _, err := sys.Ask(endToEndUtterance); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestEndToEndAskAllocs(t *testing.T) {
+	sys := endToEndSystem(t)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sys.Ask(endToEndUtterance); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > endToEndAskAllocCeiling {
+		t.Errorf("end-to-end ask: %.0f allocs, ceiling %d", allocs, endToEndAskAllocCeiling)
 	}
 }
 

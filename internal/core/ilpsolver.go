@@ -244,9 +244,9 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 		bv := make([][]ilp.VarID, rows)
 		hv := make([][]ilp.VarID, rows)
 		for r := 0; r < rows; r++ {
-			pv[r] = m.AddBinary(fmt.Sprintf("p[%s,%d]", grp.Template.Title, r))
+			pv[r] = m.AddBinary("p")
 			m.SetBranchPriority(pv[r], 3)
-			sv[r] = m.AddBinary(fmt.Sprintf("s[%s,%d]", grp.Template.Title, r))
+			sv[r] = m.AddBinary("s")
 			// s <= p.
 			m.AddConstraint([]ilp.Term{{Var: sv[r], Coeff: 1}, {Var: pv[r], Coeff: -1}}, ilp.LE, 0)
 			bv[r] = make([]ilp.VarID, nBars)
@@ -254,9 +254,9 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 			widthTerms := []ilp.Term{{Var: pv[r], Coeff: float64(base)}}
 			for j := 0; j < nBars; j++ {
 				qi := grp.Queries[j]
-				bv[r][j] = m.AddBinary(fmt.Sprintf("q[%d,%s,%d]", qi, grp.Template.Title, r))
+				bv[r][j] = m.AddBinary("q")
 				m.SetBranchPriority(bv[r][j], 2)
-				hv[r][j] = m.AddBinary(fmt.Sprintf("h[%d,%s,%d]", qi, grp.Template.Title, r))
+				hv[r][j] = m.AddBinary("h")
 				m.SetBranchPriority(hv[r][j], 1)
 				// q <= p, h <= q.
 				m.AddConstraint([]ilp.Term{{Var: bv[r][j], Coeff: 1}, {Var: pv[r], Coeff: -1}}, ilp.LE, 0)
@@ -313,9 +313,9 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 
 	// Per-query aggregate variables and "show once" constraints.
 	for qi := 0; qi < nq; qi++ {
-		v.disp[qi] = m.AddBinary(fmt.Sprintf("qd[%d]", qi))
-		v.hl[qi] = m.AddBinary(fmt.Sprintf("hq[%d]", qi))
-		v.dnh[qi] = m.AddBinary(fmt.Sprintf("d[%d]", qi))
+		v.disp[qi] = m.AddBinary("qd")
+		v.hl[qi] = m.AddBinary("hq")
+		v.dnh[qi] = m.AddBinary("d")
 		if len(perQueryBars[qi]) == 0 {
 			// Query compatible with no displayable plot: permanently
 			// missing.
@@ -362,14 +362,14 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 			continue
 		}
 		// Highlighted case: z_hB >= B_R - U(1-h_i), z_hP >= P_R - U(1-h_i).
-		zhB := s.productVar(m, "zhB", qi, redTotal, v.hl[qi], float64(maxBars))
-		zhP := s.productVar(m, "zhP", qi, redPlotTotal, v.hl[qi], float64(maxPlots))
+		zhB := s.productVar(m, "zhB", redTotal, v.hl[qi], float64(maxBars))
+		zhP := s.productVar(m, "zhP", redPlotTotal, v.hl[qi], float64(maxPlots))
 		obj = append(obj, ilp.Term{Var: zhB, Coeff: r * cb2}, ilp.Term{Var: zhP, Coeff: r * cp2})
 		// Visible case: totals B + B_R and P + P_R.
 		bothBars := append(append([]ilp.Term(nil), barTotal...), redTotal...)
 		bothPlots := append(append([]ilp.Term(nil), plotTotal...), redPlotTotal...)
-		zdB := s.productVar(m, "zdB", qi, bothBars, v.dnh[qi], 2*float64(maxBars))
-		zdP := s.productVar(m, "zdP", qi, bothPlots, v.dnh[qi], 2*float64(maxPlots))
+		zdB := s.productVar(m, "zdB", bothBars, v.dnh[qi], 2*float64(maxBars))
+		zdP := s.productVar(m, "zdP", bothPlots, v.dnh[qi], 2*float64(maxPlots))
 		obj = append(obj, ilp.Term{Var: zdB, Coeff: r * cb2}, ilp.Term{Var: zdP, Coeff: r * cp2})
 		v.zVars[qi] = [4]zAux{
 			{id: zhB, u: float64(maxBars)},
@@ -387,7 +387,7 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 		var costTerms []ilp.Term
 		coveredBy := make(map[int][]ilp.VarID)
 		for gi, g := range in.Groups {
-			gVars[gi] = m.AddBinary(fmt.Sprintf("g[%d]", gi))
+			gVars[gi] = m.AddBinary("g")
 			costTerms = append(costTerms, ilp.Term{Var: gVars[gi], Coeff: g.Cost})
 			for _, qi := range g.Queries {
 				coveredBy[qi] = append(coveredBy[qi], gVars[gi])
@@ -418,8 +418,8 @@ func (s *ILPSolver) buildModel(in *Instance) (*ilpVars, error) {
 // productVar adds the continuous auxiliary z approximating gate*sum(total):
 // z >= total - U*(1-gate), z >= 0, z <= U. Minimization with a positive
 // objective coefficient drives z to exactly gate*total.
-func (s *ILPSolver) productVar(m *ilp.Model, tag string, qi int, total []ilp.Term, gate ilp.VarID, u float64) ilp.VarID {
-	z := m.AddContinuous(fmt.Sprintf("%s[%d]", tag, qi), 0, u)
+func (s *ILPSolver) productVar(m *ilp.Model, tag string, total []ilp.Term, gate ilp.VarID, u float64) ilp.VarID {
+	z := m.AddContinuous(tag, 0, u)
 	terms := []ilp.Term{{Var: z, Coeff: 1}, {Var: gate, Coeff: -u}}
 	terms = append(terms, negate(total)...)
 	// z - U*gate - total >= -U  <=>  z >= total - U*(1-gate).

@@ -73,15 +73,15 @@ const intTol = 1e-6
 // Solve minimizes the model objective subject to its constraints via
 // LP-relaxation branch & bound over a work-stealing worker pool. Every
 // variable must be boxed by finite bounds lo <= hi; Solve returns an
-// error naming the first that is not. The returned Solution is never nil
+// error naming the first that is not, by its name and index. The returned Solution is never nil
 // when err is nil.
 func (m *Model) Solve(opt Options) (*Solution, error) {
 	if len(m.vars) == 0 {
 		return nil, ErrNoModel
 	}
-	for _, vi := range m.vars {
+	for i, vi := range m.vars {
 		if !(vi.lo <= vi.hi) || math.IsInf(vi.lo, 0) || math.IsInf(vi.hi, 0) {
-			return nil, fmt.Errorf("ilp: variable %q has bounds [%g, %g]; every variable must be boxed by finite bounds lo <= hi", vi.name, vi.lo, vi.hi)
+			return nil, fmt.Errorf("ilp: variable %q (#%d) has bounds [%g, %g]; every variable must be boxed by finite bounds lo <= hi", vi.name, i, vi.lo, vi.hi)
 		}
 	}
 	workers := opt.Workers

@@ -386,8 +386,8 @@ func TestSolveRejectsUnboxedVariable(t *testing.T) {
 		m.AddConstraint([]Term{{z, 1}, {a, -1}}, LE, 0)
 		m.SetObjective([]Term{{a, 1}, {z, -1}}, 0)
 		_, err := m.Solve(Options{})
-		if err == nil || !strings.Contains(err.Error(), `"`+tc.name+`"`) {
-			t.Errorf("bounds [%v, %v]: err = %v, want an error naming %q", tc.lo, tc.hi, err, tc.name)
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.name+`" (#1)`) {
+			t.Errorf("bounds [%v, %v]: err = %v, want an error naming %q (#1)", tc.lo, tc.hi, err, tc.name)
 		}
 	}
 }

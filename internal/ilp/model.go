@@ -82,7 +82,9 @@ func (m *Model) NumVars() int { return len(m.vars) }
 // NumConstraints returns the number of constraints added so far.
 func (m *Model) NumConstraints() int { return len(m.cons) }
 
-// VarName returns the variable's name (for diagnostics).
+// VarName returns the name the variable was added with (for diagnostics).
+// Names need not be unique: a model builder may pass one static tag per
+// kind of variable, and Solve's errors print the variable's index too.
 func (m *Model) VarName(v VarID) string { return m.vars[v].name }
 
 // AddBinary adds a 0/1 integer variable and returns its id.

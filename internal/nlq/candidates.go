@@ -1,8 +1,11 @@
 package nlq
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"fmt"
+	"math"
+	"slices"
 	"strconv"
 
 	"muve/internal/core"
@@ -33,9 +36,11 @@ func NewGenerator(c *Catalog) *Generator {
 	return &Generator{Catalog: c, K: 20, MaxCandidates: 20}
 }
 
-// alternative is one substitution option for a query element.
+// alternative is one substitution option for a query element: the
+// replacement constant of a predicate, or, in val.S, the replacement
+// aggregation column.
 type alternative struct {
-	apply func(q *sqldb.Query)
+	val   sqldb.Value
 	score float64
 }
 
@@ -78,89 +83,82 @@ func (g *Generator) candidates(q sqldb.Query) (_ []core.Candidate, scanned, nEle
 	if maxC <= 0 {
 		maxC = 20
 	}
-	// Collect per-element alternative lists.
+	// Collect per-element alternative lists. slots[ei] is the predicate
+	// element ei rewrites, or -1 for the aggregation column.
 	var elements [][]alternative
+	var slots []int
 	if len(q.Aggs) == 1 && q.Aggs[0].Col != "" {
-		col := q.Aggs[0].Col
-		var alts []alternative
-		for _, m := range g.Catalog.SimilarNumericColumns(col, k) {
-			name := m.Entry
-			alts = append(alts, alternative{
-				score: m.Score,
-				apply: func(qq *sqldb.Query) { qq.Aggs[0].Col = name },
-			})
-			scanned++
-		}
-		if len(alts) > 0 {
+		ms := g.Catalog.SimilarNumericColumns(q.Aggs[0].Col, k)
+		scanned += len(ms)
+		if len(ms) > 0 {
+			alts := make([]alternative, len(ms))
+			for i, m := range ms {
+				alts[i] = alternative{val: sqldb.Str(m.Entry), score: m.Score}
+			}
 			elements = append(elements, alts)
+			slots = append(slots, -1)
 		}
 	}
 	for pi, p := range q.Preds {
 		if p.Op != sqldb.OpEq {
 			continue
 		}
-		pi := pi
 		var valAlts []alternative
 		switch p.Values[0].K {
 		case sqldb.KindString:
 			// The predicate constant varies over the column's dictionary.
-			for _, m := range g.Catalog.SimilarValues(p.Col, p.Values[0].S, k) {
-				val := m.Entry
-				valAlts = append(valAlts, alternative{
-					score: m.Score,
-					apply: func(qq *sqldb.Query) { qq.Preds[pi].Values = []sqldb.Value{sqldb.Str(val)} },
-				})
-				scanned++
+			ms := g.Catalog.SimilarValues(p.Col, p.Values[0].S, k)
+			scanned += len(ms)
+			if len(ms) > 0 {
+				valAlts = make([]alternative, len(ms))
+				for i, m := range ms {
+					valAlts[i] = alternative{val: sqldb.Str(m.Entry), score: m.Score}
+				}
 			}
 		case sqldb.KindInt:
 			// Numeric constants vary over the column's distinct values,
 			// scored by the similarity of their spoken digit strings
 			// ("twenty fifteen" mishears as nearby years, not random ones).
 			orig := strconv.FormatInt(p.Values[0].I, 10)
-			vals := g.Catalog.IntValues(p.Col)
-			scanned += len(vals)
-			scored := make([]alternative, 0, len(vals))
-			for _, iv := range vals {
-				iv := iv
-				s := phonetic.JaroWinkler(orig, strconv.FormatInt(iv, 10))
-				scored = append(scored, alternative{
-					score: s,
-					apply: func(qq *sqldb.Query) { qq.Preds[pi].Values = []sqldb.Value{sqldb.Int(iv)} },
-				})
+			ic := g.Catalog.intValues[p.Col]
+			scanned += len(ic.values)
+			valAlts = make([]alternative, len(ic.values))
+			for i, iv := range ic.values {
+				valAlts[i] = alternative{val: sqldb.Int(iv), score: phonetic.JaroWinkler(orig, ic.digits[i])}
 			}
-			sort.SliceStable(scored, func(a, b int) bool { return scored[a].score > scored[b].score })
-			if len(scored) > k {
-				scored = scored[:k]
+			slices.SortStableFunc(valAlts, byScoreDesc)
+			if len(valAlts) > k {
+				valAlts = valAlts[:k]
 			}
-			valAlts = scored
 		}
 		if len(valAlts) > 0 {
 			elements = append(elements, valAlts)
+			slots = append(slots, pi)
 		}
 	}
 	nElements = len(elements)
 	if len(elements) == 0 {
 		return []core.Candidate{{Query: q.Clone(), Prob: 1}}, scanned, nElements, nil
 	}
+	if !keyFits(elements, maxC) {
+		return nil, scanned, nElements, fmt.Errorf("nlq: %d query elements are too many to expand together", nElements)
+	}
+	// Each element rewrites its own slot and its alternatives are distinct
+	// entries, so distinct combinations are distinct queries.
 	combos := topCombinations(elements, maxC)
-	out := make([]core.Candidate, 0, len(combos))
-	seen := make(map[string]int)
+	out := make([]core.Candidate, len(combos))
 	total := 0.0
-	for _, c := range combos {
+	for i, c := range combos {
 		qq := q.Clone()
 		for ei, ai := range c.choice {
-			elements[ei][ai].apply(&qq)
+			alt := elements[ei][ai]
+			if pi := slots[ei]; pi >= 0 {
+				qq.Preds[pi].Values = append(qq.Preds[pi].Values[:0], alt.val)
+			} else {
+				qq.Aggs[0].Col = alt.val.S
+			}
 		}
-		key := qq.SQL()
-		if j, dup := seen[key]; dup {
-			// Distinct substitution paths can collide on the same query
-			// (e.g. a value appearing in two dictionaries); accumulate.
-			out[j].Prob += c.score
-			total += c.score
-			continue
-		}
-		seen[key] = len(out)
-		out = append(out, core.Candidate{Query: qq, Prob: c.score})
+		out[i] = core.Candidate{Query: qq, Prob: c.score}
 		total += c.score
 	}
 	if total > 0 {
@@ -168,9 +166,12 @@ func (g *Generator) candidates(q sqldb.Query) (_ []core.Candidate, scanned, nEle
 			out[i].Prob /= total
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Prob > out[j].Prob })
+	slices.SortStableFunc(out, func(a, b core.Candidate) int { return cmp.Compare(b.Prob, a.Prob) })
 	return out, scanned, nElements, nil
 }
+
+// byScoreDesc orders alternatives by decreasing score.
+func byScoreDesc(a, b alternative) int { return cmp.Compare(b.score, a.score) }
 
 // combo is one choice per element with the product score.
 type combo struct {
@@ -186,7 +187,7 @@ type combo struct {
 func topCombinations(elements [][]alternative, limit int) []combo {
 	n := len(elements)
 	for _, alts := range elements {
-		sort.SliceStable(alts, func(i, j int) bool { return alts[i].score > alts[j].score })
+		slices.SortStableFunc(alts, byScoreDesc)
 	}
 	scoreOf := func(choice []int) float64 {
 		s := 1.0
@@ -195,9 +196,17 @@ func topCombinations(elements [][]alternative, limit int) []combo {
 		}
 		return s
 	}
+	// The visited set keys a choice by its mixed-radix number; radix[ei]
+	// is the place value of element ei's choice (see choiceRadix).
+	radix := make([]int64, n)
+	place := int64(1)
+	for ei, alts := range elements {
+		radix[ei] = place
+		place *= choiceRadix(alts, limit)
+	}
 	start := make([]int, n)
 	frontier := []combo{{choice: start, score: scoreOf(start)}}
-	visited := map[string]bool{key(start): true}
+	visited := map[int64]bool{0: true}
 	var out []combo
 	for len(out) < limit && len(frontier) > 0 {
 		// Pop the best combination.
@@ -211,31 +220,49 @@ func topCombinations(elements [][]alternative, limit int) []combo {
 		frontier[best] = frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
 		out = append(out, cur)
+		if len(out) == limit {
+			break
+		}
+		var curKey int64
+		for ei, c := range cur.choice {
+			curKey += int64(c) * radix[ei]
+		}
 		// Expand successors: advance one element's choice.
 		for ei := 0; ei < n; ei++ {
 			if cur.choice[ei]+1 >= len(elements[ei]) {
 				continue
 			}
-			next := append([]int(nil), cur.choice...)
-			next[ei]++
-			k := key(next)
+			k := curKey + radix[ei]
 			if visited[k] {
 				continue
 			}
 			visited[k] = true
+			next := append([]int(nil), cur.choice...)
+			next[ei]++
 			frontier = append(frontier, combo{choice: next, score: scoreOf(next)})
 		}
 	}
 	return out
 }
 
-// key serializes a choice vector for the visited set.
-func key(choice []int) string {
-	b := make([]byte, 0, len(choice)*2)
-	for _, c := range choice {
-		b = append(b, byte(c), byte(c>>8))
+// choiceRadix is the number of choices topCombinations can visit for one
+// element. A choice is only ever pushed as the successor of one of the
+// first limit-1 popped choices, so its indices sum to less than limit.
+func choiceRadix(alts []alternative, limit int) int64 {
+	return int64(min(len(alts), limit))
+}
+
+// keyFits reports whether topCombinations' mixed-radix keys fit an int64.
+func keyFits(elements [][]alternative, limit int) bool {
+	place := int64(1)
+	for _, alts := range elements {
+		r := choiceRadix(alts, limit)
+		if place > math.MaxInt64/r {
+			return false
+		}
+		place *= r
 	}
-	return string(b)
+	return true
 }
 
 // Pipeline bundles translation and candidate generation: transcript in,

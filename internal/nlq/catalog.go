@@ -16,7 +16,8 @@ package nlq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"muve/internal/phonetic"
@@ -34,13 +35,20 @@ type Catalog struct {
 	numericCols []string
 	numIndex    *phonetic.Index
 	valueIndex  map[string]*phonetic.Index // string column -> values
-	intValues   map[string]map[int64]bool  // int column -> distinct values
+	intValues   map[string]intColumn       // int column -> distinct values
 	colKind     map[string]sqldb.Kind
 	// allValues indexes every distinct string value across columns, with
 	// the owning columns, so bare constants in transcripts resolve to
 	// predicates.
 	allValues *phonetic.Index
 	valueCols map[string][]string
+}
+
+// intColumn holds an integer column's (capped) distinct values in
+// ascending order, with each value's decimal spelling.
+type intColumn struct {
+	values []int64
+	digits []string
 }
 
 // BuildCatalog scans a table's schema and string-column dictionaries.
@@ -55,7 +63,7 @@ func BuildCatalog(t *sqldb.Table, maxValuesPerColumn int) *Catalog {
 		Table:      t.Name,
 		numIndex:   phonetic.NewIndex(),
 		valueIndex: make(map[string]*phonetic.Index),
-		intValues:  make(map[string]map[int64]bool),
+		intValues:  make(map[string]intColumn),
 		colKind:    make(map[string]sqldb.Kind),
 		allValues:  phonetic.NewIndex(),
 		valueCols:  make(map[string][]string),
@@ -67,11 +75,12 @@ func BuildCatalog(t *sqldb.Table, maxValuesPerColumn int) *Catalog {
 			c.numericCols = append(c.numericCols, col.Name)
 			c.numIndex.Add(col.Name)
 			if col.Kind == sqldb.KindInt {
-				set := make(map[int64]bool)
-				for _, v := range col.DistinctInts(maxValuesPerColumn) {
-					set[v] = true
+				values := col.DistinctInts(maxValuesPerColumn)
+				digits := make([]string, len(values))
+				for i, v := range values {
+					digits[i] = strconv.FormatInt(v, 10)
 				}
-				c.intValues[col.Name] = set
+				c.intValues[col.Name] = intColumn{values: values, digits: digits}
 			}
 			continue
 		}
@@ -139,26 +148,20 @@ func (c *Catalog) ResolveValue(probe string) (value, col string, score float64, 
 func (c *Catalog) IntColumnsContaining(v int64) []string {
 	var out []string
 	for _, col := range c.columns {
-		if set, ok := c.intValues[col]; ok && set[v] {
-			out = append(out, col)
+		if ic, ok := c.intValues[col]; ok {
+			if _, found := slices.BinarySearch(ic.values, v); found {
+				out = append(out, col)
+			}
 		}
 	}
 	return out
 }
 
 // IntValues returns the distinct values of an integer column (sorted), or
-// nil for other columns.
+// nil for other columns. The slice is the catalog's own; callers must not
+// modify it.
 func (c *Catalog) IntValues(col string) []int64 {
-	set, ok := c.intValues[col]
-	if !ok {
-		return nil
-	}
-	out := make([]int64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return c.intValues[col].values
 }
 
 // Validate checks that the catalog can support aggregation queries.

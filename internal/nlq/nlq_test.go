@@ -166,6 +166,45 @@ func TestCandidatesMultiElement(t *testing.T) {
 	if !varied["borough"] || !varied["status"] {
 		t.Errorf("variation coverage: %v", varied)
 	}
+	// Each element rewrites its own slot, so no two candidates coincide.
+	seen := map[string]bool{}
+	for _, c := range cands {
+		sql := c.Query.SQL()
+		if seen[sql] {
+			t.Errorf("duplicate candidate %s", sql)
+		}
+		seen[sql] = true
+	}
+}
+
+// TestCandidatesKeySpace pins the bound of the combination search's
+// int64 keys: a query expands only while the product of its elements'
+// visitable choice counts fits.
+func TestCandidatesKeySpace(t *testing.T) {
+	alts := make([]alternative, 40)
+	elements := make([][]alternative, 14)
+	for i := range elements {
+		elements[i] = alts
+	}
+	// 20^14 < 2^63 < 20^15 at the default limit of 20 candidates.
+	if !keyFits(elements, 20) {
+		t.Error("14 elements of 20 visitable choices rejected")
+	}
+	if keyFits(append(elements, alts), 20) {
+		t.Error("15 elements of 20 visitable choices accepted")
+	}
+	if !keyFits(append(elements, alts[:1]), 20) {
+		t.Error("a single-choice element widened the key")
+	}
+
+	cat, _ := catalog311(t)
+	q := sqldb.MustParse("SELECT count(*) FROM requests WHERE borough = 'Queens'")
+	for len(q.Preds) < 40 {
+		q.Preds = append(q.Preds, q.Preds[0])
+	}
+	if _, err := NewGenerator(cat).Candidates(q); err == nil {
+		t.Error("40 expandable predicates: no error")
+	}
 }
 
 func TestCandidatesNoExpandableElements(t *testing.T) {

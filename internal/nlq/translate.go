@@ -138,14 +138,16 @@ func (tr *Translator) detectPredicates(words []string, consumed []bool) []sqldb.
 	}
 	var matches []match
 	tryProbe := func(probe string, from, to int) {
-		if iv, err := strconv.ParseInt(probe, 10, 64); err == nil {
-			// Exact numeric matches outrank phonetic string matches.
-			for _, col := range tr.Catalog.IntColumnsContaining(iv) {
-				matches = append(matches, match{
-					col: col, intVal: iv, isInt: true, score: 1.01, from: from, to: to,
-				})
+		if startsLikeNumber(probe) {
+			if iv, err := strconv.ParseInt(probe, 10, 64); err == nil {
+				// Exact numeric matches outrank phonetic string matches.
+				for _, col := range tr.Catalog.IntColumnsContaining(iv) {
+					matches = append(matches, match{
+						col: col, intVal: iv, isInt: true, score: 1.01, from: from, to: to,
+					})
+				}
+				return
 			}
-			return
 		}
 		val, col, score, ok := tr.Catalog.ResolveValue(probe)
 		if !ok || score < tr.MinMatchScore {
@@ -208,6 +210,16 @@ func (tr *Translator) detectPredicates(words []string, consumed []bool) []sqldb.
 		})
 	}
 	return preds
+}
+
+// startsLikeNumber reports whether s could parse as a base-10 integer:
+// a digit, or a sign and a digit. Other probes skip strconv.ParseInt and
+// the error it allocates.
+func startsLikeNumber(s string) bool {
+	if len(s) > 1 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	return len(s) > 0 && s[0] >= '0' && s[0] <= '9'
 }
 
 // Describe renders a query as the natural-language instruction shown to

@@ -1,7 +1,5 @@
 package phonetic
 
-import "sort"
-
 // Match pairs an indexed entry with its phonetic similarity to a probe.
 type Match struct {
 	Entry string
@@ -76,46 +74,83 @@ func (ix *Index) Contains(entry string) bool { return ix.seen[entry] }
 // returned. The probe itself, if indexed, is included — the paper derives
 // candidate queries from "the k most phonetically similar entries", which
 // naturally contains the original element with similarity 1.
+//
+// The scan keeps only the k best matches so far, in order. Once it holds
+// k, an entry whose code score cannot beat the k-th even with a perfect
+// lexical score skips the lexical comparison: blend is monotone in its
+// lexical argument, which never exceeds 1, so the skipped entry's full
+// score would be below the k-th and it would not be kept.
 func (ix *Index) TopK(probe string, k int) []Match {
 	if k <= 0 || len(ix.entries) == 0 {
 		return nil
 	}
+	k = min(k, len(ix.entries))
 	pp, ps := DoubleMetaphone(probe)
 	pn := normalizeToken(probe)
-	matches := make([]Match, 0, len(ix.entries))
-	for _, e := range ix.entries {
-		matches = append(matches, Match{Entry: e.raw, Score: scoreEntry(pp, ps, pn, e)})
-	}
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Score != matches[j].Score {
-			return matches[i].Score > matches[j].Score
+	top := make([]Match, 0, k)
+	for i := range ix.entries {
+		e := &ix.entries[i]
+		var score float64
+		if pp == "" || e.prim == "" {
+			score = JaroWinkler(pn, e.norm)
+		} else {
+			code := codeScore(pp, ps, e.prim, e.sec)
+			if len(top) == k && blend(code, 1) < top[k-1].Score {
+				continue
+			}
+			score = blend(code, JaroWinkler(pn, e.norm))
 		}
-		return matches[i].Entry < matches[j].Entry
-	})
-	if k > len(matches) {
-		k = len(matches)
+		top = insertMatch(top, Match{Entry: e.raw, Score: score})
 	}
-	return matches[:k]
+	return top
 }
 
-// scoreEntry mirrors Similarity but reuses the pre-computed encodings of an
-// indexed entry.
-func scoreEntry(pp, ps, pn string, e indexEntry) float64 {
-	var best float64
-	if pp == "" || e.prim == "" {
-		best = JaroWinkler(pn, e.norm)
-		return best
+// ranksBefore is TopK's order: higher score first, then smaller entry.
+func ranksBefore(a, b Match) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
 	}
-	best = JaroWinkler(pp, e.prim)
-	if ps != pp || e.sec != e.prim {
-		for _, x := range []string{pp, ps} {
-			for _, y := range []string{e.prim, e.sec} {
-				if s := JaroWinkler(x, y); s > best {
-					best = s
-				}
-			}
+	return a.Entry < b.Entry
+}
+
+// insertMatch adds m to top, a list in ranksBefore order that holds at
+// most cap(top) matches, dropping the last one when it is full.
+func insertMatch(top []Match, m Match) []Match {
+	n := len(top)
+	if n == cap(top) {
+		if !ranksBefore(m, top[n-1]) {
+			return top
 		}
+		n--
+	} else {
+		top = top[:n+1]
 	}
-	lex := JaroWinkler(pn, e.norm)
-	return 0.8*best + 0.2*lex
+	i := n
+	for i > 0 && ranksBefore(m, top[i-1]) {
+		top[i] = top[i-1]
+		i--
+	}
+	top[i] = m
+	return top
+}
+
+// codeScore is the phonetic part of the similarity: the best Jaro-Winkler
+// score across the primary and secondary Double Metaphone codes of the two
+// sides, so alternative pronunciations are honoured.
+func codeScore(pa, sa, pb, sb string) float64 {
+	best := JaroWinkler(pa, pb)
+	if sa != pa || sb != pb {
+		best = max(best, JaroWinkler(pa, sb), JaroWinkler(sa, pb), JaroWinkler(sa, sb))
+	}
+	return best
+}
+
+// blend combines the code score with a light lexical component so that,
+// among equally-sounding alternatives, the lexically closer one ranks
+// higher. This mirrors how Lucene's phonetic filter is typically combined
+// with a string score. The conversions round each product on its own, so
+// a compiler that fuses multiply-adds cannot make TopK's pruning bound,
+// blend(code, 1), fall below a score it bounds.
+func blend(code, lex float64) float64 {
+	return float64(0.8*code) + float64(0.2*lex)
 }

@@ -1,5 +1,7 @@
 package phonetic
 
+import "math/bits"
+
 // Jaro returns the Jaro similarity between two strings, a value in [0, 1]
 // where 1 means identical and 0 means entirely dissimilar. The comparison
 // is byte-based, which is exact for the ASCII phonetic codes MUVE compares.
@@ -12,17 +14,52 @@ func Jaro(a, b string) float64 {
 		return 0
 	}
 	// Match window: characters match if equal and within this distance.
-	window := maxInt(la, lb)/2 - 1
+	window := max(la, lb)/2 - 1
 	if window < 0 {
 		window = 0
 	}
+	if la > 64 || lb > 64 {
+		return jaroLong(a, b, window)
+	}
+	// Bit i of aMatched (bMatched) marks a[i] (b[i]) as matched.
+	var aMatched, bMatched uint64
+	matches := 0
+	for i := 0; i < la; i++ {
+		hi := min(lb-1, i+window)
+		for j := max(0, i-window); j <= hi; j++ {
+			if bMatched&(1<<j) == 0 && a[i] == b[j] {
+				aMatched |= 1 << i
+				bMatched |= 1 << j
+				matches++
+				break
+			}
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	// Count transpositions: pair the matched characters of a and b in
+	// order, lowest set bits first.
+	transpositions := 0
+	for aMatched != 0 {
+		if a[bits.TrailingZeros64(aMatched)] != b[bits.TrailingZeros64(bMatched)] {
+			transpositions++
+		}
+		aMatched &= aMatched - 1
+		bMatched &= bMatched - 1
+	}
+	return jaroScore(matches, transpositions, la, lb)
+}
+
+// jaroLong is Jaro for strings too long for the bitmasks.
+func jaroLong(a, b string, window int) float64 {
+	la, lb := len(a), len(b)
 	aMatched := make([]bool, la)
 	bMatched := make([]bool, lb)
 	matches := 0
 	for i := 0; i < la; i++ {
-		lo := maxInt(0, i-window)
-		hi := minInt(lb-1, i+window)
-		for j := lo; j <= hi; j++ {
+		hi := min(lb-1, i+window)
+		for j := max(0, i-window); j <= hi; j++ {
 			if !bMatched[j] && a[i] == b[j] {
 				aMatched[i] = true
 				bMatched[j] = true
@@ -49,6 +86,12 @@ func Jaro(a, b string) float64 {
 		}
 		j++
 	}
+	return jaroScore(matches, transpositions, la, lb)
+}
+
+// jaroScore is the Jaro formula over the matched characters and their
+// transpositions.
+func jaroScore(matches, transpositions, la, lb int) float64 {
 	m := float64(matches)
 	t := float64(transpositions) / 2
 	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
@@ -83,24 +126,11 @@ func JaroWinkler(a, b string) float64 {
 func Similarity(a, b string) float64 {
 	pa, sa := DoubleMetaphone(a)
 	pb, sb := DoubleMetaphone(b)
+	na, nb := normalizeToken(a), normalizeToken(b)
 	if pa == "" || pb == "" {
-		return JaroWinkler(normalizeToken(a), normalizeToken(b))
+		return JaroWinkler(na, nb)
 	}
-	best := JaroWinkler(pa, pb)
-	if sa != pa || sb != pb {
-		for _, x := range []string{pa, sa} {
-			for _, y := range []string{pb, sb} {
-				if s := JaroWinkler(x, y); s > best {
-					best = s
-				}
-			}
-		}
-	}
-	// Blend in a light lexical component so that, among equally-sounding
-	// alternatives, the lexically closer one ranks higher. This mirrors how
-	// Lucene's phonetic filter is typically combined with a string score.
-	lex := JaroWinkler(normalizeToken(a), normalizeToken(b))
-	return 0.8*best + 0.2*lex
+	return blend(codeScore(pa, sa, pb, sb), JaroWinkler(na, nb))
 }
 
 // normalizeToken lowercases and strips non-alphanumeric bytes so that
@@ -118,18 +148,4 @@ func normalizeToken(s string) string {
 		}
 	}
 	return string(out)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
