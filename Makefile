@@ -89,10 +89,12 @@ slo-smoke:
 # Short fuzz runs over the two operator-facing grammars (chaos specs
 # and SLO objectives), the shared-scan merge planner, the ILP solver
 # against 0/1 enumeration, the template index against the string-keyed
-# reference grouping, and the phonetic top-k against the
-# score-everything-then-sort reference. `go test -fuzz` takes one fuzzer
-# per run, so the targets run sequentially; corpus finds land in
-# testdata/fuzz and should be committed as regression seeds.
+# reference grouping, the phonetic top-k against the
+# score-everything-then-sort reference, and the shared scan at 1–4
+# workers against the serial scan and the row-at-a-time oracles.
+# `go test -fuzz` takes one fuzzer per run, so the targets run
+# sequentially; corpus finds land in testdata/fuzz and should be
+# committed as regression seeds.
 fuzz-smoke:
 	$(GO) test ./internal/resilience -run '^$$' -fuzz FuzzParseChaos -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzParseObjectives -fuzztime 10s
@@ -100,6 +102,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ilp -run '^$$' -fuzz FuzzSolveAgainstBruteForce -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzTemplateIndex -fuzztime 10s
 	$(GO) test ./internal/phonetic -run '^$$' -fuzz FuzzPhoneticTopK -fuzztime 10s
+	$(GO) test ./internal/sqldb -run '^$$' -fuzz FuzzSharedScanWorkers -fuzztime 10s
 
 # Closed-loop overload ramp to 2x calibrated capacity under transport
 # chaos; fails unless no fault escapes, interactive p99 stays under the

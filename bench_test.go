@@ -212,7 +212,7 @@ const (
 	greedyAllocCeiling = 1500
 	// textToMultiSQLAllocCeiling bounds translating and expanding one of
 	// textToMultiSQLUtterances, on average over the set.
-	textToMultiSQLAllocCeiling = 350
+	textToMultiSQLAllocCeiling = 240
 	// endToEndAskAllocCeiling bounds one answer to endToEndUtterance:
 	// translation, candidates, planning, the shared scan and rendering.
 	endToEndAskAllocCeiling = 1400

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"muve/internal/procs"
 )
 
 // Options configures a Solve call.
@@ -34,37 +36,14 @@ type Options struct {
 	// Workers caps the subtree workers exploring the frontier (the
 	// pure-Go substitute for the Gurobi Threads parameter). 0 means
 	// runtime.GOMAXPROCS(0); 1 forces the sequential search. Helpers
-	// beyond the calling goroutine start only while every Solve in the
-	// process together runs at most GOMAXPROCS goroutines (see running),
-	// so a search may run on fewer. A completed search returns the same
+	// beyond the calling goroutine start only while every budgeted
+	// section in the process (each Solve and each shared scan, see
+	// internal/procs) together runs at most GOMAXPROCS goroutines, so a
+	// search may run on fewer. A completed search returns the same
 	// optimal objective at any worker count; among equal-objective
 	// optima the lexicographically smallest discovered assignment wins,
 	// so the incumbent is canonical whenever the optimum is unique.
 	Workers int
-}
-
-// running counts the branch-and-bound goroutines of every Solve in the
-// process: each call's own goroutine plus the helpers it reserved. It
-// is the one solver-worker budget: a lone Solve gets every CPU, and
-// overlapping Solves share GOMAXPROCS instead of each starting a full
-// pool and oversubscribing the machine.
-var running atomic.Int64
-
-// acquireHelpers reserves up to want helper goroutines, as many as keep
-// the process-wide count within GOMAXPROCS, and returns how many it
-// reserved. The caller gives them back with running.Add(-n).
-func acquireHelpers(want int) int {
-	limit := int64(runtime.GOMAXPROCS(0))
-	for {
-		cur := running.Load()
-		n := min(int64(want), limit-cur)
-		if n <= 0 {
-			return 0
-		}
-		if running.CompareAndSwap(cur, cur+n) {
-			return int(n)
-		}
-	}
 }
 
 // intTol is the integrality tolerance.
@@ -90,9 +69,8 @@ func (m *Model) Solve(opt Options) (*Solution, error) {
 	}
 	// The calling goroutine is the search's first worker; helpers come
 	// from the process-wide budget and go back when Solve returns.
-	running.Add(1)
-	helpers := acquireHelpers(workers - 1)
-	defer running.Add(-1 - int64(helpers))
+	helpers := procs.Enter(workers - 1)
+	defer procs.Leave(helpers)
 	workers = 1 + helpers
 	sh := &bbShared{
 		model:     m,

@@ -164,6 +164,9 @@ func AnnotateScan(sp *obs.Span, st sqldb.ScanStats, rate float64) {
 		SetInt("preds", st.Predicates).
 		SetInt("shared_preds", st.SharedPredicates).
 		SetFloat("sample_rate", rate)
+	if st.Workers > 0 {
+		sp.SetInt("workers", st.Workers)
+	}
 	if st.Aggregates > 0 {
 		sp.SetInt("aggs", st.Aggregates)
 	}

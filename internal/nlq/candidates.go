@@ -204,7 +204,17 @@ func topCombinations(elements [][]alternative, limit int) []combo {
 		radix[ei] = place
 		place *= choiceRadix(alts, limit)
 	}
-	start := make([]int, n)
+	// Choice vectors are carved from shared slabs, comboSlab at a time.
+	var slab []int
+	carve := func() []int {
+		if len(slab) < n {
+			slab = make([]int, n*comboSlab)
+		}
+		c := slab[:n:n]
+		slab = slab[n:]
+		return c
+	}
+	start := carve()
 	frontier := []combo{{choice: start, score: scoreOf(start)}}
 	visited := map[int64]bool{0: true}
 	var out []combo
@@ -237,13 +247,18 @@ func topCombinations(elements [][]alternative, limit int) []combo {
 				continue
 			}
 			visited[k] = true
-			next := append([]int(nil), cur.choice...)
+			next := carve()
+			copy(next, cur.choice)
 			next[ei]++
 			frontier = append(frontier, combo{choice: next, score: scoreOf(next)})
 		}
 	}
 	return out
 }
+
+// comboSlab is the number of choice vectors topCombinations carves from
+// one allocation.
+const comboSlab = 32
 
 // choiceRadix is the number of choices topCombinations can visit for one
 // element. A choice is only ever pushed as the successor of one of the

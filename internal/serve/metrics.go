@@ -146,8 +146,9 @@ var modes = [...]string{"plot", "voice"}
 // priorities is indexed by resilience.Priority.
 var priorities = [...]string{resilience.Interactive.String(), resilience.Batch.String()}
 
-// scanStats names one stat per sqldb.ScanStats field, in the order
-// RecordScan reads them.
+// scanStats names one stat per sqldb.ScanStats count, in the order
+// RecordScan reads them. Workers, a scan's width, is on the trace's
+// scan span instead: a total of widths would mean nothing.
 var scanStats = [...]string{"passes", "rows", "batches", "candidates", "predicates",
 	"shared_predicates", "groups", "aggs", "sketch_hits", "sketch_builds"}
 
@@ -186,7 +187,7 @@ type Metrics struct {
 	// DrainCancelled counts in-flight plans cancelled by Engine.Close.
 	DrainCancelled Counter
 	// Scan accumulates shared-scan work, one counter per sqldb.ScanStats
-	// field (see RecordScan).
+	// count (see RecordScan).
 	Scan [len(scanStats)]Counter
 	// Rejected counts admission fast-fails (429s), by
 	// resilience.Priority.

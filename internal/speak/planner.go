@@ -176,7 +176,7 @@ func (p *Planner) buildModel(in *core.Instance, cost CostModel) *speakVars {
 	coveredByValue := make(map[int][]ilp.VarID)
 	coveredByRange := make(map[int][]ilp.VarID)
 	for fi, f := range facts {
-		x := m.AddBinary("x_" + f.Key)
+		x := m.AddBinary("x")
 		// Structural decisions branch first: fixing a fact collapses
 		// every candidate indicator it covers.
 		m.SetBranchPriority(x, 3)
@@ -222,12 +222,12 @@ func (p *Planner) buildModel(in *core.Instance, cost CostModel) *speakVars {
 		if cand.Prob <= 0 {
 			continue
 		}
-		d := m.AddBinary(fmt.Sprintf("d_%d", qi))
-		s := m.AddBinary(fmt.Sprintf("s_%d", qi))
+		d := m.AddBinary("d")
+		s := m.AddBinary("s")
 		m.SetBranchPriority(d, 1)
 		m.SetBranchPriority(s, 1)
-		zd := m.AddContinuous(fmt.Sprintf("zd_%d", qi), 0, v.ud)
-		zs := m.AddContinuous(fmt.Sprintf("zs_%d", qi), 0, v.us)
+		zd := m.AddContinuous("zd", 0, v.ud)
+		zs := m.AddContinuous("zs", 0, v.us)
 		v.candIdx = append(v.candIdx, qi)
 		v.direct = append(v.direct, d)
 		v.scoped = append(v.scoped, s)

@@ -161,9 +161,21 @@ func (q Query) Clone() Query {
 		Table:   q.Table,
 		GroupBy: append([]string(nil), q.GroupBy...),
 	}
+	// Every predicate's values share one backing array, each capped at
+	// its own length so an append never reaches a neighbour's.
+	n := 0
+	for _, p := range q.Preds {
+		n += len(p.Values)
+	}
+	vals := make([]Value, 0, n)
 	cp.Preds = make([]Predicate, len(q.Preds))
 	for i, p := range q.Preds {
-		cp.Preds[i] = Predicate{Col: p.Col, Op: p.Op, Values: append([]Value(nil), p.Values...)}
+		cp.Preds[i] = Predicate{Col: p.Col, Op: p.Op}
+		if len(p.Values) > 0 {
+			lo := len(vals)
+			vals = append(vals, p.Values...)
+			cp.Preds[i].Values = vals[lo:len(vals):len(vals)]
+		}
 	}
 	return cp
 }

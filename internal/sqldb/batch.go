@@ -52,6 +52,15 @@ func (b bitmap) and(o bitmap, nWords int) {
 	}
 }
 
+// count returns the number of set bits.
+func (b bitmap) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // copyFrom overwrites the first nWords words of b with o's.
 func (b bitmap) copyFrom(o bitmap, nWords int) {
 	copy(b[:nWords], o[:nWords])
@@ -300,22 +309,34 @@ type codePass struct {
 	slab bitmap
 }
 
-// newCodePass sets up the one-pass fill of the single-code filters fis
-// (distinct codes on col, which identity-keyed filters guarantee) and
-// points each filter's bitmap at its slab slot.
-func newCodePass(col *Column, filters []batchFilter, fis []int, bms []bitmap) *codePass {
+// codeSlots maps each dictionary code of col to the word offset of its
+// filter's bitmap in a code-pass slab for the single-code filters fis
+// (distinct codes on col, which identity-keyed filters guarantee);
+// unwanted codes map to the scratch bitmap at the end. Every worker's
+// pass over col shares one slot table.
+func codeSlots(col *Column, filters []batchFilter, fis []int) []int32 {
+	slot := make([]int32, len(col.dict))
+	scratch := int32(len(fis) * batchWords)
+	for code := range slot {
+		slot[code] = scratch
+	}
+	for s, fi := range fis {
+		slot[filters[fi].code] = int32(s * batchWords)
+	}
+	return slot
+}
+
+// newCodePass sets up a one-pass fill of the single-code filters fis
+// over col's codes with its own slab, laid out by slot (codeSlots), and
+// points each filter's bitmap in bms at its slab slot.
+func newCodePass(col *Column, slot []int32, fis []int, bms []bitmap) *codePass {
 	p := &codePass{
 		codes: col.codes,
-		slot:  make([]int32, len(col.dict)),
+		slot:  slot,
 		slab:  make(bitmap, (len(fis)+1)*batchWords),
-	}
-	scratch := int32(len(fis) * batchWords)
-	for code := range p.slot {
-		p.slot[code] = scratch
 	}
 	for s, fi := range fis {
 		off := s * batchWords
-		p.slot[filters[fi].code] = int32(off)
 		bms[fi] = p.slab[off : off+batchWords]
 	}
 	return p

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
+
+	"muve/internal/procs"
 )
 
 // ScanStats describes the work one or more shared scans performed. The
@@ -42,6 +47,9 @@ type ScanStats struct {
 	SketchHits int64
 	// SketchBuilds counts sketch constructions (each one sampled scan).
 	SketchBuilds int64
+	// Workers is the number of goroutines that ran the widest scan, the
+	// caller included. Unlike the counts above, Add keeps its maximum.
+	Workers int64
 }
 
 // Add accumulates o into s.
@@ -56,6 +64,7 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.Aggregates += o.Aggregates
 	s.SketchHits += o.SketchHits
 	s.SketchBuilds += o.SketchBuilds
+	s.Workers = max(s.Workers, o.Workers)
 }
 
 // Empty reports whether no scan work was recorded.
@@ -123,28 +132,32 @@ func (in aggInput) addRow(s *aggState, i int) {
 
 // foldWords folds the rows selected by sel's words — batch-local rows
 // starting at table row lo — into s, in ascending row order, so the
-// float additions happen in exactly the row-at-a-time order.
+// float additions happen in exactly the row-at-a-time order. It folds
+// into a local copy and stores it once: the accumulators of candidates
+// folded on different goroutines can share a cache line.
 func (in aggInput) foldWords(s *aggState, sel bitmap, lo int) {
+	st := *s
 	switch {
 	case in.ints != nil:
 		for wi, w := range sel {
 			base := lo + wi<<6
 			for ; w != 0; w &= w - 1 {
-				s.add(float64(in.ints[base+bits.TrailingZeros64(w)]))
+				st.add(float64(in.ints[base+bits.TrailingZeros64(w)]))
 			}
 		}
 	case in.floats != nil:
 		for wi, w := range sel {
 			base := lo + wi<<6
 			for ; w != 0; w &= w - 1 {
-				s.add(in.floats[base+bits.TrailingZeros64(w)])
+				st.add(in.floats[base+bits.TrailingZeros64(w)])
 			}
 		}
 	default:
 		for _, w := range sel {
-			s.count += int64(bits.OnesCount64(w))
+			st.count += int64(bits.OnesCount64(w))
 		}
 	}
+	*s = st
 }
 
 // newScanCandidate sets up accumulator storage for one validated query.
@@ -191,6 +204,22 @@ func (c *scanCandidate) foldBatch(sel bitmap, lo int) {
 			c.fold(base + bits.TrailingZeros64(w))
 		}
 	}
+}
+
+// rowCost is the fold work per selected row, in aggregate updates:
+// ungrouped COUNTs cost popcounts only, grouped candidates also look up
+// their group.
+func (c *scanCandidate) rowCost() int64 {
+	if c.keyCol != nil || c.keyCols != nil {
+		return 1 + int64(len(c.inputs))
+	}
+	var n int64
+	for _, in := range c.inputs {
+		if in.ints != nil || in.floats != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // fold accumulates row i into a grouped candidate's aggregates.
@@ -275,14 +304,39 @@ func (c *scanCandidate) result(scale float64) Result {
 	}
 }
 
-// sharedScan evaluates every candidate query over t — any mix of
+// scanBatchesPerWorker is the fewest batches a shared scan hands each of
+// its workers, so a table under 2·scanBatchesPerWorker batches (65,536
+// rows) is scanned by its caller alone. Below it, starting the helpers
+// and buffering every group's selection between the two phases costs
+// more than the second CPU saves; see DESIGN.md for the crossover.
+const scanBatchesPerWorker = 16
+
+// sharedScan evaluates every candidate query over t in one shared pass
+// (see sharedScanWorkers) on as many goroutines as the table's size
+// warrants and the process-wide helper budget grants: the caller counts
+// as one, and the helpers go back when the scan returns. A scan granted
+// no helpers runs on its caller alone, with identical results.
+func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result, ScanStats, error) {
+	want := min(runtime.GOMAXPROCS(0), numBatches(t.NumRows())/scanBatchesPerWorker)
+	helpers := procs.Enter(want - 1)
+	defer procs.Leave(helpers)
+	return sharedScanWorkers(t, queries, rate, seed, 1+helpers)
+}
+
+// numBatches is the number of scan batches covering rows table rows.
+func numBatches(rows int) int {
+	return (rows + scanBatchRows - 1) / scanBatchRows
+}
+
+// sharedScanWorkers evaluates every candidate query over t — any mix of
 // ungrouped, grouped and multi-aggregate shapes — in ONE pass over the
-// table. Distinct predicates (by meaning, see batchFilter) are compiled
-// once into typed kernels and evaluated once per batch into selection
-// bitmaps, with all single-code filters on one string column filled in
-// one pass over its codes (sampled scans check filters at sampled rows
-// only); candidates sharing the same filter set share
-// the combined bitmap; surviving rows are folded into per-candidate
+// table, on at most workers goroutines (the caller and workers−1
+// helpers). Distinct predicates (by meaning, see batchFilter) are
+// compiled once into typed kernels and evaluated once per batch into
+// selection bitmaps, with all single-code filters on one string column
+// filled in one pass over its codes (sampled scans check filters at
+// sampled rows only); candidates sharing the same filter set share the
+// combined selection; surviving rows are folded into per-candidate
 // accumulators in ascending row order, which makes every result
 // bit-identical to the row-at-a-time path (same float additions in the
 // same order, same deterministic sample membership, same group output
@@ -290,7 +344,14 @@ func (c *scanCandidate) result(scale float64) Result {
 // group emission ordered exactly as the serial executor orders it).
 // A rate in (0, 1) runs on the deterministic sample ExecSampled reads
 // for the same seed; results are scaled like ExecSampled's.
-func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result, ScanStats, error) {
+//
+// The pass runs in two phases over a chunk of batches (see scanRun):
+// filters split by rows, then folds split by accumulator, each
+// accumulator folding its whole chunk in row order. One worker takes a
+// chunk of one batch, which fuses the phases batch by batch; several
+// take the whole table as one chunk. Results and stats other than
+// Workers are identical at every worker count.
+func sharedScanWorkers(t *Table, queries []Query, rate float64, seed uint64, workers int) ([]Result, ScanStats, error) {
 	stats := ScanStats{Scans: 1, Rows: int64(t.NumRows()), Candidates: int64(len(queries))}
 	if len(queries) == 0 {
 		return nil, ScanStats{}, nil
@@ -334,11 +395,7 @@ func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result,
 	stats.SharedPredicates = int64(len(filters))
 
 	// Group candidates by filter set so each distinct conjunction
-	// combines its bitmaps — and walks its surviving rows — exactly once.
-	type scanGroup struct {
-		filters []int
-		members []*scanCandidate
-	}
+	// combines its bitmaps exactly once per batch.
 	groupIdx := make(map[string]int)
 	var groups []*scanGroup
 	var sigBuf [64]byte
@@ -359,17 +416,124 @@ func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result,
 		groups[gi].members = append(groups[gi].members, cand)
 	}
 
-	// Plan the kernels for the filters some live group still references:
-	// several single-code filters on one column share a one-pass fill;
-	// every other filter runs its own kernel. A sampled scan instead
-	// checks every filter at sampled rows only, so its filter work shrinks
-	// with its sample.
-	sampling := rate > 0 && rate < 1
-	var threshold uint64
-	if sampling {
+	rows := t.NumRows()
+	batches := numBatches(rows)
+	stats.Batches = int64(batches)
+	stats.Workers = 1 // with no live group there is nothing to filter or fold
+	if len(groups) > 0 {
+		workers = max(1, min(workers, batches))
+		stats.Workers = int64(workers)
+		newScanRun(filters, groups, rows, rate, seed, workers).scan()
+	}
+
+	scale := 1.0
+	if rate > 0 && rate < 1 {
+		scale = 1 / rate
+	}
+	out := make([]Result, len(queries))
+	for qi, cand := range cands {
+		out[qi] = cand.result(scale)
+		stats.Groups += cand.groupCount()
+	}
+	return out, stats, nil
+}
+
+// scanGroup is the candidates of one shared scan that share one filter
+// set, and so one selection.
+type scanGroup struct {
+	filters []int
+	members []*scanCandidate
+}
+
+// scanRun is one shared scan's execution over chunks of batches, in two
+// phases per chunk:
+//
+//  1. Filter, split by rows: workers claim batches from a counter and
+//     write each group's selection words (sample base AND the group's
+//     filters) into that group's slice of sels, each worker with its own
+//     filter bitmaps and code-pass slabs.
+//  2. Fold, split by accumulator: the worker that filters a chunk's last
+//     batch deals the candidates into one bundle per worker (deal),
+//     and workers claim bundles. A bundle folds each of its candidates'
+//     selections over the chunk's batches in ascending row order, so
+//     every accumulator performs exactly the serial scan's float
+//     additions in the same order. It goes batch-major, so the column
+//     slices a batch's candidates share stay in cache between them.
+//
+// Each helper goroutine is started once per scan and claims work in
+// both phases, so a helper the scheduler starts late only does less:
+// no phase waits for a goroutine that has not run yet.
+type scanRun struct {
+	filters []batchFilter
+	groups  []*scanGroup
+	rows    int
+	workers int
+
+	sampling  bool
+	seed      uint64
+	threshold uint64
+
+	// passes lists, per one-pass code fill, the single-code filters it
+	// serves (see codePass); own lists every other filter in use.
+	passes [][]int
+	slots  [][]int32
+	own    []int
+
+	// chunk is the number of batches filtered before any is folded: one
+	// for one worker, which fuses the phases batch by batch; the whole
+	// table for several, since a barrier every few batches costs more
+	// than the buffer (DESIGN.md). sels holds each group's selection
+	// words for the current chunk: group gi's batch b (chunk-relative)
+	// at sels[gi*stride+b*batchWords:].
+	chunk  int
+	sels   bitmap
+	stride int
+
+	// The chunk's claim counters: the next batch to filter, the batches
+	// filtered, and the next fold bundle; dealt is set once bundles
+	// holds the chunk's fold bundles.
+	next     atomic.Int64
+	filtered atomic.Int64
+	bundle   atomic.Int64
+	dealt    atomic.Bool
+	bundles  [][]foldTask
+
+	scratch []*filterScratch
+	// selected counts, per worker, each group's rows selected in the
+	// chunk, at selected[w*len(groups)+gi], to weigh the fold bundles.
+	selected []int64
+}
+
+// filterScratch is one worker's filter-phase state.
+type filterScratch struct {
+	base   bitmap
+	passes []*codePass
+	bms    []bitmap // indexed by filter; nil for filters not in use
+}
+
+// foldTask is one candidate's fold, reading group's selection.
+type foldTask struct {
+	cand  *scanCandidate
+	group int
+}
+
+// selPool recycles the selection buffers of parallel scans: at 1.2M rows
+// one group's selection takes ~150 KB, which every parallel scan would
+// otherwise allocate and zero anew.
+var selPool sync.Pool
+
+// newScanRun plans the kernels for the filters some group references:
+// several single-code filters on one column share a one-pass fill;
+// every other filter runs its own kernel. A sampled scan instead checks
+// every filter at sampled rows only, so its filter work shrinks with its
+// sample.
+func newScanRun(filters []batchFilter, groups []*scanGroup, rows int, rate float64, seed uint64, workers int) *scanRun {
+	sc := &scanRun{filters: filters, groups: groups, rows: rows, workers: workers, seed: seed}
+	if rate > 0 && rate < 1 {
+		sc.sampling = true
 		// Must match filterRows's expression exactly so both paths
 		// agree on sample membership.
-		threshold = uint64(rate * float64(math.MaxUint64))
+		sc.threshold = uint64(rate * float64(math.MaxUint64))
 	}
 	used := make([]bool, len(filters))
 	for _, g := range groups {
@@ -377,9 +541,8 @@ func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result,
 			used[fi] = true
 		}
 	}
-	bms := make([]bitmap, len(filters))
-	var passes []*codePass
-	if !sampling {
+	inPass := make([]bool, len(filters))
+	if !sc.sampling {
 		byCol := make(map[*Column][]int)
 		var cols []*Column
 		for fi, f := range filters {
@@ -392,66 +555,217 @@ func sharedScan(t *Table, queries []Query, rate float64, seed uint64) ([]Result,
 		}
 		for _, col := range cols {
 			if fis := byCol[col]; len(fis) > 1 {
-				passes = append(passes, newCodePass(col, filters, fis, bms))
+				sc.passes = append(sc.passes, fis)
+				sc.slots = append(sc.slots, codeSlots(col, filters, fis))
+				for _, fi := range fis {
+					inPass[fi] = true
+				}
 			}
 		}
 	}
-	var own []int
 	for fi := range filters {
-		if used[fi] && bms[fi] == nil {
-			bms[fi] = newBitmap(scanBatchRows)
-			own = append(own, fi)
+		if used[fi] && !inPass[fi] {
+			sc.own = append(sc.own, fi)
 		}
 	}
 
-	// base selects the batch's rows in the sample (or all of them).
-	base := newBitmap(scanBatchRows)
-	cur := newBitmap(scanBatchRows)
-	rows := t.NumRows()
-	for lo := 0; lo < rows; lo += scanBatchRows {
-		n := min(rows-lo, scanBatchRows)
-		stats.Batches++
+	sc.scratch = make([]*filterScratch, workers)
+	sc.chunk, sc.stride = 1, batchWords
+	if workers == 1 {
+		// One worker folds every candidate, in group order.
+		var all []foldTask
+		for gi, g := range groups {
+			for _, m := range g.members {
+				all = append(all, foldTask{m, gi})
+			}
+		}
+		sc.bundles = [][]foldTask{all}
+		sc.sels = make(bitmap, len(groups)*sc.stride)
+		return sc
+	}
+	sc.chunk = numBatches(rows)
+	sc.stride = sc.chunk * batchWords
+	sc.selected = make([]int64, workers*len(groups))
+	need := len(groups) * sc.stride
+	if p, ok := selPool.Get().(*bitmap); ok && cap(*p) >= need {
+		sc.sels = (*p)[:need]
+	} else {
+		sc.sels = make(bitmap, need)
+	}
+	return sc
+}
+
+// scan runs every chunk of the table in order, then returns a parallel
+// scan's selection buffer to the pool.
+func (sc *scanRun) scan() {
+	batches := numBatches(sc.rows)
+	for b0 := 0; b0 < batches; b0 += sc.chunk {
+		sc.run(b0, min(b0+sc.chunk, batches))
+	}
+	if sc.workers > 1 {
+		sels := sc.sels
+		selPool.Put(&sels)
+	}
+}
+
+// run filters and folds batches [b0, b1): on the caller alone for one
+// worker, else on the caller and workers−1 helper goroutines.
+func (sc *scanRun) run(b0, b1 int) {
+	sc.next.Store(int64(b0))
+	sc.filtered.Store(0)
+	sc.bundle.Store(0)
+	if sc.workers == 1 {
+		sc.work(0, b0, b1)
+		return
+	}
+	sc.dealt.Store(false)
+	var wg sync.WaitGroup
+	for w := 1; w < sc.workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc.work(w, b0, b1)
+		}(w)
+	}
+	sc.work(0, b0, b1)
+	wg.Wait()
+}
+
+// work is worker w's share of batches [b0, b1): it filters batches until
+// none is left to claim, waits until the fold bundles are dealt, then
+// folds bundles until none is left.
+func (sc *scanRun) work(w, b0, b1 int) {
+	sc.filter(w, b0, b1)
+	for sc.workers > 1 && !sc.dealt.Load() {
+		runtime.Gosched() // another worker is filtering the last batch
+	}
+	for k := int(sc.bundle.Add(1)) - 1; k < len(sc.bundles); k = int(sc.bundle.Add(1)) - 1 {
+		sc.fold(sc.bundles[k], b0, b1)
+	}
+}
+
+// worker returns worker w's filter scratch, built on first use.
+func (sc *scanRun) worker(w int) *filterScratch {
+	if fs := sc.scratch[w]; fs != nil {
+		return fs
+	}
+	fs := &filterScratch{base: newBitmap(scanBatchRows), bms: make([]bitmap, len(sc.filters))}
+	for pi, fis := range sc.passes {
+		fs.passes = append(fs.passes, newCodePass(sc.filters[fis[0]].col, sc.slots[pi], fis, fs.bms))
+	}
+	for _, fi := range sc.own {
+		fs.bms[fi] = newBitmap(scanBatchRows)
+	}
+	sc.scratch[w] = fs
+	return fs
+}
+
+// filter is worker w's filter phase over batches [b0, b1): it claims
+// batches until none is left and writes every group's selection words
+// for each. In a parallel run, the worker that filters the last batch
+// deals the fold bundles.
+func (sc *scanRun) filter(w, b0, b1 int) {
+	b := int(sc.next.Add(1)) - 1
+	if b >= b1 {
+		return
+	}
+	fs := sc.worker(w)
+	var selected []int64
+	if sc.workers > 1 {
+		selected = sc.selected[w*len(sc.groups):][:len(sc.groups)]
+	}
+	base := fs.base
+	for ; b < b1; b = int(sc.next.Add(1)) - 1 {
+		lo := b * scanBatchRows
+		n := min(sc.rows-lo, scanBatchRows)
 		nWords := (n + 63) / 64
-		if sampling {
-			fillSample(base, lo, n, seed, threshold)
+		if sc.sampling {
+			fillSample(base, lo, n, sc.seed, sc.threshold)
 		} else {
 			base.setAll(n)
 		}
-		for _, p := range passes {
+		for _, p := range fs.passes {
 			p.fill(lo, n)
 		}
-		for _, fi := range own {
-			if sampling {
-				filters[fi].fillSparse(bms[fi][:nWords], base[:nWords], lo)
+		for _, fi := range sc.own {
+			if sc.sampling {
+				sc.filters[fi].fillSparse(fs.bms[fi][:nWords], base[:nWords], lo)
 			} else {
-				filters[fi].fill(bms[fi], lo, n)
+				sc.filters[fi].fill(fs.bms[fi], lo, n)
 			}
 		}
-		for _, g := range groups {
-			sel := base
-			if len(g.filters) > 0 {
-				cur.copyFrom(base, nWords)
-				for _, fi := range g.filters {
-					cur.and(bms[fi], nWords)
-				}
-				sel = cur
+		off := (b - b0) * batchWords
+		for gi, g := range sc.groups {
+			sel := sc.sels[gi*sc.stride+off:][:nWords]
+			sel.copyFrom(base, nWords)
+			for _, fi := range g.filters {
+				sel.and(fs.bms[fi], nWords)
 			}
-			for _, m := range g.members {
-				m.foldBatch(sel[:nWords], lo)
+			if selected != nil {
+				selected[gi] += int64(sel.count())
 			}
+		}
+		// The last batch's Add observes every other worker's, so their
+		// selections and counts are visible to the dealer.
+		if sc.filtered.Add(1) == int64(b1-b0) && sc.workers > 1 {
+			sc.deal(b1 - b0)
+			sc.dealt.Store(true)
 		}
 	}
+}
 
-	scale := 1.0
-	if sampling {
-		scale = 1 / rate
+// fold folds each task's selection over batches [b0, b1), batch by batch
+// in ascending order.
+func (sc *scanRun) fold(tasks []foldTask, b0, b1 int) {
+	for b := b0; b < b1; b++ {
+		lo := b * scanBatchRows
+		nWords := (min(sc.rows-lo, scanBatchRows) + 63) / 64
+		off := (b - b0) * batchWords
+		for _, tk := range tasks {
+			tk.cand.foldBatch(sc.sels[tk.group*sc.stride+off:][:nWords], lo)
+		}
 	}
-	out := make([]Result, len(queries))
-	for qi, cand := range cands {
-		out[qi] = cand.result(scale)
-		stats.Groups += cand.groupCount()
+}
+
+// deal splits the fold tasks into one bundle per worker, heaviest task
+// first into the lightest bundle, weighing each task by the rows its
+// group selected times the per-row work of its aggregates, plus its
+// per-word overhead. Tasks keep group order within a bundle. Which
+// bundle folds a candidate never changes its result.
+func (sc *scanRun) deal(batches int) {
+	var tasks []foldTask
+	var weights []int64
+	for gi, g := range sc.groups {
+		var selected int64
+		for w := 0; w < sc.workers; w++ {
+			selected += sc.selected[w*len(sc.groups)+gi]
+		}
+		for _, m := range g.members {
+			tasks = append(tasks, foldTask{m, gi})
+			weights = append(weights, selected*m.rowCost()+int64(batches*batchWords))
+		}
 	}
-	return out, stats, nil
+	order := make([]int, len(tasks))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
+	owner := make([]int, len(tasks))
+	loads := make([]int64, sc.workers)
+	for _, ti := range order {
+		k := 0
+		for j := range loads {
+			if loads[j] < loads[k] {
+				k = j
+			}
+		}
+		owner[ti] = k
+		loads[k] += weights[ti]
+	}
+	sc.bundles = make([][]foldTask, sc.workers)
+	for ti, tk := range tasks {
+		sc.bundles[owner[ti]] = append(sc.bundles[owner[ti]], tk)
+	}
 }
 
 // ExecSharedResults evaluates a set of queries of any supported shape —

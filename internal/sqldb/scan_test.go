@@ -10,7 +10,7 @@ import (
 // randomScanTable builds a table with the column shapes MUVE queries
 // touch: two dictionary-encoded string columns (one low-, one
 // higher-cardinality), a small-domain int column and a float column.
-func randomScanTable(t *testing.T, rng *rand.Rand, rows int) *Table {
+func randomScanTable(t testing.TB, rng *rand.Rand, rows int) *Table {
 	t.Helper()
 	tbl, err := NewTable("sales",
 		ColumnDef{Name: "cat", Kind: KindString},

@@ -2,10 +2,13 @@ package muve
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
 	"muve/internal/obs"
+	"muve/internal/sqldb"
+	"muve/internal/workload"
 )
 
 // TestAskContextTraceStages drives one traced AskContext through the
@@ -73,5 +76,52 @@ func TestAskContextUntraced(t *testing.T) {
 	}
 	if len(ans.Multiplot.Rows) == 0 {
 		t.Fatal("empty multiplot")
+	}
+}
+
+// TestAskTraceScanWorkers: the scan span says how many goroutines ran
+// the shared scan: more than one for a table above the parallel cutoff
+// when two CPUs are free, and one for a table below it.
+func TestAskTraceScanWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range []struct {
+		rows int
+		wide bool
+	}{{5000, false}, {70_000, true}} {
+		tbl, err := workload.Build(workload.NYC311, tc.rows, 77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := sqldb.NewDB()
+		db.Register(tbl)
+		sys, err := New(db, "requests", WithWidth(1024))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewTrace("ask")
+		if _, err := sys.AskContext(obs.WithTrace(context.Background(), tr), "how many noise complaints in brooklin"); err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		scans := 0
+		for _, sp := range tr.Spans() {
+			if sp.Stage != "scan" {
+				continue
+			}
+			scans++
+			var workers int64
+			for _, a := range sp.Attrs {
+				if a.Key == "workers" {
+					workers, _ = a.Value().(int64)
+				}
+			}
+			if tc.wide && workers < 2 || !tc.wide && workers != 1 {
+				t.Errorf("%d rows: scan span workers = %d, want %s", tc.rows, workers, map[bool]string{true: "> 1", false: "1"}[tc.wide])
+			}
+		}
+		if scans == 0 {
+			t.Errorf("%d rows: no scan span", tc.rows)
+		}
 	}
 }
