@@ -47,9 +47,9 @@ trace-smoke:
 # Deterministic fault injection against the serving engine's
 # degradation ladder AND the HTTP transport below the handler; fails
 # if any injected fault escapes (a request that neither answers nor
-# fast-fails 429/503, an unrecovered panic, or transport damage the
-# client could mistake for a clean answer), or if a draining engine
-# fails to shed new planning work with 503.
+# fast-fails 503, an unrecovered panic, or transport damage the client
+# could mistake for a clean answer), or if a draining engine fails to
+# shed new planning work with 503.
 chaos-smoke:
 	$(GO) run ./cmd/muvebench \
 		-chaos "solver:lat=3s@0.4,err=0.2;nlq:panic=0.05;http:partial=0.1,garbage=0.1,slowwrite=5ms@0.2,reset=0.05" \
@@ -79,8 +79,8 @@ bench-smoke:
 
 # SLO engine end to end: replay a workload under chaos against a
 # deliberately tight objective, and fail unless the burn-rate trip
-# fired the flight recorder (>=1 incident bundle) and the report is
-# well formed.
+# fired the flight recorder (>=1 incident bundle), every request
+# answered or shed with 503, and the report is well formed.
 slo-smoke:
 	$(GO) run ./cmd/muvebench -slo "e2e:p99<5ms" \
 		-slo-chaos "solver:lat=500ms@0.5,err=0.2" \

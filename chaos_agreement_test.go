@@ -2,11 +2,13 @@ package muve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 	"time"
 
+	"muve/internal/progressive"
 	"muve/internal/resilience"
 	"muve/internal/serve"
 	"muve/internal/sqldb"
@@ -138,4 +140,37 @@ func TestSharedScanAgreesUnderChaos(t *testing.T) {
 		t.Fatal("no ask survived chaos — agreement was never exercised")
 	}
 	t.Logf("chaos agreement: %d successes (all bit-identical), %d injected failures", successes, failures)
+}
+
+// TestSolverChaosReachesEverySolver: a "solver" fault spec that always
+// fails must fail every planner the same way — each solver kind and
+// each progressive presentation — so the degradation ladder sees an
+// injected solver fault whichever planner the server runs.
+func TestSolverChaosReachesEverySolver(t *testing.T) {
+	db := demoDB(t)
+	ch, err := resilience.ParseChaos("solver:err=1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := resilience.WithChaos(context.Background(), ch)
+	systems := map[string]*System{}
+	for _, k := range []SolverKind{SolverGreedy, SolverILP, SolverILPIncremental} {
+		sys, err := New(db, "requests", WithSolver(k), WithILPTimeout(100*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems["solver "+k.String()] = sys
+	}
+	for _, m := range progressive.StandardMethods() {
+		sys, err := New(db, "requests", WithPresentation(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems["presentation "+m.Name()] = sys
+	}
+	for name, sys := range systems {
+		if _, err := sys.AskContext(ctx, "how many noise complaints in brooklin"); !errors.Is(err, resilience.ErrInjected) {
+			t.Errorf("%s: err = %v, want resilience.ErrInjected", name, err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -31,7 +32,6 @@ type chaosReport struct {
 	Requests  int            `json:"requests"`
 	Workers   int            `json:"workers"`
 	Answered  int            `json:"answered"`
-	Rejected  int            `json:"rejected_429"`
 	Shed      int            `json:"shed_503"`
 	Escaped   int            `json:"escaped"`
 	Transport int            `json:"transport_damaged,omitempty"`
@@ -43,7 +43,7 @@ type chaosReport struct {
 }
 
 // retryCounts counts the plain retries the harness's clients sent: one
-// per request shed with a 429 or 503.
+// per request shed with a 503.
 type retryCounts struct {
 	Client int `json:"client"`
 }
@@ -85,8 +85,9 @@ type latencyStats struct {
 }
 
 // chaosOutcome classifies one request: answered (with the ladder rung
-// that served it), cleanly shed with 429/503, or escaped — any result
-// the resilience layer is supposed to make impossible.
+// that served it), cleanly shed with 503, or escaped — any result the
+// resilience layer is supposed to make impossible, a 429 included:
+// admission has no queue watermark, so nothing may answer one.
 type chaosOutcome struct {
 	status  int
 	source  serve.Source
@@ -94,7 +95,7 @@ type chaosOutcome struct {
 	escaped bool
 	detail  string
 	// retried marks a request whose client issued a second attempt
-	// after a clean 429/503 shed.
+	// after a clean 503 shed.
 	retried bool
 	// transport marks injected transport damage the client observed
 	// (advertised via X-Chaos-Transport, or a connection the reset
@@ -105,7 +106,7 @@ type chaosOutcome struct {
 // runChaos drives the same serve.Engine degradation ladder muveserver
 // serves from, but with deterministic fault injection enabled, and
 // verifies the resilience contract: every request must either return an
-// answer (possibly from a lower rung) or fast-fail with 429/503 —
+// answer (possibly from a lower rung) or fast-fail with 503 —
 // never hang and never surface an injected fault. Any escape fails the
 // run with a non-zero exit so `make chaos-smoke` can gate CI on it.
 func runChaos(spec string, seed int64, requests, workers int, jsonPath string) error {
@@ -256,8 +257,6 @@ func ladderEngine(db *sqldb.DB, table string, cfg serve.Config) (*serve.Engine, 
 func chaosConfig(ch *resilience.Chaos, workers int) serve.Config {
 	return serve.Config{
 		MaxInFlight:      workers,
-		Queue:            8 * workers,
-		BatchQueue:       2 * workers,
 		Timeout:          2 * time.Second,
 		FallbackGrace:    time.Second,
 		MinimalGrace:     500 * time.Millisecond,
@@ -340,14 +339,21 @@ func chaosHTTPRequest(client *http.Client, base string, req serve.Request) chaos
 			}
 			return o
 		}
-		if o.status == http.StatusOK && !json.Valid(body) && !o.transport {
+		switch {
+		case o.transport:
+		case o.status == http.StatusOK && !json.Valid(body):
 			o.escaped = true
 			o.detail = "malformed 200 body without injected transport fault"
+		case o.status != http.StatusOK && o.status != http.StatusServiceUnavailable:
+			// As on the direct path: anything but an answer or a 503
+			// shed escaped, a 429 included.
+			o.escaped = true
+			o.detail = fmt.Sprintf("status %d: %s", o.status, bytes.TrimSpace(body))
 		}
 		return o
 	}
 	o := attempt()
-	if o.status == 429 || o.status == 503 {
+	if o.status == http.StatusServiceUnavailable {
 		o = attempt()
 		o.retried = true
 	}
@@ -397,14 +403,14 @@ func chaosRequest(engine *serve.Engine, req serve.Request, hangLimit time.Durati
 			o := chaosOutcome{elapsed: time.Since(start), status: serve.StatusOf(err)}
 			if err == nil {
 				o.source = resp.Source
-			} else if o.status != 429 && o.status != 503 {
+			} else if o.status != http.StatusServiceUnavailable {
 				o.escaped = true
 				o.detail = fmt.Sprintf("status %d: %v", o.status, err)
 			}
 			return o
 		}
 		o := attempt()
-		if o.status == 429 || o.status == 503 {
+		if o.status == http.StatusServiceUnavailable {
 			// One plain retry per shed request, like a well-behaved
 			// client: it passes admission like a first attempt and may be
 			// shed again — that is still a clean outcome.
@@ -442,8 +448,6 @@ func summarizeChaos(spec string, seed int64, requests, workers int, outcomes []c
 		switch {
 		case o.escaped:
 			rep.Escaped++
-		case o.status == 429:
-			rep.Rejected++
 		case o.status == 503:
 			rep.Shed++
 		case o.status == 0 || (o.status == 200 && o.source == ""):
@@ -476,7 +480,6 @@ func writeChaosText(w io.Writer, rep chaosReport, outcomes []chaosOutcome) {
 	fmt.Fprintf(w, "spec: %q  seed: %d  requests: %d  workers: %d\n\n", rep.Spec, rep.Seed, rep.Requests, rep.Workers)
 	fmt.Fprintf(w, "%-14s %6s\n", "outcome", "count")
 	fmt.Fprintf(w, "%-14s %6d\n", "answered", rep.Answered)
-	fmt.Fprintf(w, "%-14s %6d\n", "rejected-429", rep.Rejected)
 	fmt.Fprintf(w, "%-14s %6d\n", "shed-503", rep.Shed)
 	fmt.Fprintf(w, "%-14s %6d\n", "transport", rep.Transport)
 	fmt.Fprintf(w, "%-14s %6d\n", "escaped", rep.Escaped)

@@ -25,8 +25,7 @@
 // Chaos mode drives the serving engine's degradation ladder under
 // deterministic fault injection and fails (non-zero exit) if any
 // injected fault escapes — i.e. a request that neither returns an
-// answer nor fast-fails with 429/503, or a panic that reaches the
-// caller:
+// answer nor fast-fails with 503, or a panic that reaches the caller:
 //
 //	muvebench -chaos "solver:lat=3s@0.4,err=0.2;nlq:panic=0.05" \
 //	          [-chaos-seed 7] [-chaos-requests 200] [-chaos-json out.json]
@@ -66,7 +65,8 @@
 // -slo-expect-incidents N fails the run (non-zero exit) unless at least
 // N incident bundles were captured — `make slo-smoke` uses a
 // deliberately tight objective under chaos to prove the trip→capture
-// path end to end. -slo-cpuprofile writes a replay-wide CPU profile
+// path end to end. A request that neither answers nor sheds with 503
+// fails the run too. -slo-cpuprofile writes a replay-wide CPU profile
 // whose samples carry the stage/lane/mode/rung pprof labels (inspect
 // with `go tool pprof -tags`).
 //

@@ -28,8 +28,8 @@ type sloReport struct {
 	Requests  int             `json:"requests"`
 	Workers   int             `json:"workers"`
 	Answered  int             `json:"answered"`
-	Rejected  int             `json:"rejected_429"`
 	Shed      int             `json:"shed_503"`
+	Escaped   int             `json:"escaped"`
 	Trips     []obs.Trip      `json:"trips"`
 	Incidents []*obs.Incident `json:"incidents"`
 	Report    obs.Report      `json:"slo"`
@@ -41,7 +41,8 @@ type sloReport struct {
 // trips fire the incident flight recorder exactly as in muveserver; with
 // -slo-expect-incidents N the run fails unless at least N bundles were
 // captured, which is how `make slo-smoke` proves the trip→capture path
-// end to end.
+// end to end. Any request that neither answers nor sheds with 503 is
+// an escape and fails the run, as in the chaos harness.
 func runSLO(spec, chaosSpec string, seed int64, requests, workers int, burn float64, expectIncidents int, jsonPath, profilePath string) error {
 	objectives, err := obs.ParseObjectives(spec)
 	if err != nil {
@@ -169,10 +170,12 @@ func runSLO(spec, chaosSpec string, seed int64, requests, workers int, burn floa
 				switch serve.StatusOf(err) {
 				case 200:
 					rep.Answered++
-				case 429:
-					rep.Rejected++
 				case 503:
 					rep.Shed++
+				default:
+					// As in the chaos harness: anything but an answer
+					// or a 503 shed escaped, a 429 included.
+					rep.Escaped++
 				}
 				outMu.Unlock()
 			}
@@ -211,6 +214,9 @@ func runSLO(spec, chaosSpec string, seed int64, requests, workers int, burn floa
 		}
 		fmt.Printf("\nslo report written to %s\n", jsonPath)
 	}
+	if rep.Escaped > 0 {
+		return fmt.Errorf("%d request(s) neither answered nor shed with 503", rep.Escaped)
+	}
 	if len(rep.Report.Objectives) != len(objectives) {
 		return fmt.Errorf("malformed report: %d objectives evaluated, want %d", len(rep.Report.Objectives), len(objectives))
 	}
@@ -224,7 +230,7 @@ func writeSLOText(w io.Writer, rep sloReport) {
 	fmt.Fprintf(w, "==== slo replay ====\n\n")
 	fmt.Fprintf(w, "objectives: %q  chaos: %q  seed: %d  requests: %d  workers: %d\n",
 		rep.Spec, rep.Chaos, rep.Seed, rep.Requests, rep.Workers)
-	fmt.Fprintf(w, "answered: %d  rejected-429: %d  shed-503: %d\n\n", rep.Answered, rep.Rejected, rep.Shed)
+	fmt.Fprintf(w, "answered: %d  shed-503: %d  escaped: %d\n\n", rep.Answered, rep.Shed, rep.Escaped)
 	rep.Report.WriteText(w)
 	fmt.Fprintf(w, "\ntrips: %d\n", len(rep.Trips))
 	for _, t := range rep.Trips {

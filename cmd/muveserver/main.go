@@ -14,7 +14,7 @@
 //	GET /trend?q=...&by=col    SVG line chart (trend extension)
 //	GET /healthz               liveness probe
 //	GET /readyz                readiness probe (503 once draining)
-//	GET /metrics               Prometheus text metrics: the engine's 26
+//	GET /metrics               Prometheus text metrics: the engine's 23
 //	                           families (README "Metrics reference")
 //	                           plus the Go runtime's muve_go_*
 //	GET /debug/vars            the same engine families as JSON (with
@@ -43,41 +43,37 @@
 // (session|cache|coalesced|planned|fallback|stale|minimal) and
 // X-Request-Id headers.
 //
-// Resilience: -queue-depth enables admission control — when more than
-// that many interactive requests already wait for a planning slot, new
-// ones fast-fail with 429 and a Retry-After header instead of queueing
-// (-batch-queue bounds the batch lane separately). Failed planning
-// descends a degradation ladder (exact solver → greedy → stale cached
-// answer within -stale-for of expiry → minimal single-plot answer); a
-// fully exhausted ladder returns 503. Per-stage circuit breakers trip
-// after -breaker-threshold consecutive blamed deadline misses and skip
-// the exact rung for -breaker-cooldown before probing it again. -chaos
-// injects deterministic faults for drills (spec
-// "stage:lat=DUR[@P],err=P,panic=P;...", stages speech|nlq|solver|
-// progressive|viz or *; seeded by -chaos-seed). The reserved stage
-// "http" (never matched by "*") injects transport faults below the
+// Resilience: failed planning descends a degradation ladder (exact
+// solver → greedy → stale cached answer within -stale-for of expiry →
+// minimal single-plot answer); a fully exhausted ladder returns 503.
+// Per-stage circuit breakers trip after -breaker-threshold consecutive
+// blamed deadline misses and skip the exact rung for -breaker-cooldown
+// before probing it again. -chaos injects deterministic faults for
+// drills (spec "stage:lat=DUR[@P],err=P,panic=P;...", stages
+// speech|nlq|solver|progressive|viz or *; seeded by -chaos-seed). The
+// reserved stage "http" (never matched by "*") injects transport faults below the
 // handler instead: slowwrite=DUR[@P], stallread=DUR[@P], partial=P,
 // reset=P, garbage=P — slow or truncated response writes, stalled
 // request reads, mid-response connection aborts, and corrupt bytes
 // appended after the body (responses touched this way carry
 // X-Chaos-Transport so harnesses can tell injected damage from real).
 //
-// Overload behavior: admission is a static bound per lane — each
-// lane's queue is capped by its watermark, and freed slots go to the
-// interactive lane before the batch lane, in arrival order within a
-// lane (queue wait in the muve_sojourn_seconds{priority} histograms).
-// Three mechanisms carry the load past saturation. Deadlines: clients
-// bound how long they wait via X-Muve-Deadline (duration or
+// Overload behavior: admission is -max-inflight slots and two FIFO
+// lanes — freed slots go to the interactive lane before the batch
+// lane, in arrival order within a lane (queue wait in the
+// muve_sojourn_seconds{priority} histograms). A lane has no depth
+// bound: a request whose planning budget runs out while queued answers
+// 504. Three mechanisms carry the load past saturation. Deadlines:
+// clients bound how long they wait via X-Muve-Deadline (duration or
 // unix-millis; capped by -max-deadline; planning and queue order are
 // unaffected). A retry is an ordinary request: it passes the same
-// admission as a first attempt and gets a slot or a watermark 429.
-// Hedging: -hedge races a greedy hedge against exact solves that
+// admission as a first attempt. Hedging: -hedge races a greedy hedge against exact solves that
 // outlive the windowed p90 planning time, at most
 // max(-max-inflight/4, 1) at once; the first finisher wins
 // (muve_hedge_total{outcome}, source "hedged"). Crash-only drain,
 // below. Measured with `muvebench -overload` at 2x calibrated capacity
-// on 2 CPUs: 0 rejections, and hedges start and win in every run. The
-// startup log line prints the resolved watermarks, hedge tokens and
+// on 2 CPUs: no 503 or 504, and hedges start and win in every run. The
+// startup log line prints the resolved ladder rungs, hedge tokens and
 // stale window.
 //
 // Shutdown is crash-only: on SIGINT/SIGTERM the server fails /readyz,
@@ -92,8 +88,7 @@
 //
 //	muveserver [-addr :8080] [-dataset nyc311] [-rows 50000] [-solver greedy]
 //	           [-max-inflight 32] [-cache-entries 1024] [-cache-ttl 5m]
-//	           [-timeout 10s] [-queue-depth 0] [-batch-queue 0]
-//	           [-stale-for 0] [-breaker-threshold 3] [-breaker-cooldown 5s]
+//	           [-timeout 10s] [-stale-for 0] [-breaker-threshold 3] [-breaker-cooldown 5s]
 //	           [-hedge] [-max-deadline 0]
 //	           [-drain 10s] [-snapshot FILE]
 //	           [-budget-fraction 0]
@@ -131,7 +126,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"html"
@@ -143,7 +137,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime/trace"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -178,8 +171,6 @@ func run() error {
 		cacheFlag    = flag.Int("cache-entries", 1024, "answer cache capacity (negative disables)")
 		cacheTTLFlag = flag.Duration("cache-ttl", 5*time.Minute, "answer cache entry lifetime (0 = never expire)")
 		timeoutFlag  = flag.Duration("timeout", 10*time.Second, "per-request planning budget")
-		queueFlag    = flag.Int("queue-depth", 0, "interactive admission watermark: waiting requests beyond this fast-fail with 429 (0 = unbounded)")
-		batchQFlag   = flag.Int("batch-queue", 0, "batch-lane admission watermark (0 = unbounded)")
 		staleFlag    = flag.Duration("stale-for", 0, "serve expired cached answers up to this long past TTL when planning fails (0 disables)")
 		hedgeFlag    = flag.Bool("hedge", false, "race a greedy hedge against exact solves that outlive the windowed p90 planning time (needs a non-greedy -solver)")
 		sketchFlag   = flag.Float64("sketch-rate", 0, "aggregate-sketch sample rate in (0,1): answer progressive first paints from per-template sketches, each built by one sampled scan (0 disables)")
@@ -275,8 +266,6 @@ func run() error {
 		CacheEntries:     *cacheFlag,
 		CacheTTL:         *cacheTTLFlag,
 		StaleFor:         *staleFlag,
-		Queue:            *queueFlag,
-		BatchQueue:       *batchQFlag,
 		BreakerThreshold: *brkThreshold,
 		BreakerCooldown:  *brkCooldown,
 		Hedge:            *hedgeFlag,
@@ -619,17 +608,7 @@ func answerFor(w http.ResponseWriter, r *http.Request, engine *serve.Engine) (*m
 		Batch:      r.URL.Query().Get("batch") == "1",
 	})
 	if err != nil {
-		status := serve.StatusOf(err)
-		// An admission rejection (429) carries a back-off hint.
-		var rej *resilience.RejectError
-		if errors.As(err, &rej) && rej.RetryAfter > 0 {
-			secs := int(rej.RetryAfter / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-		http.Error(w, err.Error(), status)
+		http.Error(w, err.Error(), serve.StatusOf(err))
 		return nil, false
 	}
 	w.Header().Set("X-Muve-Source", string(resp.Source))

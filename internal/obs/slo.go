@@ -88,8 +88,7 @@ type SLOConfig struct {
 	SlotDur time.Duration
 	// ShortWindow/FastWindow/SlowWindow are the reporting and burn-rate
 	// windows (defaults 1m, 5m, 1h). FastWindow and SlowWindow drive
-	// trip decisions; ShortWindow feeds live quantile reporting and the
-	// adaptive Retry-After estimate.
+	// trip decisions; ShortWindow feeds live quantile reporting.
 	ShortWindow time.Duration
 	FastWindow  time.Duration
 	SlowWindow  time.Duration

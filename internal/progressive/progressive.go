@@ -128,6 +128,43 @@ func recordSolverStats(sp *obs.Span, name string, st core.Stats) {
 	}
 }
 
+// planner computes a multiplot for an instance under ctx.
+type planner func(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error)
+
+// greedy is the paper's greedy planner. A fresh solver per call keeps
+// every method that uses it safe to share across concurrent sessions.
+func greedy(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error) {
+	g := &core.GreedySolver{Ctx: ctx}
+	return g.Solve(in)
+}
+
+// plan runs one presentation's planning call under a "solver" span: it
+// injects the "solver" chaos fault, runs p under the solver's pprof
+// stage label, and records p's stats on the span under name. Every
+// Present plans through it, so solver faults reach every method.
+func plan(s *Session, name string, p planner) (core.Multiplot, core.Stats, error) {
+	sp := obs.StartSpan(s.Context(), "solver")
+	if err := resilience.Inject(s.Context(), "solver"); err != nil {
+		sp.SetErr(err).End()
+		return core.Multiplot{}, core.Stats{}, err
+	}
+	var (
+		m   core.Multiplot
+		st  core.Stats
+		err error
+	)
+	obs.Do(s.Context(), "solver", func(ctx context.Context) {
+		m, st, err = p(ctx, s.Instance)
+	})
+	if err != nil {
+		sp.SetErr(err).End()
+		return core.Multiplot{}, core.Stats{}, err
+	}
+	recordSolverStats(sp, name, st)
+	sp.End()
+	return m, st, nil
+}
+
 // updateSpan opens a "progressive.update" child span for one
 // visualization update: its duration covers the query execution that
 // produced the update, and its attrs record which update it was (0 is
@@ -331,18 +368,13 @@ func relError(first, final core.Multiplot) float64 {
 // is the paper's "Greedy" method; with a processing-cost-aware ILP it is
 // "ILP".
 type Default struct {
-	planner func(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error)
+	planner planner
 	name    string
 }
 
 // NewGreedyDefault builds the paper's "Greedy" method.
 func NewGreedyDefault() *Default {
-	return &Default{name: "Greedy", planner: func(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error) {
-		// A fresh solver per call keeps the method safe to share
-		// across concurrent sessions.
-		g := &core.GreedySolver{Ctx: ctx}
-		return g.Solve(in)
-	}}
+	return &Default{name: "Greedy", planner: greedy}
 }
 
 // NewILPDefault builds the paper's "ILP" method: default presentation with
@@ -368,25 +400,10 @@ func (d *Default) Name() string { return d.name }
 // Present runs the default strategy.
 func (d *Default) Present(s *Session) (*Trace, error) {
 	start := time.Now()
-	sp := obs.StartSpan(s.Context(), "solver")
-	if err := resilience.Inject(s.Context(), "solver"); err != nil {
-		sp.SetErr(err).End()
-		return nil, err
-	}
-	var (
-		m   core.Multiplot
-		st  core.Stats
-		err error
-	)
-	obs.Do(s.Context(), "solver", func(ctx context.Context) {
-		m, st, err = d.planner(ctx, s.Instance)
-	})
+	m, st, err := plan(s, d.name, d.planner)
 	if err != nil {
-		sp.SetErr(err).End()
 		return nil, err
 	}
-	recordSolverStats(sp, d.name, st)
-	sp.End()
 	var events []Event
 	// Sketch-first: when the DB keeps aggregate sketches and every
 	// displayed candidate resolves from one, paint an instant
@@ -429,22 +446,10 @@ func (IncPlot) Name() string { return "Inc-Plot" }
 // Present runs incremental plotting.
 func (IncPlot) Present(s *Session) (*Trace, error) {
 	start := time.Now()
-	sp := obs.StartSpan(s.Context(), "solver")
-	var (
-		m   core.Multiplot
-		st  core.Stats
-		err error
-	)
-	obs.Do(s.Context(), "solver", func(ctx context.Context) {
-		g := &core.GreedySolver{Ctx: ctx}
-		m, st, err = g.Solve(s.Instance)
-	})
+	m, _, err := plan(s, "Greedy", greedy)
 	if err != nil {
-		sp.SetErr(err).End()
 		return nil, err
 	}
-	recordSolverStats(sp, "Greedy", st)
-	sp.End()
 	// Order plots by covered probability mass.
 	type ref struct {
 		row, idx int
@@ -525,22 +530,10 @@ func (a *Approx) Name() string { return a.name }
 // Present runs approximate-first presentation.
 func (a *Approx) Present(s *Session) (*Trace, error) {
 	start := time.Now()
-	sp := obs.StartSpan(s.Context(), "solver")
-	var (
-		m   core.Multiplot
-		st  core.Stats
-		err error
-	)
-	obs.Do(s.Context(), "solver", func(ctx context.Context) {
-		g := &core.GreedySolver{Ctx: ctx}
-		m, st, err = g.Solve(s.Instance)
-	})
+	m, _, err := plan(s, "Greedy", greedy)
 	if err != nil {
-		sp.SetErr(err).End()
 		return nil, err
 	}
-	recordSolverStats(sp, "Greedy", st)
-	sp.End()
 	rate := a.Rate
 	if rate <= 0 {
 		rate = a.dynamicRate(s, m)
@@ -592,18 +585,7 @@ func (a *Approx) dynamicRate(s *Session, m core.Multiplot) float64 {
 		target = 2000
 	}
 	// Estimate full cost of the displayed queries via the merge plan.
-	var queries []sqldb.Query
-	seen := map[int]bool{}
-	for _, row := range m.Rows {
-		for _, pl := range row {
-			for _, e := range pl.Entries {
-				if !seen[e.Query] {
-					seen[e.Query] = true
-					queries = append(queries, s.Instance.Candidates[e.Query].Query)
-				}
-			}
-		}
-	}
+	queries, _ := displayedQueries(s, m)
 	if len(queries) == 0 {
 		return 1
 	}
@@ -647,15 +629,13 @@ func (i ILPInc) Present(s *Session) (*Trace, error) {
 	inc := core.DefaultIncremental(budget)
 	inc.Hint = i.Hint
 	var events []Event
-	var execErr error
-	// The span covers the full incremental run, interleaved query
-	// execution included: that is what the user actually waits for.
-	sp := obs.StartSpan(s.Context(), "solver")
-	var st core.Stats
-	var err error
-	obs.Do(s.Context(), "solver", func(ctx context.Context) {
+	// The solver span covers the full incremental run, interleaved
+	// query execution included: that is what the user actually waits
+	// for. An execution failure fails the run like a solver error.
+	_, st, err := plan(s, inc.Name(), func(ctx context.Context, in *core.Instance) (core.Multiplot, core.Stats, error) {
+		var execErr error
 		inc.Ctx = ctx
-		_, st, err = inc.Solve(s.Instance, func(u core.Update) {
+		m, st, err := inc.Solve(in, func(u core.Update) {
 			if execErr != nil {
 				return
 			}
@@ -677,17 +657,14 @@ func (i ILPInc) Present(s *Session) (*Trace, error) {
 			events = append(events, Event{At: time.Since(start), Multiplot: filled})
 			usp.End()
 		})
+		if err == nil {
+			err = execErr
+		}
+		return m, st, err
 	})
 	if err != nil {
-		sp.SetErr(err).End()
 		return nil, err
 	}
-	if execErr != nil {
-		sp.SetErr(execErr).End()
-		return nil, execErr
-	}
-	recordSolverStats(sp, inc.Name(), st)
-	sp.End()
 	if len(events) == 0 {
 		events = []Event{{At: time.Since(start)}}
 	}

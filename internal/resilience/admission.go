@@ -11,21 +11,6 @@ type AdmissionConfig struct {
 	// Capacity is the number of concurrently held slots (the worker
 	// pool size). Must be positive.
 	Capacity int
-	// MaxQueue is the interactive lane's depth watermark: an Acquire
-	// that would queue deeper than this fast-fails with a RejectError.
-	// 0 means unbounded (admission control disabled for the lane, but
-	// depth is still tracked).
-	MaxQueue int
-	// MaxBatchQueue is the batch lane's watermark; 0 means unbounded.
-	MaxBatchQueue int
-	// RetryAfter is the back-off hint carried by RejectError
-	// (default 1s).
-	RetryAfter time.Duration
-	// RetryAfterFn, when non-nil, supplies the back-off hint at
-	// rejection time — e.g. a windowed service-time estimate, so the
-	// hint tracks how long a slot actually takes to free up. A
-	// non-positive result falls back to RetryAfter.
-	RetryAfterFn func() time.Duration
 	// OnDepth, when non-nil, is called with a lane's queue depth every
 	// time it changes (under the controller's lock — keep it to a
 	// gauge store).
@@ -36,13 +21,13 @@ type AdmissionConfig struct {
 	OnSojourn func(p Priority, d time.Duration)
 }
 
-// Admission is a slot semaphore with two bounded FIFO lanes: freed
-// slots go to interactive waiters before batch waiters and, within a
-// lane, in arrival order; each lane fast-fails past its depth
-// watermark, and queue depths are observable even when the watermarks
-// are disabled. A waiter whose ctx has ended never keeps a slot: it
-// passes a grant that reaches it on to the next waiter. All methods
-// are safe for concurrent use.
+// Admission is a slot semaphore with two FIFO lanes: freed slots go to
+// interactive waiters before batch waiters and, within a lane, in
+// arrival order. A lane is bounded only by its waiters' contexts: a
+// waiter leaves when its ctx ends, and never keeps a slot a grant
+// hands it afterwards — it passes the grant on to the next waiter.
+// Queue depths and sojourns are observable through the config's
+// callbacks. All methods are safe for concurrent use.
 type Admission struct {
 	cfg AdmissionConfig
 
@@ -59,28 +44,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 1
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	return &Admission{cfg: cfg, free: cfg.Capacity}
-}
-
-// retryAfter resolves the back-off hint for one rejection.
-func (a *Admission) retryAfter() time.Duration {
-	if a.cfg.RetryAfterFn != nil {
-		if d := a.cfg.RetryAfterFn(); d > 0 {
-			return d
-		}
-	}
-	return a.cfg.RetryAfter
-}
-
-// laneMax returns the watermark for a lane (0 = unbounded).
-func (a *Admission) laneMax(p Priority) int {
-	if p == Batch {
-		return a.cfg.MaxBatchQueue
-	}
-	return a.cfg.MaxQueue
 }
 
 // granted reports one grant's queue sojourn to the OnSojourn observer.
@@ -100,10 +64,9 @@ func (a *Admission) notifyDepth(p Priority) {
 
 // Acquire obtains a slot, queueing at the back of the lane for p if
 // none is free. It returns a release function that must be called
-// exactly once when the work completes. When the lane's queue is at
-// its watermark it returns a *RejectError immediately — the fast-fail
-// path. When ctx ends while queued it returns ctx.Err(), and a slot
-// granted in the same instant is passed on rather than kept.
+// exactly once when the work completes. When ctx ends while queued it
+// returns ctx.Err(), and a slot granted in the same instant is passed
+// on rather than kept.
 func (a *Admission) Acquire(ctx context.Context, p Priority) (release func(), err error) {
 	a.mu.Lock()
 	if a.free > 0 {
@@ -111,11 +74,6 @@ func (a *Admission) Acquire(ctx context.Context, p Priority) (release func(), er
 		a.mu.Unlock()
 		a.granted(p, 0)
 		return a.release, nil
-	}
-	if max := a.laneMax(p); max > 0 && len(a.queue[p]) >= max {
-		depth := len(a.queue[p])
-		a.mu.Unlock()
-		return nil, &RejectError{Priority: p, Depth: depth, RetryAfter: a.retryAfter()}
 	}
 	w := make(chan struct{}, 1)
 	a.queue[p] = append(a.queue[p], w)

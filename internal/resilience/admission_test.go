@@ -29,45 +29,8 @@ func TestAdmissionGrantsUpToCapacity(t *testing.T) {
 	}
 }
 
-func TestAdmissionFastFailsPastWatermark(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Capacity: 1, MaxQueue: 1, RetryAfter: 250 * time.Millisecond})
-	release, err := a.Acquire(context.Background(), Interactive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One waiter fits in the queue...
-	waited := make(chan error, 1)
-	go func() {
-		r, err := a.Acquire(context.Background(), Interactive)
-		if err == nil {
-			r()
-		}
-		waited <- err
-	}()
-	for a.Depth(Interactive) == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// ...the next must be rejected immediately, not queued.
-	start := time.Now()
-	_, err = a.Acquire(context.Background(), Interactive)
-	var rej *RejectError
-	if !errors.As(err, &rej) {
-		t.Fatalf("err = %v, want RejectError", err)
-	}
-	if rej.Priority != Interactive || rej.Depth != 1 || rej.RetryAfter != 250*time.Millisecond {
-		t.Errorf("reject = %+v", rej)
-	}
-	if took := time.Since(start); took > 100*time.Millisecond {
-		t.Errorf("rejection took %v, want fast-fail", took)
-	}
-	release()
-	if err := <-waited; err != nil {
-		t.Fatalf("queued waiter: %v", err)
-	}
-}
-
 func TestAdmissionUnboundedQueueWhenDisabled(t *testing.T) {
-	a := NewAdmission(AdmissionConfig{Capacity: 1}) // MaxQueue 0 = unbounded
+	a := NewAdmission(AdmissionConfig{Capacity: 1})
 	release, _ := a.Acquire(context.Background(), Interactive)
 	var wg sync.WaitGroup
 	var served atomic.Int64
@@ -188,9 +151,9 @@ func TestAdmissionDepthCallback(t *testing.T) {
 
 func TestAdmissionConcurrentChurn(t *testing.T) {
 	// Heavy mixed-lane churn under -race: no lost slots, no deadlock.
-	a := NewAdmission(AdmissionConfig{Capacity: 4, MaxQueue: 64, MaxBatchQueue: 64})
+	a := NewAdmission(AdmissionConfig{Capacity: 4})
 	var wg sync.WaitGroup
-	var served, rejected atomic.Int64
+	var served atomic.Int64
 	for g := 0; g < 32; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -202,13 +165,8 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				r, err := a.Acquire(context.Background(), p)
 				if err != nil {
-					var rej *RejectError
-					if !errors.As(err, &rej) {
-						t.Errorf("unexpected error: %v", err)
-						return
-					}
-					rejected.Add(1)
-					continue
+					t.Errorf("unexpected error: %v", err)
+					return
 				}
 				served.Add(1)
 				r()
@@ -219,50 +177,12 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 	if a.InUse() != 0 {
 		t.Errorf("slots leaked: InUse = %d", a.InUse())
 	}
-	if served.Load()+rejected.Load() != 32*50 {
-		t.Errorf("served %d + rejected %d != %d", served.Load(), rejected.Load(), 32*50)
+	if served.Load() != 32*50 {
+		t.Errorf("served %d, want %d", served.Load(), 32*50)
 	}
-}
-
-func TestAdmissionRetryAfterFn(t *testing.T) {
-	// reject drives one controller to a watermark rejection and returns
-	// the RejectError carrying the back-off hint.
-	reject := func(fn func() time.Duration) *RejectError {
-		a := NewAdmission(AdmissionConfig{
-			Capacity: 1, MaxQueue: 1, RetryAfter: time.Second, RetryAfterFn: fn,
-		})
-		release, err := a.Acquire(context.Background(), Interactive)
-		if err != nil {
-			t.Fatal(err)
+	for _, p := range []Priority{Interactive, Batch} {
+		if d := a.Depth(p); d != 0 {
+			t.Errorf("%s depth after churn = %d, want 0", p, d)
 		}
-		defer release()
-		done := make(chan struct{})
-		go func() {
-			r, err := a.Acquire(context.Background(), Interactive)
-			if err == nil {
-				<-done
-				r()
-			}
-		}()
-		defer close(done)
-		for a.Depth(Interactive) == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		_, err = a.Acquire(context.Background(), Interactive)
-		var rej *RejectError
-		if !errors.As(err, &rej) {
-			t.Fatalf("err = %v, want RejectError", err)
-		}
-		return rej
-	}
-
-	// A live estimate is used verbatim.
-	if rej := reject(func() time.Duration { return 3 * time.Second }); rej.RetryAfter != 3*time.Second {
-		t.Errorf("adaptive hint = %v, want 3s", rej.RetryAfter)
-	}
-	// A non-positive estimate (no observations yet) falls back to the
-	// static default.
-	if rej := reject(func() time.Duration { return 0 }); rej.RetryAfter != time.Second {
-		t.Errorf("empty-window hint = %v, want static 1s", rej.RetryAfter)
 	}
 }

@@ -6,12 +6,10 @@
 // principle for voice interfaces), promoted from a single fallback
 // branch to first-class, observable machinery:
 //
-//   - Admission: a bounded admission queue in front of the worker
-//     pool, with per-priority lanes (interactive vs. batch) and a
-//     static depth watermark per lane past which excess requests
-//     fast-fail with a RejectError (mapped to HTTP 429 + Retry-After)
-//     instead of queueing until the request timeout; within a lane
-//     freed slots go out in arrival order;
+//   - Admission: a slot semaphore in front of the worker pool with
+//     two FIFO lanes (interactive before batch); a waiter is bounded
+//     by its own context, so one whose planning budget runs out while
+//     queued fails with that context's error (HTTP 504);
 //   - Ladder: a degradation ladder — an ordered list of rungs (exact
 //     ILP → greedy → stale cached answer → minimal single-plot
 //     answer), each attempted only while the remaining deadline budget
@@ -59,9 +57,11 @@ func (p Priority) String() string {
 	return "interactive"
 }
 
-// RejectError reports a request fast-failed by admission control: the
-// lane's queue was past its watermark. Servers should map it to HTTP
-// 429 with a Retry-After of RetryAfter.
+// RejectError is the admission rejection of a queue watermark that the
+// engine no longer has: lanes are bounded by their waiters' planning
+// budgets, so nothing returns this error any more. The type stays only
+// because the perfbench module still names it when it tallies
+// rejections; it goes once perfbench stops naming it.
 type RejectError struct {
 	// Priority is the lane the request was rejected from.
 	Priority Priority

@@ -189,14 +189,9 @@ type Metrics struct {
 	// Scan accumulates shared-scan work, one counter per sqldb.ScanStats
 	// count (see RecordScan).
 	Scan [len(scanStats)]Counter
-	// Rejected counts admission fast-fails (429s), by
-	// resilience.Priority.
-	Rejected [len(priorities)]Counter
 	// InFlight gauges requests currently inside Engine.Do.
 	InFlight Gauge
-	// QueueDepth gauges the admission queue per resilience.Priority. It
-	// is exported even when admission control is disabled so an
-	// unbounded backlog is still visible on /metrics.
+	// QueueDepth gauges the admission queue per resilience.Priority.
 	QueueDepth [len(priorities)]Gauge
 	// SnapshotSkipped counts drain-snapshot restores refused, by reason
 	// (truncated|corrupt|stale|mismatch).
@@ -268,7 +263,6 @@ var families = []family{
 	{"muve_hedge_total", []string{"outcome"}, func(m *Metrics) []series { return fixed(hedgeOutcomes[:], m.Hedge[:]) }},
 	{"muve_drain_cancelled_total", nil, func(m *Metrics) []series { return one(&m.DrainCancelled) }},
 	{"muve_scan_total", []string{"stat"}, func(m *Metrics) []series { return fixed(scanStats[:], m.Scan[:]) }},
-	{"muve_rejected_total", []string{"priority"}, func(m *Metrics) []series { return fixed(priorities[:], m.Rejected[:]) }},
 	{"muve_inflight", nil, func(m *Metrics) []series { return one(&m.InFlight) }},
 	{"muve_queue_depth", []string{"priority"}, func(m *Metrics) []series { return fixed(priorities[:], m.QueueDepth[:]) }},
 	{"muve_snapshot_skipped_total", []string{"reason"}, func(m *Metrics) []series { return m.SnapshotSkipped.series() }},

@@ -156,12 +156,12 @@ func promFamilies(t *testing.T, m *Metrics) []string {
 	return names
 }
 
-// TestMetricsFamilyCountPinned: the folded registry emits 24 engine
+// TestMetricsFamilyCountPinned: the folded registry emits 23 engine
 // families (44 before the fold), each exactly once.
 func TestMetricsFamilyCountPinned(t *testing.T) {
 	names := promFamilies(t, populated())
-	if len(names) != 24 || len(families) != 24 {
-		t.Errorf("WriteProm emits %d families, table has %d; want 24: %v", len(names), len(families), names)
+	if len(names) != 23 || len(families) != 23 {
+		t.Errorf("WriteProm emits %d families, table has %d; want 23: %v", len(names), len(families), names)
 	}
 	seen := map[string]bool{}
 	for _, n := range names {

@@ -144,20 +144,15 @@ func WithRecovery(logger *log.Logger, metrics *Metrics, next http.Handler) http.
 }
 
 // StatusOf maps an Engine.Do error to the HTTP status that conveys its
-// retry semantics: 429 for admission rejections (with Retry-After set
-// by the caller), 503 for a fully
-// exhausted degradation ladder or a draining engine, 504 for a
-// deadline miss (including one that expired while queued for
-// admission), 499 for a caller that went away, and 422 for everything
-// else (a malformed or unanswerable query).
+// retry semantics: 503 for a fully exhausted degradation ladder or a
+// draining engine, 504 for a deadline miss (including one that expired
+// while queued for admission), 499 for a caller that went away, and
+// 422 for everything else (a malformed or unanswerable query).
 func StatusOf(err error) int {
-	var rej *resilience.RejectError
 	var ex *resilience.ExhaustedError
 	switch {
 	case err == nil:
 		return http.StatusOK
-	case errors.As(err, &rej):
-		return http.StatusTooManyRequests
 	case errors.As(err, &ex):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrDraining):

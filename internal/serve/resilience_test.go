@@ -17,65 +17,57 @@ import (
 	"muve/internal/resilience"
 )
 
-func TestEngineAdmissionRejectsPastWatermark(t *testing.T) {
-	gate := make(chan struct{})
+// TestEngineQueuedRequestExpiresWith504: a lane has no depth bound, so
+// a request queued behind a busy slot waits until its own planning
+// budget runs out and then answers 504. It leaves the queue and records
+// no sojourn of its own: only the slot holder's grant is observed.
+func TestEngineQueuedRequestExpiresWith504(t *testing.T) {
+	started, hold := make(chan struct{}), make(chan struct{})
 	e, err := NewEngine(Config{
 		Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
-			<-gate
+			if req.Transcript == "holder" {
+				close(started)
+				<-hold // keeps the only slot past any budget
+			}
 			return "ok", nil
 		},
 		MaxInFlight: 1,
-		Queue:       1,
-		RetryAfter:  250 * time.Millisecond,
+		Timeout:     50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	// Distinct transcripts so nothing coalesces: one occupies the slot,
-	// one queues, the third must fast-fail.
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := e.Do(context.Background(), Request{Transcript: fmt.Sprintf("q%d", i)}); err != nil {
-				t.Errorf("request %d: %v", i, err)
-			}
-		}(i)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Metrics().QueueDepth[resilience.Interactive].Value() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	defer e.Close()
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		e.Do(context.Background(), Request{Transcript: "holder"})
+	}()
+	<-started
 
-	_, err = e.Do(context.Background(), Request{Transcript: "q-overflow"})
-	var rej *resilience.RejectError
-	if !errors.As(err, &rej) {
-		t.Fatalf("err = %v, want RejectError", err)
+	_, err = e.Do(context.Background(), Request{Transcript: "queued"})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if rej.RetryAfter != 250*time.Millisecond {
-		t.Errorf("RetryAfter = %v", rej.RetryAfter)
+	if got := StatusOf(err); got != http.StatusGatewayTimeout {
+		t.Errorf("StatusOf = %d, want 504", got)
 	}
-	if StatusOf(err) != http.StatusTooManyRequests {
-		t.Errorf("StatusOf(reject) = %d, want 429", StatusOf(err))
-	}
-	close(gate)
-	wg.Wait()
 	m := e.Metrics()
-	if m.Rejected[resilience.Interactive].Value() != 1 {
-		t.Errorf("rejected counter = %d", m.Rejected[resilience.Interactive].Value())
+	if got := m.Timeouts.Value(); got != 1 {
+		t.Errorf("timeouts = %d, want 1", got)
 	}
-	if m.QueueDepth[resilience.Interactive].Value() != 0 {
-		t.Errorf("queue gauge after drain = %d", m.QueueDepth[resilience.Interactive].Value())
+	if got := m.QueueDepth[resilience.Interactive].Value(); got != 0 {
+		t.Errorf("queue gauge after expiry = %d, want 0", got)
 	}
+	if got := m.Sojourn[resilience.Interactive].Count(); got != 1 {
+		t.Errorf("sojourns observed = %d, want 1 (the holder's grant)", got)
+	}
+	close(hold)
+	<-held
 }
 
 func TestEngineQueueGaugeLiveWithoutWatermark(t *testing.T) {
-	// Admission control disabled (Queue 0 = unbounded): the depth gauge
-	// must still report the backlog.
+	// Lanes have no depth bound: the depth gauge reports the backlog.
 	gate := make(chan struct{})
 	e, err := NewEngine(Config{
 		Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
@@ -112,8 +104,9 @@ func TestEngineQueueGaugeLiveWithoutWatermark(t *testing.T) {
 }
 
 // TestEngineSetupReportsDerivedValues: the startup summary shows what
-// the engine resolved, not the raw options — an unset watermark reads
-// "unbounded" and the hedge's token count is derived from MaxInFlight.
+// the engine resolved, not the raw options — the ladder lists only the
+// rungs its planners and stale window enable, in descent order, and
+// the hedge's token count is derived from MaxInFlight.
 func TestEngineSetupReportsDerivedValues(t *testing.T) {
 	noop := func(ctx context.Context, req Request, sess *Session) (any, error) { return "ok", nil }
 	for _, tc := range []struct {
@@ -121,13 +114,13 @@ func TestEngineSetupReportsDerivedValues(t *testing.T) {
 		want string
 	}{
 		{
-			Config{Planner: noop, Fallback: noop, Hedge: true, MaxInFlight: 8, Queue: 32, StaleFor: time.Minute},
-			"watermarks interactive=32 batch=unbounded; hedge on, 2 tokens; stale window 1m0s",
+			Config{Planner: noop, Fallback: noop, Minimal: noop, Hedge: true, MaxInFlight: 8, StaleFor: time.Minute},
+			"ladder exact > greedy > stale > minimal; hedge on, 2 tokens; stale window 1m0s",
 		},
 		{
 			// No Fallback: the hedge has nothing to race, so it is off.
-			Config{Planner: noop, Hedge: true, BatchQueue: 4},
-			"watermarks interactive=unbounded batch=4; hedge off; stale window off",
+			Config{Planner: noop, Hedge: true, Minimal: noop},
+			"ladder exact > minimal; hedge off; stale window off",
 		},
 	} {
 		e, err := NewEngine(tc.cfg)
@@ -424,7 +417,6 @@ func TestStatusOfClassification(t *testing.T) {
 		want int
 	}{
 		{nil, http.StatusOK},
-		{&resilience.RejectError{Priority: resilience.Interactive}, http.StatusTooManyRequests},
 		{&resilience.ExhaustedError{}, http.StatusServiceUnavailable},
 		{fmt.Errorf("plan: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{context.Canceled, 499},

@@ -11,10 +11,10 @@
 //     are answered in microseconds;
 //   - singleflight coalescing, so N concurrent identical queries plan
 //     once and share the answer;
-//   - admission control: a bounded worker pool with per-priority wait
-//     lanes (interactive beats batch) and an optional queue-depth
-//     watermark past which requests fast-fail with a retryable
-//     rejection (HTTP 429) instead of queueing unboundedly;
+//   - admission control: a bounded worker pool with two FIFO wait
+//     lanes (interactive beats batch), each waiter bounded by its own
+//     planning budget — one that runs out while queued fails with a
+//     deadline error (HTTP 504);
 //   - a degradation ladder (internal/resilience) in place of a single
 //     fallback hook: exact ILP planning, then greedy planning, then a
 //     stale-but-fresh-enough cached answer, then a minimal single-plot
@@ -181,13 +181,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing planner calls; excess
 	// requests queue for a slot (default 32, <= 0 uses default).
 	MaxInFlight int
-	// Queue and BatchQueue are admission watermarks: when more than
-	// this many requests of the lane are already waiting for a slot,
-	// new ones fast-fail with a retryable RejectError instead of
-	// queueing. 0 keeps the lane unbounded (the pre-admission-control
-	// behavior); queue depth is still gauged either way.
-	Queue      int
-	BatchQueue int
 	// Hedge enables the hedged exact rung: if the exact solve has not
 	// finished by the windowed p90 of recent planning time, the greedy
 	// Fallback starts concurrently and the first finisher wins (the
@@ -200,13 +193,6 @@ type Config struct {
 	// that finds no token is denied (the exact solve just continues
 	// alone) and counted as muve_hedge_total{outcome="denied"}.
 	Hedge bool
-	// RetryAfter is the client back-off hint carried by rejections when
-	// no service-time estimate exists yet (default 1s). Once the engine
-	// has observed planning latency, rejections instead carry the p90 of
-	// the last minute's service time — the expected wait for a slot to
-	// free — clamped to [RetryAfter/4, 4×RetryAfter] so a pathological
-	// window can't tell clients to hammer or vanish.
-	RetryAfter time.Duration
 	// BreakerThreshold trips a stage's circuit breaker after this many
 	// consecutive blamed deadline misses (default 3; negative disables
 	// breakers entirely).
@@ -269,16 +255,14 @@ type Engine struct {
 	logger    *log.Logger
 
 	// svcTime is the sliding-window planning service time (cache misses
-	// only): its 1m p90 is the adaptive Retry-After estimate and the
-	// hedge trigger delay.
-	svcTime    *obs.Windowed
-	retryAfter time.Duration
+	// only): its 1m p90 is the hedge trigger delay.
+	svcTime *obs.Windowed
 
 	// hedge enables the hedged exact rung; hedgeTokens is the token
 	// bucket bounding concurrent hedge attempts.
 	hedge       bool
 	hedgeTokens chan struct{}
-	// setup is the resolved admission setup, rendered once (Setup).
+	// setup is the resolved serving setup, rendered once (Setup).
 	setup string
 
 	// baseCtx is the root of every planning context; Close cancels it
@@ -310,9 +294,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MinimalGrace <= 0 {
 		cfg.MinimalGrace = 500 * time.Millisecond
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 1024
 	}
@@ -335,20 +316,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cache.SetStaleWindow(cfg.StaleFor)
 	}
 	// Sliding planning-latency window: 5s slots covering >1m, so the
-	// 1m p90 service-time estimate behind Retry-After is always live.
-	svcTime := obs.NewWindowed(5*time.Second, 16)
-	e := &Engine{svcTime: svcTime, retryAfter: cfg.RetryAfter}
+	// 1m p90 service time behind the hedge delay is always live.
+	e := &Engine{svcTime: obs.NewWindowed(5*time.Second, 16)}
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
-	// The admission controller exists even with watermarks disabled so
-	// the queue-depth gauges are always live on /metrics.
 	admission := resilience.NewAdmission(resilience.AdmissionConfig{
-		Capacity:      cfg.MaxInFlight,
-		MaxQueue:      cfg.Queue,
-		MaxBatchQueue: cfg.BatchQueue,
-		RetryAfter:    cfg.RetryAfter,
-		RetryAfterFn:  e.RetryEstimate,
-		OnSojourn:     func(p resilience.Priority, d time.Duration) { m.Sojourn[p].Observe(d) },
-		OnDepth:       func(p resilience.Priority, depth int) { m.QueueDepth[p].Set(int64(depth)) },
+		Capacity:  cfg.MaxInFlight,
+		OnSojourn: func(p resilience.Priority, d time.Duration) { m.Sojourn[p].Observe(d) },
+		OnDepth:   func(p resilience.Priority, depth int) { m.QueueDepth[p].Set(int64(depth)) },
 	})
 	var breakers *resilience.BreakerSet
 	if cfg.BreakerThreshold >= 0 {
@@ -404,15 +378,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// describeSetup renders the admission setup NewEngine resolved from
-// cfg: each lane's watermark, the hedge and its derived token count,
-// and the stale window.
+// describeSetup renders the serving setup NewEngine resolved from cfg:
+// the ladder's rungs in descent order, the hedge and its derived token
+// count, and the stale window.
 func (e *Engine) describeSetup(cfg Config) string {
-	lane := func(max int) string {
-		if max <= 0 {
-			return "unbounded"
-		}
-		return strconv.Itoa(max)
+	var rungs []string
+	for _, r := range e.ladder.Rungs() {
+		rungs = append(rungs, r.Name)
 	}
 	hedge := "off"
 	if e.hedge {
@@ -422,34 +394,14 @@ func (e *Engine) describeSetup(cfg Config) string {
 	if cfg.StaleFor > 0 {
 		stale = cfg.StaleFor.String()
 	}
-	return fmt.Sprintf("watermarks interactive=%s batch=%s; hedge %s; stale window %s",
-		lane(cfg.Queue), lane(cfg.BatchQueue), hedge, stale)
+	return fmt.Sprintf("ladder %s; hedge %s; stale window %s",
+		strings.Join(rungs, " > "), hedge, stale)
 }
 
-// Setup describes the resolved admission setup in one line, for the
-// startup log: lane watermarks, hedge tokens and stale window as the
+// Setup describes the resolved serving setup in one line, for the
+// startup log: ladder rungs, hedge tokens and stale window as the
 // engine applies them, defaults filled in.
 func (e *Engine) Setup() string { return e.setup }
-
-// RetryEstimate is the adaptive Retry-After hint: the p90 of the last
-// minute's planning service time — roughly how long until a busy slot
-// frees — clamped to [RetryAfter/4, 4×RetryAfter]. Zero before any
-// planning has been observed, which tells the admission controller to
-// use the static default.
-func (e *Engine) RetryEstimate() time.Duration {
-	st := e.svcTime.Window(time.Minute)
-	if st.Count == 0 {
-		return 0
-	}
-	d := st.Quantile(0.90)
-	if min := e.retryAfter / 4; d < min {
-		d = min
-	}
-	if max := 4 * e.retryAfter; d > max {
-		d = max
-	}
-	return d
-}
 
 // Metrics exposes the engine's registry (for mounting its handlers).
 func (e *Engine) Metrics() *Metrics { return e.metrics }
@@ -575,12 +527,8 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			e.metrics.Timeouts.Inc()
 		}
-		var rej *resilience.RejectError
 		var ex *resilience.ExhaustedError
-		switch {
-		case errors.As(err, &rej):
-			e.metrics.Rejected[rej.Priority].Inc()
-		case errors.As(err, &ex):
+		if errors.As(err, &ex) {
 			e.metrics.Exhausted.Inc()
 		}
 		return nil, err

@@ -291,29 +291,30 @@ func TestWithSampledTracingObserversSeeEveryTrace(t *testing.T) {
 	}
 }
 
-func TestRetryEstimateTracksServiceTime(t *testing.T) {
+// TestHedgeDelayTracksServiceTime: the hedge fires at the windowed p90
+// of planning time — a quarter of the exact budget while the window
+// holds fewer than 8 observations — clamped to [5ms, Timeout/2].
+func TestHedgeDelayTracksServiceTime(t *testing.T) {
 	var calls atomic.Int64
-	e, err := NewEngine(Config{Planner: countingPlanner(&calls, 0), RetryAfter: time.Second})
+	e, err := NewEngine(Config{Planner: countingPlanner(&calls, 0), Timeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No planning observed yet: zero tells admission to use the static
-	// default.
-	if d := e.RetryEstimate(); d != 0 {
-		t.Fatalf("cold estimate = %v, want 0", d)
-	}
-	// Feed the service-time window directly; the estimate is the 1m p90
-	// clamped to [RetryAfter/4, 4*RetryAfter].
-	for i := 0; i < 20; i++ {
+	defer e.Close()
+	for i := 0; i < 7; i++ {
 		e.svcTime.Observe(30 * time.Second)
 	}
-	if d := e.RetryEstimate(); d != 4*time.Second {
-		t.Errorf("slow-planner estimate = %v, want clamped to 4s", d)
+	if d := e.hedgeDelay(); d != time.Second/4 {
+		t.Errorf("thin-window delay = %v, want Timeout/4 = 250ms", d)
+	}
+	e.svcTime.Observe(30 * time.Second)
+	if d := e.hedgeDelay(); d != time.Second/2 {
+		t.Errorf("slow-planner delay = %v, want clamped to Timeout/2 = 500ms", d)
 	}
 	for i := 0; i < 1000; i++ {
 		e.svcTime.Observe(time.Microsecond)
 	}
-	if d := e.RetryEstimate(); d != time.Second/4 {
-		t.Errorf("fast-planner estimate = %v, want clamped to 250ms", d)
+	if d := e.hedgeDelay(); d != 5*time.Millisecond {
+		t.Errorf("fast-planner delay = %v, want clamped to 5ms", d)
 	}
 }
