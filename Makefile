@@ -45,14 +45,16 @@ trace-smoke:
 	$(GO) run ./cmd/muvebench -trace -trace-runs 1
 
 # Deterministic fault injection against the serving engine's
-# degradation ladder AND the HTTP transport below the handler; fails
+# degradation ladder (every fifth request asks for a voice answer, so
+# the solver faults hit the plot ladder and the speak faults the voice
+# ladder) AND the HTTP transport below the handler; fails
 # if any injected fault escapes (a request that neither answers nor
 # fast-fails 503, an unrecovered panic, or transport damage the client
 # could mistake for a clean answer), or if a draining engine fails to
 # shed new planning work with 503.
 chaos-smoke:
 	$(GO) run ./cmd/muvebench \
-		-chaos "solver:lat=3s@0.4,err=0.2;nlq:panic=0.05;http:partial=0.1,garbage=0.1,slowwrite=5ms@0.2,reset=0.05" \
+		-chaos "solver:lat=3s@0.4,err=0.2;speak:lat=3s@0.4,err=0.2;nlq:panic=0.05;http:partial=0.1,garbage=0.1,slowwrite=5ms@0.2,reset=0.05" \
 		-chaos-seed 7 -chaos-requests 120
 
 # Session replay cold vs warm-started incremental planning; fails

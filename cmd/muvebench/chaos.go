@@ -27,19 +27,19 @@ import (
 // to -chaos-json so BENCH_*.json can track degradation rates alongside
 // latency across revisions.
 type chaosReport struct {
-	Spec      string         `json:"spec"`
-	Seed      int64          `json:"seed"`
-	Requests  int            `json:"requests"`
-	Workers   int            `json:"workers"`
-	Answered  int            `json:"answered"`
-	Shed      int            `json:"shed_503"`
-	Escaped   int            `json:"escaped"`
-	Transport int            `json:"transport_damaged,omitempty"`
-	Rungs     map[string]int `json:"rungs"`
-	Latency   latencyStats   `json:"latency_ms"`
-	Retries   retryCounts    `json:"retries"`
-	Hedge     hedgeCounts    `json:"hedge"`
-	Drain     drainCounts    `json:"drain"`
+	Spec      string                    `json:"spec"`
+	Seed      int64                     `json:"seed"`
+	Requests  int                       `json:"requests"`
+	Workers   int                       `json:"workers"`
+	Answered  int                       `json:"answered"`
+	Shed      int                       `json:"shed_503"`
+	Escaped   int                       `json:"escaped"`
+	Transport int                       `json:"transport_damaged,omitempty"`
+	Rungs     map[string]map[string]int `json:"rungs"`
+	Latency   latencyStats              `json:"latency_ms"`
+	Retries   retryCounts               `json:"retries"`
+	Hedge     hedgeCounts               `json:"hedge"`
+	Drain     drainCounts               `json:"drain"`
 }
 
 // retryCounts counts the plain retries the harness's clients sent: one
@@ -89,6 +89,7 @@ type latencyStats struct {
 // resilience layer is supposed to make impossible, a 429 included:
 // admission has no queue watermark, so nothing may answer one.
 type chaosOutcome struct {
+	mode    string // "plot" or "voice"
 	status  int
 	source  serve.Source
 	elapsed time.Duration
@@ -121,13 +122,11 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 		workers = 8
 	}
 
-	tbl, err := workload.Build(workload.NYC311, 20_000, seed)
+	tbl, sys, err := ladderSystem(seed)
 	if err != nil {
 		return err
 	}
-	db := sqldb.NewDB()
-	db.Register(tbl)
-	engine, err := ladderEngine(db, tbl.Name, chaosConfig(ch, workers))
+	engine, err := sys.NewEngine(chaosConfig(ch, workers))
 	if err != nil {
 		return err
 	}
@@ -174,7 +173,12 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 					Transcript: utterances[i%len(utterances)],
 					Batch:      i%4 == 3,
 				}
+				// Every fifth request descends the voice ladder.
+				if i%5 == 4 {
+					req.Mode = serve.ModeVoice
+				}
 				outcomes[i] = doReq(req)
+				outcomes[i].mode = modeOf(req)
 			}
 		}()
 	}
@@ -215,40 +219,21 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	return nil
 }
 
-// ladderEngine builds the full four-rung ladder (exact ILP, capped at
-// half the remaining deadline → greedy → stale → minimal) over table,
-// mirroring muveserver's wiring. cfg carries the sizing; the planners,
-// dataset and solver name are filled in here.
-func ladderEngine(db *sqldb.DB, table string, cfg serve.Config) (*serve.Engine, error) {
-	sys, err := muve.New(db, table,
+// ladderSystem builds the System whose ladder the chaos, SLO and
+// overload harnesses serve: the exact ILP over a 20k-row NYC311 table,
+// capped at half the remaining deadline so the lower rungs keep their
+// share. System.NewEngine adds the greedy, stale and minimal rungs.
+func ladderSystem(seed int64) (*sqldb.Table, *muve.System, error) {
+	tbl, err := workload.Build(workload.NYC311, 20_000, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	db := sqldb.NewDB()
+	db.Register(tbl)
+	sys, err := muve.New(db, tbl.Name,
 		muve.WithSolver(muve.SolverILP),
 		muve.WithBudgetFraction(0.5))
-	if err != nil {
-		return nil, err
-	}
-	greedySys, err := muve.New(db, table, muve.WithSolver(muve.SolverGreedy))
-	if err != nil {
-		return nil, err
-	}
-	minimalSys, err := muve.New(db, table,
-		muve.WithSolver(muve.SolverGreedy),
-		muve.WithK(1),
-		muve.WithMaxCandidates(1))
-	if err != nil {
-		return nil, err
-	}
-	cfg.Planner = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-		return sys.AskContext(ctx, req.Transcript)
-	}
-	cfg.Fallback = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-		return greedySys.AskContext(ctx, req.Transcript)
-	}
-	cfg.Minimal = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-		return minimalSys.AskContext(ctx, req.Transcript)
-	}
-	cfg.Dataset = table
-	cfg.Solver = muve.SolverILP.String()
-	return serve.NewEngine(cfg)
+	return tbl, sys, err
 }
 
 // chaosConfig sizes the ladder that -chaos and -slo drive: tight
@@ -270,16 +255,25 @@ func chaosConfig(ch *resilience.Chaos, workers int) serve.Config {
 	}
 }
 
+// modeOf names a request's answer mode for the per-mode rung table.
+func modeOf(req serve.Request) string {
+	if req.Mode == serve.ModeVoice {
+		return serve.ModeVoice
+	}
+	return "plot"
+}
+
 // chaosHTTPServer wraps the engine in the minimal middleware stack the
 // transport faults need: WithHTTPChaos outermost (the wire), recovery
-// inside it (rethrowing the reset's abort panic). The handler mirrors
-// muveserver's /ask.json shape closely enough for clients to validate
-// payload integrity.
+// inside it (rethrowing the reset's abort panic). The handler answers
+// /ask with a small JSON body (the spoken transcript too, under
+// format=voice) so clients can validate payload integrity.
 func chaosHTTPServer(engine *serve.Engine, ch *resilience.Chaos) *httptest.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ask", func(w http.ResponseWriter, r *http.Request) {
 		resp, err := engine.Do(r.Context(), serve.Request{
 			Transcript: r.URL.Query().Get("q"),
+			Mode:       r.URL.Query().Get("format"),
 			Batch:      r.URL.Query().Get("batch") == "1",
 			Refresh:    r.URL.Query().Get("refresh") == "1",
 		})
@@ -290,10 +284,15 @@ func chaosHTTPServer(engine *serve.Engine, ch *resilience.Chaos) *httptest.Serve
 		w.Header().Set("X-Muve-Source", string(resp.Source))
 		w.Header().Set("Content-Type", "application/json")
 		ans := resp.Value.(*muve.Answer)
-		json.NewEncoder(w).Encode(struct {
+		out := struct {
 			Transcript string `json:"transcript"`
 			SQL        string `json:"sql"`
-		}{ans.Transcript, ans.TopQuery.SQL()})
+			Spoken     string `json:"spoken,omitempty"`
+		}{Transcript: ans.Transcript, SQL: ans.TopQuery.SQL()}
+		if ans.Voice != nil {
+			out.Spoken = ans.Voice.Transcript
+		}
+		json.NewEncoder(w).Encode(out)
 	})
 	quiet := log.New(io.Discard, "", 0)
 	return httptest.NewServer(serve.WithHTTPChaos(ch,
@@ -311,6 +310,9 @@ func chaosHTTPRequest(client *http.Client, base string, req serve.Request) chaos
 		u := base + "/ask?q=" + url.QueryEscape(req.Transcript)
 		if req.Batch {
 			u += "&batch=1"
+		}
+		if req.Mode != "" {
+			u += "&format=" + req.Mode
 		}
 		hreq, err := http.NewRequest(http.MethodGet, u, nil)
 		if err != nil {
@@ -435,7 +437,7 @@ func summarizeChaos(spec string, seed int64, requests, workers int, outcomes []c
 		Seed:     seed,
 		Requests: requests,
 		Workers:  workers,
-		Rungs:    map[string]int{},
+		Rungs:    map[string]map[string]int{},
 	}
 	lats := make([]float64, 0, len(outcomes))
 	for _, o := range outcomes {
@@ -455,7 +457,10 @@ func summarizeChaos(spec string, seed int64, requests, workers int, outcomes []c
 			// attributable answer came through; counted in Transport above.
 		default:
 			rep.Answered++
-			rep.Rungs[string(o.source)]++
+			if rep.Rungs[o.mode] == nil {
+				rep.Rungs[o.mode] = map[string]int{}
+			}
+			rep.Rungs[o.mode][string(o.source)]++
 			lats = append(lats, float64(o.elapsed)/float64(time.Millisecond))
 		}
 	}
@@ -496,15 +501,22 @@ func writeChaosText(w io.Writer, rep chaosReport, outcomes []chaosOutcome) {
 	}
 	fmt.Fprintf(w, "\ndrain:   cancelled=%d shed-503=%v\n", rep.Drain.Cancelled, rep.Drain.Shed503)
 
-	fmt.Fprintf(w, "\nanswer source / ladder rung distribution:\n")
-	keys := make([]string, 0, len(rep.Rungs))
-	for k := range rep.Rungs {
+	fmt.Fprintf(w, "\nanswer source / ladder rung distribution per mode:\n")
+	fmt.Fprintf(w, "  %-10s %6s %6s %6s\n", "source", "plot", "voice", "total")
+	sources := map[string]bool{}
+	for _, rungs := range rep.Rungs {
+		for k := range rungs {
+			sources[k] = true
+		}
+	}
+	keys := make([]string, 0, len(sources))
+	for k := range sources {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		n := rep.Rungs[k]
-		fmt.Fprintf(w, "  %-10s %6d  %5.1f%%\n", k, n, 100*float64(n)/float64(max(rep.Answered, 1)))
+		p, v := rep.Rungs["plot"][k], rep.Rungs[serve.ModeVoice][k]
+		fmt.Fprintf(w, "  %-10s %6d %6d %6d\n", k, p, v, p+v)
 	}
 	if rep.Answered > 0 {
 		fmt.Fprintf(w, "\nanswer latency: mean=%.1fms p50=%.1fms p95=%.1fms max=%.1fms\n",

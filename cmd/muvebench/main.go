@@ -30,9 +30,12 @@
 //	muvebench -chaos "solver:lat=3s@0.4,err=0.2;nlq:panic=0.05" \
 //	          [-chaos-seed 7] [-chaos-requests 200] [-chaos-json out.json]
 //
-// The summary reports the ladder-rung distribution (planned, fallback,
-// stale, minimal, cache, coalesced) so degradation rates are tracked
-// alongside latency, plus retry/hedge/drain counters. When the spec
+// Every fifth request asks for a voice answer, so the run covers the
+// plot and the voice ladder of the engine muveserver serves
+// (System.NewEngine). The summary reports the ladder-rung distribution
+// (planned, fallback, stale, minimal, cache, coalesced) per mode so
+// degradation rates are tracked alongside latency, plus retry/hedge/
+// drain counters. When the spec
 // includes the reserved "http" stage, requests run over real HTTP
 // through the transport-chaos middleware (slow/partial writes, resets,
 // garbage), and damage without the X-Chaos-Transport marker counts as
@@ -43,7 +46,7 @@
 // Overload mode calibrates the serving stack's peak goodput with a
 // closed loop, then ramps an open-loop arrival process to 2x that
 // capacity — transport chaos on the wire, X-Muve-Deadline on every
-// request, budget-limited labeled retries — and fails (non-zero exit)
+// request, one plain retry per 503 — and fails (non-zero exit)
 // unless zero faults escape, answered interactive p99 stays under
 // -overload-sla at 2x, and goodput at 2x retains at least 70% of the
 // calibrated peak:

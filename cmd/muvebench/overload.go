@@ -16,7 +16,6 @@ import (
 
 	"muve/internal/resilience"
 	"muve/internal/serve"
-	"muve/internal/sqldb"
 	"muve/internal/workload"
 )
 
@@ -111,12 +110,10 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 		sla = 1500 * time.Millisecond
 	}
 
-	tbl, err := workload.Build(workload.NYC311, 20_000, seed)
+	tbl, sys, err := ladderSystem(seed)
 	if err != nil {
 		return err
 	}
-	db := sqldb.NewDB()
-	db.Register(tbl)
 	inflight := runtime.GOMAXPROCS(0)
 	if inflight > 8 {
 		inflight = 8
@@ -124,9 +121,8 @@ func runOverload(seed int64, stepDur, sla time.Duration, chaosSpec, jsonPath str
 	if inflight < 2 {
 		inflight = 2
 	}
-	// muveserver's wiring at bench scale with the full overload toolkit
-	// on: hedged exact solves, stale serving.
-	engine, err := ladderEngine(db, tbl.Name, serve.Config{
+	// The full overload toolkit on: hedged exact solves, stale serving.
+	engine, err := sys.NewEngine(serve.Config{
 		MaxInFlight:      inflight,
 		Timeout:          time.Second,
 		FallbackGrace:    500 * time.Millisecond,

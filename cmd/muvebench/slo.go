@@ -15,7 +15,6 @@ import (
 	"muve/internal/obs"
 	"muve/internal/resilience"
 	"muve/internal/serve"
-	"muve/internal/sqldb"
 	"muve/internal/workload"
 )
 
@@ -64,13 +63,11 @@ func runSLO(spec, chaosSpec string, seed int64, requests, workers int, burn floa
 		workers = 8
 	}
 
-	tbl, err := workload.Build(workload.NYC311, 20_000, seed)
+	tbl, sys, err := ladderSystem(seed)
 	if err != nil {
 		return err
 	}
-	db := sqldb.NewDB()
-	db.Register(tbl)
-	engine, err := ladderEngine(db, tbl.Name, chaosConfig(ch, workers))
+	engine, err := sys.NewEngine(chaosConfig(ch, workers))
 	if err != nil {
 		return err
 	}

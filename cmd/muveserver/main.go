@@ -86,26 +86,23 @@
 //
 // Usage:
 //
-//	muveserver [-addr :8080] [-dataset nyc311] [-rows 50000] [-solver greedy]
+//	muveserver [-addr :8080] [-dataset nyc311] [-rows 50000] [-seed 1]
+//	           [-solver greedy] [-width 1024] [-sketch-rate 0]
 //	           [-max-inflight 32] [-cache-entries 1024] [-cache-ttl 5m]
 //	           [-timeout 10s] [-stale-for 0] [-breaker-threshold 3] [-breaker-cooldown 5s]
 //	           [-hedge] [-max-deadline 0]
-//	           [-drain 10s] [-snapshot FILE]
+//	           [-drain 10s] [-snapshot FILE] [-snapshot-max-age 1h]
 //	           [-budget-fraction 0]
 //	           [-chaos spec] [-chaos-seed 1] [-speak-words 0]
-//	           [-trace-buffer 128] [-trace-sample 1] [-trace-slow 250ms]
-//	           [-pprof] [-runtime-trace trace.out]
+//	           [-trace-buffer 128] [-pprof] [-runtime-trace trace.out]
 //	           [-slo "e2e:p95<1s"] [-slo-burn 14.4] [-slo-interval 10s]
 //	           [-incident-buffer 8] [-incident-dir DIR]
 //	           [-incident-profile 1s] [-incident-cooldown 30s]
 //
 // -trace-buffer sizes the in-memory ring of recent request traces (0
-// disables tracing and /debug/traces serves an empty list).
-// -trace-sample keeps only that fraction of finished traces in the ring
-// (head sampling for heavy traffic; per-stage metrics and exemplars
-// still see every request), except traces at least -trace-slow, which
-// are always kept. -pprof mounts net/http/pprof under /debug/pprof/.
-// -runtime-trace captures a Go runtime execution trace into the given
+// disables the ring and /debug/traces serves an empty list; with -slo
+// set every request is still traced for the SLO engine). -pprof mounts
+// net/http/pprof under /debug/pprof/. -runtime-trace captures a Go runtime execution trace into the given
 // file for `go tool trace`.
 //
 // SLOs: -slo declares latency objectives ("stage:pNN<dur", semicolon-
@@ -143,11 +140,9 @@ import (
 	"time"
 
 	"muve"
-	"muve/internal/core"
 	"muve/internal/obs"
 	"muve/internal/resilience"
 	"muve/internal/serve"
-	"muve/internal/speak"
 	"muve/internal/sqldb"
 	"muve/internal/workload"
 )
@@ -185,8 +180,6 @@ func run() error {
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for -chaos randomness")
 		speakFlag    = flag.Int("speak-words", 0, "voice answer word budget for format=voice (0 = default 40)")
 		traceBufFlag = flag.Int("trace-buffer", 128, "recent request traces kept for /debug/traces (0 disables)")
-		sampleFlag   = flag.Float64("trace-sample", 1, "fraction of request traces kept in the /debug/traces ring (1 keeps all; metrics see every request regardless)")
-		slowFlag     = flag.Duration("trace-slow", 250*time.Millisecond, "traces at least this slow bypass -trace-sample and are always kept (0 disables the bypass)")
 		pprofFlag    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		rtTraceFlag  = flag.String("runtime-trace", "", "capture a Go runtime trace into this file")
 		sloFlag      = flag.String("slo", "e2e:p95<1s", "latency SLOs, 'stage:pNN<dur[;...]' (stage e2e = whole request); empty disables /debug/slo")
@@ -260,7 +253,7 @@ func run() error {
 	// needs the registry), so breaker notifications late-bind to it; the
 	// variable is assigned before the server accepts traffic.
 	var recorder *obs.Recorder
-	engine, err := newEngine(sys, db, *speakFlag, serve.Config{
+	engine, err := sys.NewEngine(serve.Config{
 		MaxInFlight:      *inflightFlag,
 		Timeout:          *timeoutFlag,
 		CacheEntries:     *cacheFlag,
@@ -270,9 +263,6 @@ func run() error {
 		BreakerCooldown:  *brkCooldown,
 		Hedge:            *hedgeFlag,
 		Chaos:            chaos,
-		Dataset:          ds.String(),
-		Solver:           *solverFlag,
-		WidthPx:          *widthFlag,
 		BreakerNotify: func(stage string, to resilience.BreakerState) {
 			if recorder != nil && to == resilience.Open {
 				recorder.Trigger("breaker-open:" + stage)
@@ -361,8 +351,7 @@ func run() error {
 	// logging so its 400/504 short-circuits still get a log line.
 	// Recovery sits innermost so a panicking handler still produces a
 	// finished trace and a log line. The SLO engine observes every
-	// finished trace (unsampled), so burn rates cover all traffic even
-	// when the debug ring keeps a fraction.
+	// finished trace, so burn rates cover all traffic.
 	var observers []func(*obs.Trace)
 	if slo != nil {
 		observers = append(observers, slo.ObserveTrace)
@@ -370,7 +359,7 @@ func run() error {
 	handler := serve.WithHTTPChaos(chaos,
 		serve.WithLogging(log.Default(),
 			serve.WithDeadline(*maxDeadline,
-				serve.WithSampledTracing(ring, obs.NewSampler(*sampleFlag, *slowFlag), engine.Metrics(),
+				serve.WithTracing(ring, engine.Metrics(),
 					serve.WithRecovery(log.Default(), engine.Metrics(), mux), observers...))))
 	srv := &http.Server{
 		Addr:              *addrFlag,
@@ -421,14 +410,6 @@ func run() error {
 	return nil
 }
 
-// sessionState keeps a session's latest answer per output modality:
-// warm starts must seed from an answer of the same kind, so a voice
-// follow-up must not clobber the multiplot prior (or vice versa).
-type sessionState struct {
-	plot  *muve.Answer
-	voice *muve.Answer
-}
-
 // checkSketchRate rejects a -sketch-rate that sqldb would silently
 // treat as disabled: anything but 0 or a rate strictly inside (0, 1).
 func checkSketchRate(rate float64) error {
@@ -436,155 +417,6 @@ func checkSketchRate(rate float64) error {
 		return nil
 	}
 	return fmt.Errorf("-sketch-rate %v: want 0 (off) or a sample rate in (0, 1)", rate)
-}
-
-// stateOf unwraps a session's state (nil-safe on both levels).
-func stateOf(sess *serve.Session) *sessionState {
-	if sess == nil {
-		return nil
-	}
-	st, _ := sess.State().(*sessionState)
-	return st
-}
-
-// remember stores ans as the session's freshest answer for its
-// modality, so the next utterance warm-starts from it.
-func remember(sess *serve.Session, mode string, ans *muve.Answer) {
-	if sess == nil {
-		return
-	}
-	st := stateOf(sess)
-	if st == nil {
-		st = &sessionState{}
-	}
-	if mode == serve.ModeVoice {
-		st.voice = ans
-	} else {
-		st.plot = ans
-	}
-	sess.SetState(st)
-}
-
-// recordVoice folds one served voice answer into the speak counters.
-func recordVoice(m *serve.Metrics, ans *muve.Answer) {
-	if ans.Voice == nil {
-		return
-	}
-	m.Speak[serve.SpeakFacts].Add(uint64(len(ans.Voice.Facts.Facts)))
-	m.Speak[serve.SpeakWords].Add(uint64(ans.Voice.Words))
-}
-
-// newEngine wires a muve.System into a serve.Engine's degradation
-// ladder, routing each rung by the request's answer mode. cfg carries
-// the serving configuration; newEngine fills in its Planner, Fallback
-// and Minimal rungs over cfg.Dataset, sized like sys by cfg.Solver,
-// cfg.WidthPx and speakWords. When the primary solver is ILP-based, a
-// second greedy system over the same database is the greedy rung for
-// requests that miss their deadline; a stripped-down single-candidate
-// greedy system is always built as the minimal last-resort rung. For
-// format=voice the same descent maps to the fact-set planners: exact
-// fact-set ILP → greedy facts → stale → a single headline fact over
-// one candidate.
-func newEngine(sys *muve.System, db *sqldb.DB, speakWords int, cfg serve.Config) (*serve.Engine, error) {
-	solver, err := muve.ParseSolverKind(cfg.Solver)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &serve.Metrics{}
-	}
-	metrics := cfg.Metrics
-	cfg.Planner = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-		if req.Mode == serve.ModeVoice {
-			// The previous voice answer's fact set, when the session has
-			// one, warm-starts this fact-set solve.
-			var prior *speak.FactSet
-			if st := stateOf(sess); st != nil && st.voice != nil && st.voice.Voice != nil {
-				prior = &st.voice.Voice.Facts
-			}
-			ans, err := sys.AskVoiceContext(ctx, req.Transcript, prior)
-			if err != nil {
-				return nil, err
-			}
-			if ws := string(ans.Stats.WarmStart); ws != "" {
-				metrics.WarmStarts.With(ws).Inc()
-			}
-			metrics.RecordScan(ans.Stats.Scan)
-			recordVoice(metrics, ans)
-			remember(sess, req.Mode, ans)
-			return ans, nil
-		}
-		// The previous utterance's multiplot, when the session has one,
-		// warm-starts this solve.
-		var prior *core.Multiplot
-		if st := stateOf(sess); st != nil && st.plot != nil {
-			prior = &st.plot.Multiplot
-		}
-		ans, err := sys.AskContext(ctx, req.Transcript, prior)
-		if err != nil {
-			return nil, err
-		}
-		if ws := string(ans.Stats.WarmStart); ws != "" {
-			metrics.WarmStarts.With(ws).Inc()
-		}
-		metrics.RecordScan(ans.Stats.Scan)
-		remember(sess, req.Mode, ans)
-		return ans, nil
-	}
-	if solver != muve.SolverGreedy {
-		greedySys, err := muve.New(db, cfg.Dataset,
-			muve.WithSolver(muve.SolverGreedy),
-			muve.WithWidth(cfg.WidthPx),
-			muve.WithSpeakWords(speakWords))
-		if err != nil {
-			return nil, err
-		}
-		cfg.Fallback = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-			var ans *muve.Answer
-			var err error
-			if req.Mode == serve.ModeVoice {
-				ans, err = greedySys.AskVoiceContext(ctx, req.Transcript)
-			} else {
-				ans, err = greedySys.AskContext(ctx, req.Transcript)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if req.Mode == serve.ModeVoice {
-				recordVoice(metrics, ans)
-			}
-			// A degraded answer is still the freshest one for this session;
-			// the next utterance warm-starts from it.
-			remember(sess, req.Mode, ans)
-			return ans, nil
-		}
-	}
-	// The minimal rung answers over the single most likely
-	// interpretation: no phonetic expansion (K=1), one candidate, greedy
-	// planning — a single plot, or for voice a single headline fact. It
-	// answers in single-digit milliseconds and is the last thing tried
-	// before giving up with a 503.
-	minimalSys, err := muve.New(db, cfg.Dataset,
-		muve.WithSolver(muve.SolverGreedy),
-		muve.WithWidth(cfg.WidthPx),
-		muve.WithK(1),
-		muve.WithMaxCandidates(1),
-		muve.WithSpeakWords(speakWords))
-	if err != nil {
-		return nil, err
-	}
-	cfg.Minimal = func(ctx context.Context, req serve.Request, sess *serve.Session) (any, error) {
-		if req.Mode == serve.ModeVoice {
-			ans, err := minimalSys.AskVoiceContext(ctx, req.Transcript)
-			if err != nil {
-				return nil, err
-			}
-			recordVoice(metrics, ans)
-			return ans, nil
-		}
-		return minimalSys.AskContext(ctx, req.Transcript)
-	}
-	return serve.NewEngine(cfg)
 }
 
 // answerFor runs one request through the engine and unwraps the muve

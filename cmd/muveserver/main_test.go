@@ -30,14 +30,11 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, 0, serve.Config{
+	engine, err := sys.NewEngine(serve.Config{
 		MaxInFlight:  8,
 		CacheEntries: 256,
 		CacheTTL:     time.Minute,
 		Timeout:      10 * time.Second,
-		Dataset:      "requests",
-		Solver:       "greedy",
-		WidthPx:      900,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,14 +208,11 @@ func warmTestServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, 0, serve.Config{
+	engine, err := sys.NewEngine(serve.Config{
 		MaxInFlight:  8,
 		CacheEntries: 256,
 		CacheTTL:     time.Minute,
 		Timeout:      10 * time.Second,
-		Dataset:      "requests",
-		Solver:       "ilp",
-		WidthPx:      600,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,11 +328,7 @@ func TestRequestIDHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, 0, serve.Config{
-		Dataset: "requests",
-		Solver:  "greedy",
-		WidthPx: 900,
-	})
+	engine, err := sys.NewEngine(serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

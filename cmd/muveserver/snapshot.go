@@ -108,11 +108,11 @@ func saveSnapshot(path string, engine *serve.Engine, dataset, solver string, wid
 		}
 	}
 	engine.Sessions().Range(func(s *serve.Session) {
-		st := stateOf(s)
+		st, _ := s.State().(*muve.SessionState)
 		if st == nil {
 			return
 		}
-		ss := snapSession{ID: s.ID, Plot: marshalAnswer(st.plot), Voice: marshalAnswer(st.voice)}
+		ss := snapSession{ID: s.ID, Plot: marshalAnswer(st.Plot), Voice: marshalAnswer(st.Voice)}
 		if ss.Plot == nil && ss.Voice == nil {
 			return
 		}
@@ -212,8 +212,8 @@ func loadSnapshot(path string, engine *serve.Engine, dataset, solver string, wid
 		if sess == nil {
 			continue
 		}
-		st := &sessionState{plot: unmarshalAnswer(ss.Plot), voice: unmarshalAnswer(ss.Voice)}
-		if st.plot == nil && st.voice == nil {
+		st := &muve.SessionState{Plot: unmarshalAnswer(ss.Plot), Voice: unmarshalAnswer(ss.Voice)}
+		if st.Plot == nil && st.Voice == nil {
 			continue
 		}
 		sess.SetState(st)

@@ -32,15 +32,12 @@ func snapEngine(t *testing.T, staleFor time.Duration) (*serve.Engine, *httptest.
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := newEngine(sys, db, 0, serve.Config{
+	engine, err := sys.NewEngine(serve.Config{
 		MaxInFlight:  8,
 		CacheEntries: 256,
 		CacheTTL:     time.Minute,
 		Timeout:      10 * time.Second,
 		StaleFor:     staleFor,
-		Dataset:      "requests",
-		Solver:       "greedy",
-		WidthPx:      900,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -213,23 +213,13 @@ func WithDeadline(max time.Duration, next http.Handler) http.Handler {
 // finished trace lands in ring (served at /debug/traces), and its
 // per-stage durations fold into metrics' muve_stage_seconds histograms.
 // The trace ID is the request ID when WithLogging runs outside this
-// middleware. A nil ring disables tracing entirely — next runs without
-// a trace in context, so instrumented code takes its nil fast path.
-func WithTracing(ring *obs.Ring, metrics *Metrics, next http.Handler) http.Handler {
-	return WithSampledTracing(ring, nil, metrics, next)
-}
-
-// WithSampledTracing is WithTracing with head sampling: every request
-// still runs under a trace (metrics and exemplars depend on it), but
-// only traces the sampler keeps land in the debug ring. Slow traces
-// bypass the rate when the sampler has a slow threshold. A nil sampler
-// keeps everything, making this identical to WithTracing.
+// middleware.
 //
-// Optional observers see every finished trace regardless of sampling —
-// the SLO engine hangs off this hook, so burn rates are computed over
-// all traffic even when the debug ring keeps 1%. With a nil ring and
-// no observers tracing is disabled entirely (the nil fast path).
-func WithSampledTracing(ring *obs.Ring, sampler *obs.Sampler, metrics *Metrics, next http.Handler, observers ...func(*obs.Trace)) http.Handler {
+// Optional observers see every finished trace too — the SLO engine
+// hangs off this hook, so its burn rates cover all traffic. With a nil
+// ring and no observers tracing is disabled entirely: next runs without
+// a trace in context, so instrumented code takes its nil fast path.
+func WithTracing(ring *obs.Ring, metrics *Metrics, next http.Handler, observers ...func(*obs.Trace)) http.Handler {
 	if ring == nil && len(observers) == 0 {
 		return next
 	}
@@ -238,9 +228,7 @@ func WithSampledTracing(ring *obs.Ring, sampler *obs.Sampler, metrics *Metrics, 
 		tr.ID = RequestID(r.Context())
 		next.ServeHTTP(w, r.WithContext(obs.WithTrace(r.Context(), tr)))
 		tr.Finish()
-		if ring != nil && sampler.Keep(tr) {
-			ring.Add(tr)
-		}
+		ring.Add(tr)
 		if metrics != nil {
 			metrics.ObserveTrace(tr)
 		}

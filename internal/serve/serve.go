@@ -213,7 +213,8 @@ type Config struct {
 	// appropriate for immutable demo datasets).
 	CacheTTL time.Duration
 	// Dataset, Solver and WidthPx qualify the cache key so one process
-	// serving several configurations never crosses answers.
+	// serving several configurations never crosses answers
+	// (muve.System.NewEngine fills them in from the System).
 	Dataset string
 	Solver  string
 	WidthPx int

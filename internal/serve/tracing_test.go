@@ -208,28 +208,6 @@ func TestStageHistogramExemplars(t *testing.T) {
 	}
 }
 
-func TestWithSampledTracingGatesOnlyRing(t *testing.T) {
-	ring := obs.NewRing(8)
-	m := &Metrics{}
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sp := obs.StartSpan(r.Context(), "solver")
-		sp.End()
-	})
-	h := WithSampledTracing(ring, obs.NewSampler(0.5, 0), m, inner)
-	for i := 0; i < 4; i++ {
-		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/ask", nil))
-	}
-	// Half the traces land in the debug ring...
-	if ring.Len() != 2 {
-		t.Errorf("ring holds %d traces at rate 0.5 over 4 requests, want 2", ring.Len())
-	}
-	// ...but the latency histograms see every request: sampling gates
-	// retention, not measurement.
-	if got := m.Stages.With("solver").Count(); got != 4 {
-		t.Errorf("solver stage observations = %d, want 4", got)
-	}
-}
-
 func TestHistogramQuantileInterpolates(t *testing.T) {
 	var h Histogram
 	// 90 observations of 150µs land in the (100µs, 200µs] bucket; the
@@ -257,16 +235,16 @@ func TestHistogramQuantileInterpolates(t *testing.T) {
 	}
 }
 
-func TestWithSampledTracingObserversSeeEveryTrace(t *testing.T) {
+func TestWithTracingObserversSeeEveryTrace(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sp := obs.StartSpan(r.Context(), "solver")
 		sp.End()
 	})
 	var seen int
-	// Sampler keeps nothing, yet the SLO-style observer is fed every
-	// finished trace: sampling gates ring retention, not evaluation.
+	// The SLO-style observer is fed every finished trace, alongside the
+	// debug ring.
 	ring := obs.NewRing(8)
-	h := WithSampledTracing(ring, obs.NewSampler(0, 0), nil, inner, func(tr *obs.Trace) {
+	h := WithTracing(ring, nil, inner, func(tr *obs.Trace) {
 		if tr.Len() != 1 {
 			t.Errorf("observer trace has %d spans, want 1", tr.Len())
 		}
@@ -278,13 +256,13 @@ func TestWithSampledTracingObserversSeeEveryTrace(t *testing.T) {
 	if seen != 5 {
 		t.Errorf("observer saw %d traces, want 5", seen)
 	}
-	if ring.Len() != 0 {
-		t.Errorf("ring holds %d traces at rate 0, want 0", ring.Len())
+	if ring.Len() != 5 {
+		t.Errorf("ring holds %d traces, want 5", ring.Len())
 	}
 
 	// With no ring at all, observers alone still force the middleware on.
 	seen = 0
-	h = WithSampledTracing(nil, nil, nil, inner, func(*obs.Trace) { seen++ })
+	h = WithTracing(nil, nil, inner, func(*obs.Trace) { seen++ })
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/ask", nil))
 	if seen != 1 {
 		t.Errorf("ring-less observer saw %d traces, want 1", seen)

@@ -322,6 +322,16 @@ func (s *System) Ask(text string) (*Answer, error) {
 // prior plans cold. Priors are ignored by the greedy solver and by a
 // custom Presentation.
 func (s *System) AskContext(ctx context.Context, text string, prior ...*core.Multiplot) (*Answer, error) {
+	if s.cfg.Mode == ModeVoice {
+		// Multiplot priors carry no facts; voice sessions pass prior
+		// fact sets through AskVoiceContext instead.
+		return s.AskVoiceContext(ctx, text)
+	}
+	return s.askPlot(ctx, text, prior...)
+}
+
+// askPlot answers with a multiplot whatever the configured mode.
+func (s *System) askPlot(ctx context.Context, text string, prior ...*core.Multiplot) (*Answer, error) {
 	transcript, err := s.transcribe(ctx, text)
 	if err != nil {
 		return nil, err
@@ -329,11 +339,6 @@ func (s *System) AskContext(ctx context.Context, text string, prior ...*core.Mul
 	top, err := s.pipe.Translator.Translate(transcript)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.Mode == ModeVoice {
-		// Multiplot priors carry no facts; voice sessions pass prior
-		// fact sets through AskVoiceContext instead.
-		return s.answerVoice(ctx, transcript, top, nil)
 	}
 	return s.answer(ctx, transcript, top, firstPrior(prior))
 }
