@@ -50,12 +50,17 @@ trace-smoke:
 # ladder) AND the HTTP transport below the handler; fails
 # if any injected fault escapes (a request that neither answers nor
 # fast-fails 503, an unrecovered panic, or transport damage the client
-# could mistake for a clean answer), or if a draining engine fails to
-# shed new planning work with 503.
+# could mistake for a clean answer), if a draining engine fails to
+# shed new planning work with 503, or if any fallback is blamed on
+# stage "unknown" (every request is traced, as muveserver traces it).
+# The second run faults the nlq stage every planning rung shares, so
+# the exact rung's breaker trips on a shared-stage streak while greedy
+# keeps answering.
 chaos-smoke:
 	$(GO) run ./cmd/muvebench \
 		-chaos "solver:lat=3s@0.4,err=0.2;speak:lat=3s@0.4,err=0.2;nlq:panic=0.05;http:partial=0.1,garbage=0.1,slowwrite=5ms@0.2,reset=0.05" \
 		-chaos-seed 7 -chaos-requests 120
+	$(GO) run ./cmd/muvebench -chaos "nlq:err=0.5" -chaos-seed 7 -chaos-requests 120
 
 # Session replay cold vs warm-started incremental planning; fails
 # unless the warm arm reaches the cold arm's final cost in less solver

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"muve"
+	"muve/internal/obs"
 	"muve/internal/resilience"
 	"muve/internal/serve"
 	"muve/internal/sqldb"
@@ -40,6 +41,12 @@ type chaosReport struct {
 	Retries   retryCounts               `json:"retries"`
 	Hedge     hedgeCounts               `json:"hedge"`
 	Drain     drainCounts               `json:"drain"`
+	// Fallbacks counts exact-rung failures by the stage the engine
+	// blamed them on (muve_fallbacks_total{stage}).
+	Fallbacks map[string]uint64 `json:"fallbacks_by_stage"`
+	// BreakerTrips counts trips of the exact rung's circuit breaker
+	// (muve_breaker_trips_total).
+	BreakerTrips uint64 `json:"breaker_trips"`
 }
 
 // retryCounts counts the plain retries the harness's clients sent: one
@@ -193,6 +200,11 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	// so its cancellations land in the report.
 	rep.Drain = drainChaos(engine, utterances)
 	rep.Hedge = hedgeCountsOf(engine.Metrics())
+	rep.Fallbacks = map[string]uint64{}
+	for stage, c := range engine.Metrics().Fallbacks.Values() {
+		rep.Fallbacks[stage] = c.Value()
+	}
+	rep.BreakerTrips = engine.Metrics().BreakerTrips.Value()
 	writeChaosText(os.Stdout, rep, outcomes)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
@@ -215,6 +227,12 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	}
 	if !rep.Drain.Shed503 {
 		return fmt.Errorf("draining engine did not shed new planning work with 503")
+	}
+	// Every request is traced, as muveserver traces it, so each
+	// fallback names the stage that failed: an "unknown" blame means a
+	// request reached the engine without a trace.
+	if n := rep.Fallbacks["unknown"]; n > 0 {
+		return fmt.Errorf("%d fallback(s) blamed on stage \"unknown\": a request ran untraced", n)
 	}
 	return nil
 }
@@ -264,10 +282,11 @@ func modeOf(req serve.Request) string {
 }
 
 // chaosHTTPServer wraps the engine in the minimal middleware stack the
-// transport faults need: WithHTTPChaos outermost (the wire), recovery
-// inside it (rethrowing the reset's abort panic). The handler answers
-// /ask with a small JSON body (the spoken transcript too, under
-// format=voice) so clients can validate payload integrity.
+// transport faults need: WithHTTPChaos outermost (the wire), then
+// tracing as muveserver has it (so every failure is blamed on its
+// stage), recovery innermost (rethrowing the reset's abort panic). The
+// handler answers /ask with a small JSON body (the spoken transcript
+// too, under format=voice) so clients can validate payload integrity.
 func chaosHTTPServer(engine *serve.Engine, ch *resilience.Chaos) *httptest.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ask", func(w http.ResponseWriter, r *http.Request) {
@@ -297,7 +316,8 @@ func chaosHTTPServer(engine *serve.Engine, ch *resilience.Chaos) *httptest.Serve
 	quiet := log.New(io.Discard, "", 0)
 	return httptest.NewServer(serve.WithHTTPChaos(ch,
 		serve.WithDeadline(0,
-			serve.WithRecovery(quiet, engine.Metrics(), mux))))
+			serve.WithTracing(obs.NewRing(64), engine.Metrics(),
+				serve.WithRecovery(quiet, engine.Metrics(), mux)))))
 }
 
 // chaosHTTPRequest issues one request (plus at most one plain retry
@@ -362,6 +382,15 @@ func chaosHTTPRequest(client *http.Client, base string, req serve.Request) chaos
 	return o
 }
 
+// tracedDo runs one engine request under a fresh trace, as muveserver's
+// tracing middleware does, so a failed exact rung is blamed on the
+// stage it failed in.
+func tracedDo(engine *serve.Engine, req serve.Request) (*serve.Response, error) {
+	tr := obs.NewTrace("/ask")
+	defer tr.Finish()
+	return engine.Do(obs.WithTrace(context.Background(), tr), req)
+}
+
 // drainChaos exercises the crash-only drain path: it puts a few solves
 // in flight, drains the engine, verifies that new planning work is shed
 // with 503 while draining, and closes the engine — cancelling whatever
@@ -372,12 +401,12 @@ func drainChaos(engine *serve.Engine, utterances []string) drainCounts {
 		wg.Add(1)
 		go func(q string) {
 			defer wg.Done()
-			engine.Do(context.Background(), serve.Request{Transcript: q, Refresh: true})
+			tracedDo(engine, serve.Request{Transcript: q, Refresh: true})
 		}(utterances[i])
 	}
 	time.Sleep(50 * time.Millisecond) // let the solves enter planning
 	engine.Drain()
-	_, err := engine.Do(context.Background(), serve.Request{
+	_, err := tracedDo(engine, serve.Request{
 		Transcript: utterances[len(utterances)-1],
 		Refresh:    true,
 	})
@@ -401,7 +430,7 @@ func chaosRequest(engine *serve.Engine, req serve.Request, hangLimit time.Durati
 		}()
 		attempt := func() chaosOutcome {
 			start := time.Now()
-			resp, err := engine.Do(context.Background(), req)
+			resp, err := tracedDo(engine, req)
 			o := chaosOutcome{elapsed: time.Since(start), status: serve.StatusOf(err)}
 			if err == nil {
 				o.source = resp.Source
@@ -491,15 +520,16 @@ func writeChaosText(w io.Writer, rep chaosReport, outcomes []chaosOutcome) {
 
 	fmt.Fprintf(w, "\nretries: client=%d\n", rep.Retries.Client)
 	fmt.Fprintf(w, "hedges:  started=%d", rep.Hedge.Started)
-	winners := make([]string, 0, len(rep.Hedge.Wins))
-	for k := range rep.Hedge.Wins {
-		winners = append(winners, k)
-	}
-	sort.Strings(winners)
-	for _, k := range winners {
+	for _, k := range sortedKeys(rep.Hedge.Wins) {
 		fmt.Fprintf(w, " %s=%d", k, rep.Hedge.Wins[k])
 	}
 	fmt.Fprintf(w, "\ndrain:   cancelled=%d shed-503=%v\n", rep.Drain.Cancelled, rep.Drain.Shed503)
+	fmt.Fprintf(w, "breaker: trips=%d\n", rep.BreakerTrips)
+	fmt.Fprintf(w, "fallbacks by blamed stage:")
+	for _, k := range sortedKeys(rep.Fallbacks) {
+		fmt.Fprintf(w, " %s=%d", k, rep.Fallbacks[k])
+	}
+	fmt.Fprintln(w)
 
 	fmt.Fprintf(w, "\nanswer source / ladder rung distribution per mode:\n")
 	fmt.Fprintf(w, "  %-10s %6s %6s %6s\n", "source", "plot", "voice", "total")
@@ -509,12 +539,7 @@ func writeChaosText(w io.Writer, rep chaosReport, outcomes []chaosOutcome) {
 			sources[k] = true
 		}
 	}
-	keys := make([]string, 0, len(sources))
-	for k := range sources {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(sources) {
 		p, v := rep.Rungs["plot"][k], rep.Rungs[serve.ModeVoice][k]
 		fmt.Fprintf(w, "  %-10s %6d %6d %6d\n", k, p, v, p+v)
 	}
@@ -527,4 +552,14 @@ func writeChaosText(w io.Writer, rep chaosReport, outcomes []chaosOutcome) {
 			fmt.Fprintf(w, "ESCAPE: %s\n", o.detail)
 		}
 	}
+}
+
+// sortedKeys lists a map's keys in order, for deterministic printing.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -35,7 +35,9 @@
 // (System.NewEngine). The summary reports the ladder-rung distribution
 // (planned, fallback, stale, minimal, cache, coalesced) per mode so
 // degradation rates are tracked alongside latency, plus retry/hedge/
-// drain counters. When the spec
+// drain counters, breaker trips and fallbacks by blamed stage. Every
+// request is traced, as muveserver traces it, so the run also fails if
+// any fallback is blamed on stage "unknown". When the spec
 // includes the reserved "http" stage, requests run over real HTTP
 // through the transport-chaos middleware (slow/partial writes, resets,
 // garbage), and damage without the X-Chaos-Transport marker counts as

@@ -46,9 +46,10 @@
 // Resilience: failed planning descends a degradation ladder (exact
 // solver → greedy → stale cached answer within -stale-for of expiry →
 // minimal single-plot answer); a fully exhausted ladder returns 503.
-// Per-stage circuit breakers trip after -breaker-threshold consecutive
-// blamed deadline misses and skip the exact rung for -breaker-cooldown
-// before probing it again. -chaos injects deterministic faults for
+// One circuit breaker guards the exact rung: it trips after
+// -breaker-threshold consecutive deadline misses, whatever stage each
+// is blamed on, and skips that rung for -breaker-cooldown before one
+// probe tries it again. -chaos injects deterministic faults for
 // drills (spec "stage:lat=DUR[@P],err=P,panic=P;...", stages
 // speech|nlq|solver|progressive|viz or *; seeded by -chaos-seed). The
 // reserved stage "http" (never matched by "*") injects transport faults below the
@@ -73,7 +74,8 @@
 // (muve_hedge_total{outcome}, source "hedged"). Crash-only drain,
 // below. Measured with `muvebench -overload` at 2x calibrated capacity
 // on 2 CPUs: no 503 or 504, and hedges start and win in every run. The
-// startup log line prints the resolved ladder rungs, hedge tokens and
+// startup log line prints the presentation method, the ILP budget
+// after -budget-fraction, the resolved ladder rungs, hedge tokens and
 // stale window.
 //
 // Shutdown is crash-only: on SIGINT/SIGTERM the server fails /readyz,
@@ -173,7 +175,7 @@ func run() error {
 		maxDeadline  = flag.Duration("max-deadline", 0, "cap on client-supplied X-Muve-Deadline values (0 = no cap)")
 		drainFlag    = flag.Duration("drain", 10*time.Second, "shutdown drain deadline: in-flight solves past it are cancelled, not awaited")
 		snapFlag     = flag.String("snapshot", "", "spill warm cache and session hints to this file on drain, and restore them (as stale-rung answers) at startup")
-		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive blamed deadline misses tripping a stage circuit breaker (negative disables)")
+		brkThreshold = flag.Int("breaker-threshold", 3, "consecutive deadline misses tripping the exact rung's circuit breaker (negative disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker skips the exact rung before probing")
 		budgetFlag   = flag.Float64("budget-fraction", 0, "cap ILP planning at this fraction of the remaining request deadline (0 disables)")
 		chaosFlag    = flag.String("chaos", "", "fault-injection spec, e.g. 'solver:lat=300ms@0.5,err=0.1' (drills only)")
@@ -263,9 +265,9 @@ func run() error {
 		BreakerCooldown:  *brkCooldown,
 		Hedge:            *hedgeFlag,
 		Chaos:            chaos,
-		BreakerNotify: func(stage string, to resilience.BreakerState) {
+		BreakerNotify: func(to resilience.BreakerState) {
 			if recorder != nil && to == resilience.Open {
-				recorder.Trigger("breaker-open:" + stage)
+				recorder.Trigger("breaker-open")
 			}
 		},
 		Logger: log.Default(),
@@ -374,8 +376,8 @@ func run() error {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("muveserver listening on %s (table %s, %d rows, %s solver, %d inflight, %d cache entries; %s)",
-		*addrFlag, ds.String(), tbl.NumRows(), *solverFlag, *inflightFlag, *cacheFlag, engine.Setup())
+	log.Printf("muveserver listening on %s (table %s, %d rows, %s solver, %d inflight, %d cache entries; %s; %s)",
+		*addrFlag, ds.String(), tbl.NumRows(), *solverFlag, *inflightFlag, *cacheFlag, sys.Setup(), engine.Setup())
 
 	select {
 	case err := <-errc:

@@ -28,7 +28,7 @@ func sessionState(sess *serve.Session) *SessionState {
 
 // NewEngine builds the serving engine's degradation ladder over s.
 // cfg carries the serving configuration (admission, deadlines, cache,
-// breakers, hedging, chaos); NewEngine fills in its rungs and the
+// breaker, hedging, chaos); NewEngine fills in its rungs and the
 // cache-key identity (Dataset, Solver, WidthPx) from s's own config:
 //
 //   - Planner is s itself: the exact rung for ILP solvers, warm-started

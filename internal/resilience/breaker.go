@@ -14,8 +14,8 @@ const (
 	// Open: too many consecutive deadline misses; the expensive path
 	// is skipped outright until the cooldown elapses.
 	Open
-	// HalfOpen: cooldown elapsed; a bounded number of probe requests
-	// may try the path, deciding whether to close or re-open.
+	// HalfOpen: cooldown elapsed; one probe request may try the path,
+	// deciding whether to close or re-open.
 	HalfOpen
 )
 
@@ -30,223 +30,137 @@ func (s BreakerState) String() string {
 	return "closed"
 }
 
-// BreakerConfig tunes a BreakerSet.
+// BreakerConfig tunes a Breaker.
 type BreakerConfig struct {
-	// Threshold is the number of consecutive failures that trips a
-	// stage's breaker (default 3).
+	// Threshold is the number of consecutive failures that trips the
+	// breaker (default 3).
 	Threshold int
 	// Cooldown is how long a tripped breaker stays open before
-	// half-opening for probes (default 5s).
+	// half-opening for a probe (default 5s).
 	Cooldown time.Duration
-	// MaxProbes bounds concurrent half-open probe requests per stage
-	// (default 1).
-	MaxProbes int
 	// Now is replaceable in tests.
 	Now func() time.Time
 	// OnChange, when non-nil, observes every state transition (called
-	// outside attempt paths but under the set lock — keep it to a
-	// gauge store).
-	OnChange func(stage string, to BreakerState)
+	// under the breaker's lock — keep it to a gauge store).
+	OnChange func(to BreakerState)
 }
 
-// breaker is one stage's circuit state. All fields are guarded by the
-// owning set's lock.
-type breaker struct {
-	state    BreakerState
-	fails    int // consecutive failures while closed
-	openedAt time.Time
-	probes   int // in-flight half-open probes
-}
-
-// BreakerSet holds one circuit breaker per pipeline stage (solver,
-// progressive, sqldb, ...), created lazily on first failure. The
-// serving engine consults the whole set before attempting the
-// expensive exact rung: any open breaker vetoes the attempt. All
-// methods are safe for concurrent use; a nil *BreakerSet is a valid
-// no-op receiver (breakers disabled).
-type BreakerSet struct {
+// Breaker is the circuit breaker guarding one expensive path — the
+// serving engine's exact planning rung. Consecutive failures, whatever
+// stage they are blamed on, add to one streak; at the threshold the
+// breaker opens and the path is skipped outright until the cooldown
+// elapses, then one probe decides whether it closes or re-opens. All
+// methods are safe for concurrent use; a nil *Breaker is a valid no-op
+// receiver (breaker disabled).
+type Breaker struct {
 	cfg BreakerConfig
 
-	mu      sync.Mutex
-	byStage map[string]*breaker
+	mu       sync.Mutex
+	state    BreakerState
+	fails    int // consecutive failures
+	openedAt time.Time
+	probing  bool // a half-open probe is in flight
 }
 
-// NewBreakerSet builds an empty set.
-func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
+// NewBreaker builds a closed breaker.
+func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 3
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 5 * time.Second
 	}
-	if cfg.MaxProbes <= 0 {
-		cfg.MaxProbes = 1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &BreakerSet{cfg: cfg, byStage: make(map[string]*breaker)}
+	return &Breaker{cfg: cfg}
 }
 
-// transition moves b to state, firing OnChange. Called with s.mu held.
-func (s *BreakerSet) transition(stage string, b *breaker, to BreakerState) {
+// set moves the breaker to state, firing OnChange. Called with b.mu held.
+func (b *Breaker) set(to BreakerState) {
 	if b.state == to {
 		return
 	}
 	b.state = to
-	if s.cfg.OnChange != nil {
-		s.cfg.OnChange(stage, to)
+	if b.cfg.OnChange != nil {
+		b.cfg.OnChange(to)
 	}
 }
 
-// Allow reports whether the protected path may be attempted. It
-// checks every breaker in the set: a still-cooling open breaker (or a
-// half-open one with its probe quota exhausted) vetoes the attempt and
-// names itself; otherwise cooled-down breakers half-open and charge
-// one probe each, and the attempt proceeds. A nil set always allows.
-func (s *BreakerSet) Allow() (vetoStage string, ok bool) {
-	if s == nil {
-		return "", true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.cfg.Now()
-	// Pass 1: find a vetoing breaker without mutating anything, so a
-	// veto never strands probe charges on other stages.
-	for stage, b := range s.byStage {
-		switch b.state {
-		case Open:
-			if now.Sub(b.openedAt) < s.cfg.Cooldown {
-				return stage, false
-			}
-		case HalfOpen:
-			if b.probes >= s.cfg.MaxProbes {
-				return stage, false
-			}
-		}
-	}
-	// Pass 2: commit — cooled-down breakers half-open, probes charged.
-	for stage, b := range s.byStage {
-		switch b.state {
-		case Open:
-			s.transition(stage, b, HalfOpen)
-			b.probes++
-		case HalfOpen:
-			b.probes++
-		}
-	}
-	return "", true
+// open trips the breaker with a fresh cooldown. Called with b.mu held.
+func (b *Breaker) open() {
+	b.fails = 0
+	b.probing = false
+	b.openedAt = b.cfg.Now()
+	b.set(Open)
 }
 
-// Result settles one allowed attempt. On success every breaker
-// recovers: closed ones reset their failure streak, half-open ones
-// close. On failure the blamed stage's breaker is charged (tripping at
-// the threshold, or re-opening from half-open) while other half-open
-// breakers merely return their probe — an attempt that failed
-// elsewhere says nothing about their stage's health. A failure with an
-// empty blamedStage (not attributable to any stage, e.g. a malformed
-// query) charges nobody: probes are returned and streaks are left
-// alone.
-func (s *BreakerSet) Result(blamedStage string, ok bool) {
-	if s == nil {
+// Allow reports whether the protected path may be attempted: always
+// while closed, never while open and cooling, and once — the probe —
+// after the cooldown, which half-opens the breaker. Every allowed
+// attempt must be settled with Result or Release. A nil breaker always
+// allows.
+func (b *Breaker) Allow() bool {
+	if b == nil {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.state {
+	case Open:
+		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
+			return false
+		}
+		b.set(HalfOpen)
+	case HalfOpen:
+		if b.probing {
+			return false
+		}
+	default:
+		return true
+	}
+	b.probing = true
+	return true
+}
+
+// Result settles one allowed attempt that says something about the
+// path's health. Success resets the streak and closes a half-open
+// breaker. Failure re-opens a half-open breaker, and otherwise extends
+// the streak, tripping at the threshold.
+func (b *Breaker) Result(ok bool) {
+	if b == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !ok && blamedStage != "" {
-		b := s.byStage[blamedStage]
-		if b == nil {
-			b = &breaker{}
-			s.byStage[blamedStage] = b
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch {
+	case ok:
+		b.fails = 0
+		if b.state == HalfOpen {
+			b.probing = false
+			b.set(Closed)
 		}
-		switch b.state {
-		case HalfOpen:
-			b.probes = 0
-			b.openedAt = s.cfg.Now()
-			s.transition(blamedStage, b, Open)
-		default:
-			b.fails++
-			if b.fails >= s.cfg.Threshold {
-				b.fails = 0
-				b.openedAt = s.cfg.Now()
-				s.transition(blamedStage, b, Open)
-			}
-		}
-	}
-	for stage, b := range s.byStage {
-		if stage == blamedStage && !ok {
-			continue
-		}
-		if ok {
-			b.fails = 0
-		}
-		if b.state == HalfOpen && b.probes > 0 {
-			b.probes--
-			if ok {
-				b.fails = 0
-				s.transition(stage, b, Closed)
-			}
+	case b.state == HalfOpen:
+		b.open()
+	default:
+		b.fails++
+		if b.fails >= b.cfg.Threshold {
+			b.open()
 		}
 	}
 }
 
-// OpenExcept reports whether any breaker outside the exempt list is
-// open and still cooling, naming the first such stage. It is a pure
-// read — no probe charges, no half-open transitions — for callers that
-// only need to know whether a *shared* stage is unhealthy: the serving
-// ladder skips its cheaper planning rungs too when the stage they
-// depend on (say sqldb) is the one that tripped, rather than burning
-// their budget on an attempt doomed by the same fault. Exempt stages
-// (ones only the expensive path touches, like the exact solver) never
-// veto. A nil set reports nothing open.
-func (s *BreakerSet) OpenExcept(exempt ...string) (stage string, open bool) {
-	if s == nil {
-		return "", false
+// Release settles an allowed attempt that says nothing about the
+// path's health — a malformed query, or an exact solve cancelled by a
+// winning hedge: a half-open breaker gets its probe back, and the
+// streak is left alone.
+func (b *Breaker) Release() {
+	if b == nil {
+		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.cfg.Now()
-	for st, b := range s.byStage {
-		if b.state != Open || now.Sub(b.openedAt) >= s.cfg.Cooldown {
-			continue
-		}
-		exempted := false
-		for _, e := range exempt {
-			if st == e {
-				exempted = true
-				break
-			}
-		}
-		if !exempted {
-			return st, true
-		}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == HalfOpen {
+		b.probing = false
 	}
-	return "", false
-}
-
-// StateOf reports a stage's current state (Closed for unknown stages).
-func (s *BreakerSet) StateOf(stage string) BreakerState {
-	if s == nil {
-		return Closed
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b := s.byStage[stage]; b != nil {
-		return b.state
-	}
-	return Closed
-}
-
-// States snapshots every known stage's state.
-func (s *BreakerSet) States() map[string]BreakerState {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]BreakerState, len(s.byStage))
-	for stage, b := range s.byStage {
-		out[stage] = b.state
-	}
-	return out
 }

@@ -24,132 +24,149 @@ func (c *testClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestSet(threshold int, cooldown time.Duration) (*BreakerSet, *testClock) {
+func newTestBreaker(threshold int, cooldown time.Duration) (*Breaker, *testClock) {
 	clk := &testClock{now: time.Unix(1_700_000_000, 0)}
-	return NewBreakerSet(BreakerConfig{Threshold: threshold, Cooldown: cooldown, Now: clk.Now}), clk
+	return NewBreaker(BreakerConfig{Threshold: threshold, Cooldown: cooldown, Now: clk.Now}), clk
+}
+
+// stateOf reads the breaker's state under its lock.
+func stateOf(b *Breaker) BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
+// fail runs one allowed attempt that fails.
+func fail(t *testing.T, b *Breaker) {
+	t.Helper()
+	if !b.Allow() {
+		t.Fatal("attempt denied")
+	}
+	b.Result(false)
 }
 
 func TestBreakerTripsAfterConsecutiveFailures(t *testing.T) {
-	s, _ := newTestSet(3, time.Second)
-	for i := 0; i < 2; i++ {
-		if _, ok := s.Allow(); !ok {
-			t.Fatalf("denied before threshold (failure %d)", i)
-		}
-		s.Result("solver", false)
-	}
-	if got := s.StateOf("solver"); got != Closed {
+	b, _ := newTestBreaker(3, time.Second)
+	fail(t, b)
+	fail(t, b)
+	if got := stateOf(b); got != Closed {
 		t.Fatalf("state after 2 failures = %v, want closed", got)
 	}
-	s.Allow()
-	s.Result("solver", false) // third consecutive: trips
-	if got := s.StateOf("solver"); got != Open {
+	fail(t, b) // third consecutive: trips
+	if got := stateOf(b); got != Open {
 		t.Fatalf("state after 3 failures = %v, want open", got)
 	}
-	if stage, ok := s.Allow(); ok || stage != "solver" {
-		t.Fatalf("open breaker allowed (veto=%q ok=%v)", stage, ok)
+	if b.Allow() {
+		t.Fatal("open breaker allowed")
 	}
 }
 
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	s, _ := newTestSet(3, time.Second)
-	s.Allow()
-	s.Result("solver", false)
-	s.Allow()
-	s.Result("solver", false)
-	s.Allow()
-	s.Result("", true) // success clears the streak
-	s.Allow()
-	s.Result("solver", false)
-	s.Allow()
-	s.Result("solver", false)
-	if got := s.StateOf("solver"); got != Closed {
+	b, _ := newTestBreaker(3, time.Second)
+	fail(t, b)
+	fail(t, b)
+	b.Allow()
+	b.Result(true) // success clears the streak
+	fail(t, b)
+	fail(t, b)
+	if got := stateOf(b); got != Closed {
 		t.Fatalf("state = %v, want closed (streak was reset)", got)
 	}
 }
 
 func TestBreakerHalfOpenProbeCycle(t *testing.T) {
-	s, clk := newTestSet(1, time.Second)
-	s.Allow()
-	s.Result("solver", false) // threshold 1: trips immediately
-	if _, ok := s.Allow(); ok {
+	b, clk := newTestBreaker(1, time.Second)
+	fail(t, b) // threshold 1: trips immediately
+	if b.Allow() {
 		t.Fatal("allowed while cooling down")
 	}
 	clk.Advance(1100 * time.Millisecond)
 	// Cooldown over: exactly one probe is granted.
-	if stage, ok := s.Allow(); !ok {
-		t.Fatalf("probe denied after cooldown (veto %q)", stage)
+	if !b.Allow() {
+		t.Fatal("probe denied after cooldown")
 	}
-	if got := s.StateOf("solver"); got != HalfOpen {
+	if got := stateOf(b); got != HalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
 	// A second concurrent attempt is vetoed while the probe is out.
-	if _, ok := s.Allow(); ok {
-		t.Fatal("second probe granted beyond quota")
+	if b.Allow() {
+		t.Fatal("second probe granted while the first is out")
 	}
 	// Probe succeeds: breaker closes.
-	s.Result("", true)
-	if got := s.StateOf("solver"); got != Closed {
+	b.Result(true)
+	if got := stateOf(b); got != Closed {
 		t.Fatalf("state after good probe = %v, want closed", got)
 	}
-	if _, ok := s.Allow(); !ok {
+	if !b.Allow() {
 		t.Fatal("closed breaker denied")
 	}
-	s.Result("", true)
+	b.Result(true)
 }
 
 func TestBreakerFailedProbeReopens(t *testing.T) {
-	s, clk := newTestSet(1, time.Second)
-	s.Allow()
-	s.Result("solver", false)
+	b, clk := newTestBreaker(1, time.Second)
+	fail(t, b)
 	clk.Advance(1100 * time.Millisecond)
-	if _, ok := s.Allow(); !ok {
-		t.Fatal("probe denied")
-	}
-	s.Result("solver", false) // probe fails: back to open with a fresh cooldown
-	if got := s.StateOf("solver"); got != Open {
+	fail(t, b) // probe fails: back to open with a fresh cooldown
+	if got := stateOf(b); got != Open {
 		t.Fatalf("state after bad probe = %v, want open", got)
 	}
-	if _, ok := s.Allow(); ok {
+	if b.Allow() {
 		t.Fatal("allowed right after reopening")
 	}
 	clk.Advance(1100 * time.Millisecond)
-	if _, ok := s.Allow(); !ok {
+	if !b.Allow() {
 		t.Fatal("probe denied after second cooldown")
 	}
-	s.Result("", true)
-	if got := s.StateOf("solver"); got != Closed {
+	b.Result(true)
+	if got := stateOf(b); got != Closed {
 		t.Fatalf("state = %v, want closed", got)
 	}
 }
 
-func TestBreakerFailureElsewhereReturnsProbe(t *testing.T) {
-	s, clk := newTestSet(1, time.Second)
-	s.Allow()
-	s.Result("solver", false)
+func TestBreakerReleaseReturnsProbe(t *testing.T) {
+	b, clk := newTestBreaker(2, time.Second)
+	fail(t, b)
+	// An uncharged failure leaves a closed breaker's streak alone: the
+	// next charged failure is the second, and trips.
+	b.Allow()
+	b.Release()
+	fail(t, b)
+	if got := stateOf(b); got != Open {
+		t.Fatalf("state = %v, want open (release must not reset the streak)", got)
+	}
 	clk.Advance(1100 * time.Millisecond)
-	if _, ok := s.Allow(); !ok {
+	if !b.Allow() {
 		t.Fatal("probe denied")
 	}
-	// The attempt failed, but blamed on a different stage: the solver
-	// breaker gets its probe back and stays half-open (the attempt said
-	// nothing about solver health), while sqldb starts its own streak.
-	s.Result("sqldb", false)
-	if got := s.StateOf("solver"); got != HalfOpen {
-		t.Fatalf("solver state = %v, want half-open", got)
+	// The probe said nothing about the path's health: it comes back,
+	// and the breaker stays half-open.
+	b.Release()
+	if got := stateOf(b); got != HalfOpen {
+		t.Fatalf("state = %v, want half-open", got)
 	}
-	if got := s.StateOf("sqldb"); got != Open {
-		t.Fatalf("sqldb state = %v, want open (threshold 1)", got)
+	if !b.Allow() {
+		t.Fatal("returned probe not re-granted")
 	}
-	// The returned probe is grantable again once sqldb cools down.
-	clk.Advance(1100 * time.Millisecond)
-	if stage, ok := s.Allow(); !ok {
-		t.Fatalf("probe not re-granted (veto %q)", stage)
+	b.Result(true)
+	if got := stateOf(b); got != Closed {
+		t.Fatalf("state after good probe = %v, want closed", got)
 	}
-	s.Result("", true)
-	for stage, st := range s.States() {
-		if st != Closed {
-			t.Errorf("stage %s = %v after good probe, want closed", stage, st)
+}
+
+// TestBreakerMixedStageStreakTrips pins the one breaker's contract:
+// failures add to one streak whatever stage the engine blamed them on,
+// so alternating solver and speak misses trip it at the threshold.
+func TestBreakerMixedStageStreakTrips(t *testing.T) {
+	b, _ := newTestBreaker(3, time.Second)
+	for _, stage := range []string{"solver", "speak", "solver"} {
+		if got := stateOf(b); got != Closed {
+			t.Fatalf("state before the %s failure = %v, want closed", stage, got)
 		}
+		fail(t, b)
+	}
+	if got := stateOf(b); got != Open {
+		t.Fatalf("state after a mixed 3-failure streak = %v, want open", got)
 	}
 }
 
@@ -157,22 +174,21 @@ func TestBreakerOnChangeObservesTransitions(t *testing.T) {
 	var mu sync.Mutex
 	var seen []string
 	clk := &testClock{now: time.Unix(1_700_000_000, 0)}
-	s := NewBreakerSet(BreakerConfig{
+	b := NewBreaker(BreakerConfig{
 		Threshold: 1, Cooldown: time.Second, Now: clk.Now,
-		OnChange: func(stage string, to BreakerState) {
+		OnChange: func(to BreakerState) {
 			mu.Lock()
-			seen = append(seen, stage+":"+to.String())
+			seen = append(seen, to.String())
 			mu.Unlock()
 		},
 	})
-	s.Allow()
-	s.Result("solver", false)
+	fail(t, b)
 	clk.Advance(1100 * time.Millisecond)
-	s.Allow()
-	s.Result("", true)
+	b.Allow()
+	b.Result(true)
 	mu.Lock()
 	defer mu.Unlock()
-	want := []string{"solver:open", "solver:half-open", "solver:closed"}
+	want := []string{"open", "half-open", "closed"}
 	if len(seen) != len(want) {
 		t.Fatalf("transitions = %v, want %v", seen, want)
 	}
@@ -183,42 +199,40 @@ func TestBreakerOnChangeObservesTransitions(t *testing.T) {
 	}
 }
 
-func TestBreakerNilSetIsNoop(t *testing.T) {
-	var s *BreakerSet
-	if _, ok := s.Allow(); !ok {
-		t.Error("nil set denied")
+func TestBreakerNilIsNoop(t *testing.T) {
+	var b *Breaker
+	if !b.Allow() {
+		t.Error("nil breaker denied")
 	}
-	s.Result("solver", false)
-	if s.StateOf("solver") != Closed {
-		t.Error("nil set reported non-closed state")
-	}
-	if s.States() != nil {
-		t.Error("nil set returned states")
+	b.Result(false)
+	b.Release()
+	if !b.Allow() {
+		t.Error("nil breaker denied after a failure")
 	}
 }
 
 func TestBreakerConcurrentTransitions(t *testing.T) {
-	// Many goroutines hammer Allow/Result through trip, half-open and
-	// close cycles; -race validates the locking, and the set must end
-	// in a consistent state with no probe leakage (a final good probe
-	// closes everything).
-	s, clk := newTestSet(5, 10*time.Millisecond)
+	// Many goroutines hammer Allow/Result/Release through trip,
+	// half-open and close cycles; -race validates the locking, and the
+	// breaker must end in a consistent state with no probe leakage (a
+	// final good probe closes it).
+	b, clk := newTestBreaker(5, 10*time.Millisecond)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, ok := s.Allow(); !ok {
+				if !b.Allow() {
 					continue
 				}
 				switch (g + i) % 4 {
 				case 0:
-					s.Result("solver", false)
+					b.Result(false)
 				case 1:
-					s.Result("progressive", false)
+					b.Release()
 				default:
-					s.Result("", true)
+					b.Result(true)
 				}
 				if i%50 == 0 {
 					clk.Advance(11 * time.Millisecond)
@@ -227,66 +241,15 @@ func TestBreakerConcurrentTransitions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Drain: advance past any cooldown and complete good probes until
-	// everything is closed (bounded by the number of stages).
-	for i := 0; i < 100; i++ {
-		allClosed := true
-		for _, st := range s.States() {
-			if st != Closed {
-				allClosed = false
-			}
-		}
-		if allClosed {
+	// Drain: advance past any cooldown and complete a good probe.
+	for i := 0; i < 10; i++ {
+		if stateOf(b) == Closed {
 			return
 		}
 		clk.Advance(11 * time.Millisecond)
-		if _, ok := s.Allow(); ok {
-			s.Result("", true)
+		if b.Allow() {
+			b.Result(true)
 		}
 	}
-	t.Fatalf("breakers failed to converge to closed: %v", s.States())
-}
-
-func TestBreakerOpenExcept(t *testing.T) {
-	s, clk := newTestSet(1, time.Second)
-	var nilSet *BreakerSet
-	if stage, open := nilSet.OpenExcept(); open || stage != "" {
-		t.Fatalf("nil set reported %q open", stage)
-	}
-	if _, open := s.OpenExcept(); open {
-		t.Fatal("empty set reported a breaker open")
-	}
-
-	// Trip the exact-only solver stage: exempting it hides the trip,
-	// not exempting it reports it.
-	s.Allow()
-	s.Result("solver", false)
-	if stage, open := s.OpenExcept("solver", "speak"); open {
-		t.Fatalf("exempt solver trip reported open (stage %q)", stage)
-	}
-	if stage, open := s.OpenExcept(); !open || stage != "solver" {
-		t.Fatalf("unexempted trip = (%q, %v), want (solver, true)", stage, open)
-	}
-
-	// A shared-stage trip is reported even with the solver exempt.
-	s.Allow()
-	s.Result("sqldb", false)
-	if stage, open := s.OpenExcept("solver", "speak"); !open || stage != "sqldb" {
-		t.Fatalf("shared trip = (%q, %v), want (sqldb, true)", stage, open)
-	}
-
-	// OpenExcept is read-only: no probes were charged, states unchanged.
-	if got := s.StateOf("sqldb"); got != Open {
-		t.Fatalf("sqldb state after reads = %v, want open (still)", got)
-	}
-
-	// Once the cooldown elapses the breaker stops vetoing — Allow's
-	// half-open probe path owns recovery, not this read.
-	clk.Advance(2 * time.Second)
-	if stage, open := s.OpenExcept(); open {
-		t.Fatalf("cooled-down breaker still vetoes (stage %q)", stage)
-	}
-	if got := s.StateOf("sqldb"); got != Open {
-		t.Fatalf("read-only check transitioned sqldb to %v", got)
-	}
+	t.Fatalf("breaker failed to converge to closed: %v", stateOf(b))
 }

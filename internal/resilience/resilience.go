@@ -14,16 +14,16 @@
 //     ILP → greedy → stale cached answer → minimal single-plot
 //     answer), each attempted only while the remaining deadline budget
 //     allows, with per-rung budget caps and panic containment;
-//   - Breaker / BreakerSet: per-stage circuit breakers that trip after
-//     consecutive deadline misses blamed on a stage, skip the
-//     expensive rung entirely while open, and half-open with bounded
-//     probe requests after a cooldown;
+//   - Breaker: one circuit breaker on the expensive exact rung that
+//     trips after consecutive deadline misses, skips that rung
+//     entirely while open, and half-opens for one probe request after
+//     a cooldown;
 //   - Chaos: a deterministic, seedable fault-injection layer that
 //     wraps pipeline stages with latency, error and panic injection —
 //     and, under the reserved "http" stage, transport faults (slow or
 //     partial writes, stalled reads, mid-response resets, garbage
 //     bodies) applied by serve's HTTP chaos middleware — so the
-//     ladder, the breakers and the client-facing contract are
+//     ladder, the breaker and the client-facing contract are
 //     exercised by tests and by `muvebench -chaos` rather than
 //     trusted on faith.
 //

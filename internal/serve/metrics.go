@@ -94,6 +94,9 @@ func (f *Family[M]) With(value string) *M {
 	return c
 }
 
+// Values snapshots the children by label value.
+func (f *Family[M]) Values() map[string]*M { return maps.Clone(f.load()) }
+
 // series lists the children in label-value order.
 func (f *Family[M]) series() []series {
 	kids := f.load()
@@ -196,11 +199,11 @@ type Metrics struct {
 	// SnapshotSkipped counts drain-snapshot restores refused, by reason
 	// (truncated|corrupt|stale|mismatch).
 	SnapshotSkipped Family[Counter]
-	// BreakerTrips counts circuit-breaker trips by stage.
-	BreakerTrips Family[Counter]
-	// BreakerState gauges each stage breaker's state (0 closed, 1 open,
-	// 2 half-open, matching resilience.BreakerState).
-	BreakerState Family[Gauge]
+	// BreakerTrips counts trips of the exact rung's circuit breaker.
+	BreakerTrips Counter
+	// BreakerState gauges the exact rung's circuit breaker (0 closed,
+	// 1 open, 2 half-open, matching resilience.BreakerState).
+	BreakerState Gauge
 	// WarmStarts counts ILP planning calls by warm-start outcome
 	// (hit|partial|infeasible|none).
 	WarmStarts Family[Counter]
@@ -266,8 +269,8 @@ var families = []family{
 	{"muve_inflight", nil, func(m *Metrics) []series { return one(&m.InFlight) }},
 	{"muve_queue_depth", []string{"priority"}, func(m *Metrics) []series { return fixed(priorities[:], m.QueueDepth[:]) }},
 	{"muve_snapshot_skipped_total", []string{"reason"}, func(m *Metrics) []series { return m.SnapshotSkipped.series() }},
-	{"muve_breaker_trips_total", []string{"stage"}, func(m *Metrics) []series { return m.BreakerTrips.series() }},
-	{"muve_breaker_state", []string{"stage"}, func(m *Metrics) []series { return m.BreakerState.series() }},
+	{"muve_breaker_trips_total", nil, func(m *Metrics) []series { return one(&m.BreakerTrips) }},
+	{"muve_breaker_state", nil, func(m *Metrics) []series { return one(&m.BreakerState) }},
 	{"muve_warmstart_total", []string{"result"}, func(m *Metrics) []series { return m.WarmStarts.series() }},
 	{"muve_ladder_rung_total", []string{"mode", "rung"}, func(m *Metrics) []series {
 		var out []series

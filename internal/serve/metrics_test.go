@@ -133,8 +133,8 @@ func populated() *Metrics {
 	m.Requests.Inc()
 	m.Fallbacks.With("solver").Inc()
 	m.SnapshotSkipped.With("stale").Inc()
-	m.BreakerTrips.With("solver").Inc()
-	m.BreakerState.With("solver").Set(1)
+	m.BreakerTrips.Inc()
+	m.BreakerState.Set(1)
 	m.WarmStarts.With("hit").Inc()
 	m.Ladder[modePlot].With("exact").Inc()
 	m.Ladder[modeVoice].With("greedy").Inc()

@@ -241,6 +241,12 @@ func TestEngineStaleRungServesExpiredAnswer(t *testing.T) {
 	}
 }
 
+// breakerState reads the exact rung's breaker state from its
+// muve_breaker_state gauge, as an operator would.
+func breakerState(e *Engine) resilience.BreakerState {
+	return resilience.BreakerState(e.Metrics().BreakerState.Value())
+}
+
 func TestEngineBreakerSkipsExactWhileOpen(t *testing.T) {
 	var primary atomic.Int64
 	e, err := NewEngine(Config{
@@ -257,14 +263,14 @@ func TestEngineBreakerSkipsExactWhileOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two blamed deadline misses trip the (unknown-stage) breaker.
+	// Two deadline misses trip the breaker.
 	for i := 0; i < 2; i++ {
 		r, err := e.Do(context.Background(), Request{Transcript: fmt.Sprintf("miss%d", i)})
 		if err != nil || r.Source != SourceFallback {
 			t.Fatalf("request %d = %+v err=%v", i, r, err)
 		}
 	}
-	if got := e.Breakers().StateOf("unknown"); got != resilience.Open {
+	if got := breakerState(e); got != resilience.Open {
 		t.Fatalf("breaker state = %v, want open", got)
 	}
 	// While open, the exact rung is skipped outright: the primary
@@ -280,10 +286,10 @@ func TestEngineBreakerSkipsExactWhileOpen(t *testing.T) {
 	rec := httptest.NewRecorder()
 	e.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
-	if !strings.Contains(body, `muve_breaker_trips_total{stage="unknown"} 1`) {
+	if !strings.Contains(body, "muve_breaker_trips_total 1\n") {
 		t.Errorf("missing trip counter in:\n%s", body)
 	}
-	if !strings.Contains(body, `muve_breaker_state{stage="unknown"} 1`) {
+	if !strings.Contains(body, "muve_breaker_state 1\n") {
 		t.Errorf("missing state gauge in:\n%s", body)
 	}
 }
@@ -310,7 +316,7 @@ func TestEngineBreakerHalfOpenRecovery(t *testing.T) {
 	if _, err := e.Do(context.Background(), Request{Transcript: "trip"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Breakers().StateOf("unknown"); got != resilience.Open {
+	if got := breakerState(e); got != resilience.Open {
 		t.Fatalf("state = %v, want open", got)
 	}
 	// After the cooldown the breaker half-opens; a healthy probe closes
@@ -321,7 +327,7 @@ func TestEngineBreakerHalfOpenRecovery(t *testing.T) {
 	if err != nil || r.Source != SourcePlanned || r.Value != "exact again" {
 		t.Fatalf("probe = %+v err=%v", r, err)
 	}
-	if got := e.Breakers().StateOf("unknown"); got != resilience.Closed {
+	if got := breakerState(e); got != resilience.Closed {
 		t.Errorf("state after good probe = %v, want closed", got)
 	}
 }
@@ -376,7 +382,7 @@ func TestEngineChaosReachesPlanner(t *testing.T) {
 		t.Errorf("injected = %+v", chaos.Injected())
 	}
 	// Injected faults count as breaker failures.
-	if e.Breakers().StateOf("unknown") == resilience.Closed {
+	if breakerState(e) == resilience.Closed {
 		// threshold 3 default: one failure is not enough to trip, but
 		// the streak must be recorded; two more injected failures trip.
 		for i := 0; i < 2; i++ {
@@ -384,7 +390,7 @@ func TestEngineChaosReachesPlanner(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := e.Breakers().StateOf("unknown"); got != resilience.Open {
+		if got := breakerState(e); got != resilience.Open {
 			t.Errorf("breaker after 3 injected failures = %v, want open", got)
 		}
 	}

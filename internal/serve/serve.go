@@ -20,9 +20,9 @@
 //     stale-but-fresh-enough cached answer, then a minimal single-plot
 //     answer, each rung bounded by its share of the remaining deadline
 //     budget and recorded in Answer.Source, metrics and the trace;
-//   - per-stage circuit breakers that skip the expensive exact rung
-//     outright after consecutive deadline misses blamed on one stage,
-//     half-opening with bounded probes after a cooldown;
+//   - one circuit breaker on the exact rung that skips it outright
+//     after consecutive deadline misses, half-opening for one probe
+//     after a cooldown;
 //   - per-client sessions with bounded lifetimes that carry state
 //     across consecutive utterances;
 //   - an allocation-light metrics registry (counters, gauges, latency
@@ -114,15 +114,6 @@ const (
 	rungHedged = "hedged"
 )
 
-// exactOnlyStages lists breaker stages that never veto the greedy
-// rung: the multiplot ILP's "solver" stage and the fact-set ILP's
-// "speak" stage are touched only by the exact planning rung, and an
-// "unknown" blame (a failure the trace could not attribute to any
-// stage) says nothing about shared-stage health either. A breaker
-// tripped on any other blamed stage (speech, nlq, progressive, viz,
-// sqldb, ...) is shared by all planning rungs and skips greedy too.
-var exactOnlyStages = []string{"solver", "speak", "unknown"}
-
 // rungSource maps the rung that served an answer to its Source label.
 func rungSource(rung string) Source {
 	switch rung {
@@ -193,12 +184,12 @@ type Config struct {
 	// that finds no token is denied (the exact solve just continues
 	// alone) and counted as muve_hedge_total{outcome="denied"}.
 	Hedge bool
-	// BreakerThreshold trips a stage's circuit breaker after this many
-	// consecutive blamed deadline misses (default 3; negative disables
-	// breakers entirely).
+	// BreakerThreshold trips the exact rung's circuit breaker after
+	// this many consecutive deadline misses, whatever stage they are
+	// blamed on (default 3; negative disables the breaker).
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// half-opening for probes (default 5s).
+	// BreakerCooldown is how long a tripped breaker skips the exact
+	// rung before half-opening for a probe (default 5s).
 	BreakerCooldown time.Duration
 	// Chaos, when non-nil, is propagated into planning contexts so
 	// instrumented pipeline stages inject deterministic faults — tests
@@ -222,9 +213,9 @@ type Config struct {
 	// several engines can share one); nil allocates a fresh one.
 	Metrics *Metrics
 	// BreakerNotify, when non-nil, observes every breaker state change
-	// in addition to the metrics gauges — muveserver points it at the
+	// in addition to the metrics gauge — muveserver points it at the
 	// incident flight recorder so an opening breaker captures a bundle.
-	BreakerNotify func(stage string, to resilience.BreakerState)
+	BreakerNotify func(to resilience.BreakerState)
 	// Logger, when non-nil, receives engine-level events (fallback
 	// degradations, planner errors) tagged with the request ID from
 	// the logging middleware. Nil disables engine logging.
@@ -250,7 +241,7 @@ type Engine struct {
 	sessions  *SessionStore
 	admission *resilience.Admission
 	ladder    *resilience.Ladder
-	breakers  *resilience.BreakerSet
+	breaker   *resilience.Breaker
 	chaos     *resilience.Chaos
 	metrics   *Metrics
 	logger    *log.Logger
@@ -325,18 +316,18 @@ func NewEngine(cfg Config) (*Engine, error) {
 		OnSojourn: func(p resilience.Priority, d time.Duration) { m.Sojourn[p].Observe(d) },
 		OnDepth:   func(p resilience.Priority, depth int) { m.QueueDepth[p].Set(int64(depth)) },
 	})
-	var breakers *resilience.BreakerSet
+	var breaker *resilience.Breaker
 	if cfg.BreakerThreshold >= 0 {
-		breakers = resilience.NewBreakerSet(resilience.BreakerConfig{
+		breaker = resilience.NewBreaker(resilience.BreakerConfig{
 			Threshold: cfg.BreakerThreshold,
 			Cooldown:  cfg.BreakerCooldown,
-			OnChange: func(stage string, to resilience.BreakerState) {
-				m.BreakerState.With(stage).Set(int64(to))
+			OnChange: func(to resilience.BreakerState) {
+				m.BreakerState.Set(int64(to))
 				if to == resilience.Open {
-					m.BreakerTrips.With(stage).Inc()
+					m.BreakerTrips.Inc()
 				}
 				if cfg.BreakerNotify != nil {
-					cfg.BreakerNotify(stage, to)
+					cfg.BreakerNotify(to)
 				}
 			},
 		})
@@ -363,7 +354,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.sessions = NewSessionStore(0, 0)
 	e.admission = admission
 	e.ladder = resilience.NewLadder(rungs...)
-	e.breakers = breakers
+	e.breaker = breaker
 	e.chaos = cfg.Chaos
 	e.metrics = m
 	e.logger = cfg.Logger
@@ -406,10 +397,6 @@ func (e *Engine) Setup() string { return e.setup }
 
 // Metrics exposes the engine's registry (for mounting its handlers).
 func (e *Engine) Metrics() *Metrics { return e.metrics }
-
-// Breakers exposes the per-stage circuit breakers (nil when disabled),
-// for status endpoints and tests.
-func (e *Engine) Breakers() *resilience.BreakerSet { return e.breakers }
 
 // Cache exposes the answer cache (for stats endpoints and tests).
 func (e *Engine) Cache() *Cache { return e.cache }
@@ -567,9 +554,9 @@ func blame(tr *obs.Trace) string {
 }
 
 // breakerFailure classifies an exact-rung error for the circuit
-// breakers: deadline misses and injected faults indicate an unhealthy
-// stage; anything else (a malformed query, say) says nothing about the
-// pipeline and must not trip a breaker.
+// breaker: deadline misses and injected faults indicate an unhealthy
+// rung; anything else (a malformed query, say) says nothing about the
+// pipeline and must not trip the breaker.
 func breakerFailure(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, resilience.ErrInjected)
 }
@@ -702,31 +689,32 @@ func (e *Engine) plan(callerCtx context.Context, req Request, sess *Session) (an
 }
 
 // settleExact records the exact attempt's outcome with the circuit
-// breakers: a deadline/injected failure charges the blamed stage, any
-// other failure returns probes without charging, success closes.
+// breaker — a deadline/injected failure extends its streak, any other
+// failure returns the probe without charging, success closes — and
+// names the stage blamed for a failure.
 func (e *Engine) settleExact(tr *obs.Trace, blamed *string, v any, err error) (any, error) {
 	switch {
 	case err == nil:
-		e.breakers.Result("", true)
+		e.breaker.Result(true)
 	case breakerFailure(err):
 		*blamed = blame(tr)
-		e.breakers.Result(*blamed, false)
+		e.breaker.Result(false)
 	default:
 		*blamed = blame(tr)
-		e.breakers.Result("", false) // returns probes, charges nobody
+		e.breaker.Release()
 	}
 	return v, err
 }
 
 // attemptRung executes one degradation-ladder rung. blamed receives
-// the stage charged for an exact-rung failure (for breaker accounting
-// and the fallback blame counters); hedged is set when the greedy
+// the stage blamed for an exact-rung failure (for the fallback blame
+// counter, trace mark and log line); hedged is set when the greedy
 // hedge beat the exact solve.
 func (e *Engine) attemptRung(actx context.Context, r resilience.Rung, req Request, sess *Session, tr *obs.Trace, key string, blamed *string, hedged *bool) (any, error) {
 	switch r.Name {
 	case rungExact:
-		if vetoStage, ok := e.breakers.Allow(); !ok {
-			return nil, &resilience.SkipError{Reason: "breaker-open:" + vetoStage}
+		if !e.breaker.Allow() {
+			return nil, &resilience.SkipError{Reason: "breaker-open"}
 		}
 		if e.hedge {
 			return e.attemptHedged(actx, req, sess, tr, blamed, hedged)
@@ -735,21 +723,13 @@ func (e *Engine) attemptRung(actx context.Context, r resilience.Rung, req Reques
 		defer func() {
 			if !settled { // the planner panicked out of this frame
 				*blamed = blame(tr)
-				e.breakers.Result(*blamed, false)
+				e.breaker.Result(false)
 			}
 		}()
 		v, err := e.planner(actx, req, sess)
 		settled = true
 		return e.settleExact(tr, blamed, v, err)
 	case rungGreedy:
-		// Breaker-aware rung ordering: when the stage that tripped is
-		// one the fallback depends on too (anything but the exact-only
-		// solver stages), greedy would fail the same way — skip every
-		// planning rung and jump straight to stale/minimal. Read-only:
-		// probe accounting stays with the exact rung's Allow/Result.
-		if stage, open := e.breakers.OpenExcept(exactOnlyStages...); open {
-			return nil, &resilience.SkipError{Reason: "breaker-open:" + stage}
-		}
 		return e.fallback(actx, req, sess)
 	case rungStale:
 		if req.Refresh {
@@ -774,9 +754,9 @@ func (e *Engine) attemptRung(actx context.Context, r resilience.Rung, req Reques
 // concurrently and the first success wins, cancelling the loser. Both
 // attempts run in goroutines with their own panic containment (a panic
 // there cannot unwind through the ladder's recover), surfacing as a
-// plain error that never charges a breaker. Breaker accounting: an
+// plain error that never charges the breaker. Breaker accounting: an
 // exact finish settles as usual; a hedge win settles neutrally — the
-// cancelled exact attempt proved nothing about stage health.
+// cancelled exact attempt proved nothing about the rung's health.
 func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session, tr *obs.Trace, blamed *string, hedged *bool) (any, error) {
 	type result struct {
 		v   any
@@ -855,7 +835,7 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 				e.metrics.Hedge[HedgeWon].Inc()
 				*hedged = true
 				// Neutral settle: the exact attempt never finished.
-				e.breakers.Result("", false)
+				e.breaker.Release()
 				return r.v, nil
 			}
 			hc = nil

@@ -625,6 +625,26 @@ func (s *System) defaultMethod(ctx context.Context, prior *core.Multiplot) progr
 	}
 }
 
+// Setup describes, in one line for a startup log, how s plans an
+// answer: the presentation method its config picks (as defaultMethod
+// picks it per request) and the exact planners' ILP budget with the
+// BudgetFraction cap it applies. The greedy solver runs no ILP, so it
+// has no budget to report.
+func (s *System) Setup() string {
+	method := s.cfg.Presentation
+	if method == nil {
+		method = s.defaultMethod(context.Background(), nil)
+	}
+	budget := "unused (greedy solver)"
+	if s.cfg.Solver != SolverGreedy {
+		budget = s.cfg.ILPTimeout.String() + ", no deadline cap"
+		if f := s.cfg.BudgetFraction; f > 0 {
+			budget = fmt.Sprintf("%s, capped at %g of the remaining deadline", s.cfg.ILPTimeout, f)
+		}
+	}
+	return fmt.Sprintf("presentation %s; ILP budget %s", method.Name(), budget)
+}
+
 // headline renders the query elements shared by every candidate.
 func headline(cands []core.Candidate) string {
 	if len(cands) == 0 {

@@ -432,6 +432,29 @@ func TestILPBudget(t *testing.T) {
 	}
 }
 
+// TestSystemSetup pins the startup description: the presentation
+// method the solver picks and the ILP budget after BudgetFraction.
+func TestSystemSetup(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Solver: SolverGreedy, ILPTimeout: time.Second, BudgetFraction: 0.5},
+			"presentation Greedy; ILP budget unused (greedy solver)"},
+		{Config{Solver: SolverILP, ILPTimeout: time.Second, BudgetFraction: 0.5},
+			"presentation ILP; ILP budget 1s, capped at 0.5 of the remaining deadline"},
+		{Config{Solver: SolverILPIncremental, ILPTimeout: 300 * time.Millisecond},
+			"presentation ILP-Inc; ILP budget 300ms, no deadline cap"},
+		{Config{Solver: SolverILP, ILPTimeout: time.Second, Presentation: progressive.NewApprox(0.05)},
+			"presentation App-5%; ILP budget 1s, no deadline cap"},
+	} {
+		s := &System{cfg: tc.cfg}
+		if got := s.Setup(); got != tc.want {
+			t.Errorf("Setup() = %q\nwant       %q", got, tc.want)
+		}
+	}
+}
+
 // spanAttr returns attribute key of the trace's first span of the given
 // stage, or nil when there is none.
 func spanAttr(tr *obs.Trace, stage, key string) any {
