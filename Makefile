@@ -44,15 +44,18 @@ serve:
 trace-smoke:
 	$(GO) run ./cmd/muvebench -trace -trace-runs 1
 
-# Deterministic fault injection against the serving engine's
+# Seeded fault injection against the serving engine's
 # degradation ladder (every fifth request asks for a voice answer, so
 # the solver faults hit the plot ladder and the speak faults the voice
 # ladder) AND the HTTP transport below the handler; fails
 # if any injected fault escapes (a request that neither answers nor
 # fast-fails 503, an unrecovered panic, or transport damage the client
 # could mistake for a clean answer), if a draining engine fails to
-# shed new planning work with 503, or if any fallback is blamed on
-# stage "unknown" (every request is traced, as muveserver traces it).
+# shed new planning work with 503, if any fallback is blamed on stage
+# "unknown" (every request is traced, as muveserver traces it), or if
+# fewer panics were contained and counted than were injected. The seed
+# fixes the fault mix, not which request gets which fault: the 8
+# workers draw from one generator, so counts move a little run to run.
 # The second run faults the nlq stage every planning rung shares, so
 # the exact rung's breaker trips on a shared-stage streak while greedy
 # keeps answering.

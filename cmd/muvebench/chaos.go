@@ -47,6 +47,16 @@ type chaosReport struct {
 	// BreakerTrips counts trips of the exact rung's circuit breaker
 	// (muve_breaker_trips_total).
 	BreakerTrips uint64 `json:"breaker_trips"`
+	// Panics compares the panics the chaos layer injected with those
+	// the engine contained and counted (muve_panics_total).
+	Panics panicCounts `json:"panics"`
+}
+
+// panicCounts is the panic tally: a run fails unless every injected
+// panic was contained.
+type panicCounts struct {
+	Injected  int    `json:"injected"`
+	Contained uint64 `json:"contained"`
 }
 
 // retryCounts counts the plain retries the harness's clients sent: one
@@ -112,11 +122,12 @@ type chaosOutcome struct {
 }
 
 // runChaos drives the same serve.Engine degradation ladder muveserver
-// serves from, but with deterministic fault injection enabled, and
-// verifies the resilience contract: every request must either return an
-// answer (possibly from a lower rung) or fast-fail with 503 —
-// never hang and never surface an injected fault. Any escape fails the
-// run with a non-zero exit so `make chaos-smoke` can gate CI on it.
+// serves from, but with seeded fault injection enabled, and verifies
+// the resilience contract: every request must either return an answer
+// (possibly from a lower rung) or fast-fail with 503 — never hang and
+// never surface an injected fault — and every injected panic must be
+// contained and counted. A breach fails the run with a non-zero exit
+// so `make chaos-smoke` can gate CI on it.
 func runChaos(spec string, seed int64, requests, workers int, jsonPath string) error {
 	ch, err := resilience.ParseChaos(spec, seed)
 	if err != nil {
@@ -205,6 +216,10 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 		rep.Fallbacks[stage] = c.Value()
 	}
 	rep.BreakerTrips = engine.Metrics().BreakerTrips.Value()
+	for _, c := range ch.Injected() {
+		rep.Panics.Injected += c.Panics
+	}
+	rep.Panics.Contained = engine.Metrics().Panics.Value()
 	writeChaosText(os.Stdout, rep, outcomes)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
@@ -224,6 +239,10 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	}
 	if rep.Escaped > 0 {
 		return fmt.Errorf("%d injected fault(s) escaped the resilience layer", rep.Escaped)
+	}
+	if rep.Panics.Contained < uint64(rep.Panics.Injected) {
+		return fmt.Errorf("%d panic(s) injected but only %d contained and counted",
+			rep.Panics.Injected, rep.Panics.Contained)
 	}
 	if !rep.Drain.Shed503 {
 		return fmt.Errorf("draining engine did not shed new planning work with 503")
@@ -525,6 +544,7 @@ func writeChaosText(w io.Writer, rep chaosReport, outcomes []chaosOutcome) {
 	}
 	fmt.Fprintf(w, "\ndrain:   cancelled=%d shed-503=%v\n", rep.Drain.Cancelled, rep.Drain.Shed503)
 	fmt.Fprintf(w, "breaker: trips=%d\n", rep.BreakerTrips)
+	fmt.Fprintf(w, "panics:  injected=%d contained=%d\n", rep.Panics.Injected, rep.Panics.Contained)
 	fmt.Fprintf(w, "fallbacks by blamed stage:")
 	for _, k := range sortedKeys(rep.Fallbacks) {
 		fmt.Fprintf(w, " %s=%d", k, rep.Fallbacks[k])

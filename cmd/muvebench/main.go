@@ -23,9 +23,13 @@
 // JSON loadable in chrome://tracing or ui.perfetto.dev.
 //
 // Chaos mode drives the serving engine's degradation ladder under
-// deterministic fault injection and fails (non-zero exit) if any
-// injected fault escapes — i.e. a request that neither returns an
-// answer nor fast-fails with 503, or a panic that reaches the caller:
+// seeded fault injection and fails (non-zero exit) if any injected
+// fault escapes — i.e. a request that neither returns an answer nor
+// fast-fails with 503, or a panic that reaches the caller — or if the
+// engine contained and counted fewer panics than were injected. The
+// workers share one seeded fault generator, so a seed fixes the fault
+// mix but not which request gets which fault; compare builds over
+// several runs:
 //
 //	muvebench -chaos "solver:lat=3s@0.4,err=0.2;nlq:panic=0.05" \
 //	          [-chaos-seed 7] [-chaos-requests 200] [-chaos-json out.json]

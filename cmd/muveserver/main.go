@@ -49,7 +49,7 @@
 // One circuit breaker guards the exact rung: it trips after
 // -breaker-threshold consecutive deadline misses, whatever stage each
 // is blamed on, and skips that rung for -breaker-cooldown before one
-// probe tries it again. -chaos injects deterministic faults for
+// probe tries it again. -chaos injects seeded faults for
 // drills (spec "stage:lat=DUR[@P],err=P,panic=P;...", stages
 // speech|nlq|solver|progressive|viz or *; seeded by -chaos-seed). The
 // reserved stage "http" (never matched by "*") injects transport faults below the

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"muve/internal/resilience"
 )
 
 // TestHedgeTokenBucketBoundsConcurrentHedges: with one hedge token
@@ -109,5 +112,98 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestExactPanicSettlesWithOrWithoutHedge: a panic in the exact planner
+// is contained, counted and charged to the breaker the same way whether
+// the exact attempt runs alone or in the hedge's goroutine, and the
+// greedy rung answers.
+func TestExactPanicSettlesWithOrWithoutHedge(t *testing.T) {
+	for _, hedge := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedge=%v", hedge), func(t *testing.T) {
+			e, err := NewEngine(Config{
+				Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
+					panic("solver corrupted its state")
+				},
+				Fallback: func(ctx context.Context, req Request, sess *Session) (any, error) {
+					return "greedy", nil
+				},
+				Hedge:            hedge,
+				BreakerThreshold: 1,
+				BreakerCooldown:  time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			r, err := e.Do(context.Background(), Request{Transcript: "q"})
+			if err != nil || r.Source != SourceFallback {
+				t.Fatalf("response = %+v err=%v", r, err)
+			}
+			m := e.Metrics()
+			if n := m.Panics.Value(); n != 1 {
+				t.Errorf("panics = %d, want 1", n)
+			}
+			if got := breakerState(e); got != resilience.Open {
+				t.Errorf("breaker = %v, want open", got)
+			}
+			if n := m.BreakerTrips.Value(); n != 1 {
+				t.Errorf("breaker trips = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestHedgeWinSettlesFinishedExactFailure: when the hedge wins, an
+// exact attempt that had already failed is charged to the breaker as
+// it would be unhedged; only an exact attempt the win cancelled
+// settles neutrally. The hedge point is Timeout/4 = 100ms; the hedge
+// answers 150ms later.
+func TestHedgeWinSettlesFinishedExactFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		exact func(ctx context.Context) error
+		want  resilience.BreakerState
+	}{
+		{"exact failed first", func(ctx context.Context) error {
+			time.Sleep(150 * time.Millisecond)
+			return fmt.Errorf("solve: %w", resilience.ErrInjected)
+		}, resilience.Open},
+		{"exact still running", func(ctx context.Context) error {
+			<-ctx.Done()
+			return ctx.Err()
+		}, resilience.Closed},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(Config{
+				Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
+					return nil, tc.exact(ctx)
+				},
+				Fallback: func(ctx context.Context, req Request, sess *Session) (any, error) {
+					select {
+					case <-time.After(150 * time.Millisecond):
+						return "hedge", nil
+					case <-ctx.Done():
+						return nil, ctx.Err()
+					}
+				},
+				Hedge:            true,
+				Timeout:          400 * time.Millisecond,
+				BreakerThreshold: 1,
+				BreakerCooldown:  time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			r, err := e.Do(context.Background(), Request{Transcript: "q"})
+			if err != nil || r.Source != SourceHedged {
+				t.Fatalf("response = %+v err=%v", r, err)
+			}
+			if got := breakerState(e); got != tc.want {
+				t.Errorf("breaker = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"muve/internal/obs"
-	"muve/internal/resilience"
 )
 
 // ctxKey is the private context-key namespace of this package.
@@ -149,7 +148,7 @@ func WithRecovery(logger *log.Logger, metrics *Metrics, next http.Handler) http.
 // while queued for admission), 499 for a caller that went away, and
 // 422 for everything else (a malformed or unanswerable query).
 func StatusOf(err error) int {
-	var ex *resilience.ExhaustedError
+	var ex *ExhaustedError
 	switch {
 	case err == nil:
 		return http.StatusOK

@@ -182,7 +182,7 @@ func TestEngineLadderExhaustion(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = e.Do(context.Background(), Request{Transcript: "q"})
-	var ex *resilience.ExhaustedError
+	var ex *ExhaustedError
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v, want ExhaustedError", err)
 	}
@@ -423,7 +423,7 @@ func TestStatusOfClassification(t *testing.T) {
 		want int
 	}{
 		{nil, http.StatusOK},
-		{&resilience.ExhaustedError{}, http.StatusServiceUnavailable},
+		{&ExhaustedError{}, http.StatusServiceUnavailable},
 		{fmt.Errorf("plan: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{context.Canceled, 499},
 		{errors.New("untranslatable"), http.StatusUnprocessableEntity},
@@ -435,8 +435,139 @@ func TestStatusOfClassification(t *testing.T) {
 	}
 	// An exhausted ladder whose last real failure was a deadline miss
 	// still classifies as 503, not 504: the ladder IS the timeout story.
-	ex := &resilience.ExhaustedError{Outcomes: []resilience.Outcome{{Rung: "exact", Err: context.DeadlineExceeded}}}
+	ex := &ExhaustedError{Steps: []string{"exact: " + context.DeadlineExceeded.Error()}, Err: context.DeadlineExceeded}
 	if got := StatusOf(fmt.Errorf("plan: %w", ex)); got != http.StatusServiceUnavailable {
 		t.Errorf("wrapped exhausted = %d, want 503", got)
+	}
+}
+
+// TestEngineRungGetsItsWholeShare: the planning budget is the sum of
+// the rungs' shares and each attempt is capped at its own, so the
+// greedy rung gets its whole share whether the exact rung above it
+// failed at once (leaving the rest of its share unused) or ran its
+// share out.
+func TestEngineRungGetsItsWholeShare(t *testing.T) {
+	const timeout, grace = 300 * time.Millisecond, 200 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		exact func(ctx context.Context) error
+	}{
+		{"exact fails fast", func(ctx context.Context) error { return errors.New("malformed") }},
+		{"exact runs out its share", func(ctx context.Context) error { <-ctx.Done(); return ctx.Err() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var exactLeft, greedyLeft time.Duration
+			e, err := NewEngine(Config{
+				Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
+					dl, _ := ctx.Deadline()
+					exactLeft = time.Until(dl)
+					return nil, tc.exact(ctx)
+				},
+				Fallback: func(ctx context.Context, req Request, sess *Session) (any, error) {
+					dl, _ := ctx.Deadline()
+					greedyLeft = time.Until(dl)
+					return "greedy", nil
+				},
+				Timeout:       timeout,
+				FallbackGrace: grace,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			r, err := e.Do(context.Background(), Request{Transcript: "q"})
+			if err != nil || r.Source != SourceFallback {
+				t.Fatalf("response = %+v err=%v", r, err)
+			}
+			const slack = 50 * time.Millisecond
+			if exactLeft > timeout || exactLeft < timeout-slack {
+				t.Errorf("exact attempt budget = %v, want its %v share", exactLeft, timeout)
+			}
+			if greedyLeft > grace || greedyLeft < grace-slack {
+				t.Errorf("greedy attempt budget = %v, want its %v share", greedyLeft, grace)
+			}
+		})
+	}
+}
+
+// TestEngineCloseStopsDescent: Close during a descent cancels the
+// running rung and returns the context's error; no lower rung is
+// tried, and the request is not counted as an exhausted ladder.
+func TestEngineCloseStopsDescent(t *testing.T) {
+	started := make(chan struct{})
+	var greedyCalls atomic.Int64
+	e, err := NewEngine(Config{
+		Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		},
+		Fallback: func(ctx context.Context, req Request, sess *Session) (any, error) {
+			greedyCalls.Add(1)
+			return "greedy", nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		<-started
+		e.Close()
+	}()
+	_, err = e.Do(context.Background(), Request{Transcript: "q"})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	var ex *ExhaustedError
+	if errors.As(err, &ex) {
+		t.Errorf("err = %v, want the bare context error", err)
+	}
+	if n := greedyCalls.Load(); n != 0 {
+		t.Errorf("greedy rung tried %d times after Close", n)
+	}
+	if n := e.Metrics().Exhausted.Value(); n != 0 {
+		t.Errorf("exhausted counter = %d, want 0", n)
+	}
+}
+
+// TestExhaustedErrorListsEveryRung: the exhausted error names what
+// happened at each rung in descent order, skip reasons included, and
+// unwraps to the last attempted rung's error even when a lower rung
+// was only skipped.
+func TestExhaustedErrorListsEveryRung(t *testing.T) {
+	boom := errors.New("greedy blew up")
+	e, err := NewEngine(Config{
+		Planner: func(ctx context.Context, req Request, sess *Session) (any, error) {
+			return nil, context.DeadlineExceeded
+		},
+		Fallback: func(ctx context.Context, req Request, sess *Session) (any, error) {
+			return nil, boom
+		},
+		StaleFor:         time.Minute,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// The first request trips the breaker; the second finds it open.
+	_, err = e.Do(context.Background(), Request{Transcript: "trip"})
+	if want := "resilience: ladder exhausted [exact: context deadline exceeded; greedy: greedy blew up; stale: skipped (no-stale-entry)]"; err == nil || err.Error() != want {
+		t.Errorf("first err = %v\nwant       %s", err, want)
+	}
+	_, err = e.Do(context.Background(), Request{Transcript: "q", Refresh: true})
+	var ex *ExhaustedError
+	if !errors.As(err, &ex) {
+		t.Fatalf("err = %v, want ExhaustedError", err)
+	}
+	if want := "resilience: ladder exhausted [exact: skipped (breaker-open); greedy: greedy blew up; stale: skipped (refresh)]"; err.Error() != want {
+		t.Errorf("err = %v\nwant  %s", err, want)
+	}
+	if !errors.Is(err, boom) || ex.Err != boom {
+		t.Errorf("exhausted error unwraps to %v, want the greedy rung's error", ex.Err)
+	}
+	if n := e.Metrics().Exhausted.Value(); n != 2 {
+		t.Errorf("exhausted counter = %d, want 2", n)
 	}
 }

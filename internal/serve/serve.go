@@ -15,21 +15,25 @@
 //     lanes (interactive beats batch), each waiter bounded by its own
 //     planning budget — one that runs out while queued fails with a
 //     deadline error (HTTP 504);
-//   - a degradation ladder (internal/resilience) in place of a single
-//     fallback hook: exact ILP planning, then greedy planning, then a
-//     stale-but-fresh-enough cached answer, then a minimal single-plot
-//     answer, each rung bounded by its share of the remaining deadline
-//     budget and recorded in Answer.Source, metrics and the trace;
-//   - one circuit breaker on the exact rung that skips it outright
-//     after consecutive deadline misses, half-opening for one probe
-//     after a cooldown;
+//   - a degradation ladder in place of a single fallback hook: exact
+//     ILP planning (optionally hedged by a concurrent greedy plan),
+//     then greedy planning, then a stale-but-fresh-enough cached
+//     answer, then a minimal single-plot answer. NewEngine lists the
+//     configured rungs once; one descent tries them in order, each
+//     capped at its own share of the planning budget, contains and
+//     counts a planner panic where it happens, and records the serving
+//     rung in Answer.Source, metrics and the trace;
+//   - one circuit breaker (resilience.Breaker) on the exact rung that
+//     skips it outright after consecutive deadline misses, injected
+//     faults or panics, hedged or not, half-opening for one probe after
+//     a cooldown;
 //   - per-client sessions with bounded lifetimes that carry state
 //     across consecutive utterances;
 //   - an allocation-light metrics registry (counters, gauges, latency
 //     histograms) exported in Prometheus text format and as JSON;
-//   - a deterministic fault-injection hook (resilience.Chaos) so tests
-//     and muvebench -chaos can prove no injected fault escapes the
-//     ladder.
+//   - a seeded fault-injection hook (resilience.Chaos) so tests and
+//     muvebench -chaos can prove no injected fault escapes the ladder
+//     and every injected panic is contained.
 //
 // The engine is decoupled from the muve package: answers are opaque
 // values produced by a caller-supplied Planner, so the same machinery
@@ -101,32 +105,42 @@ const (
 	SourceMinimal Source = "minimal"
 )
 
-// Degradation-ladder rung names, in descent order. Each maps to a
-// Source via rungSource.
+// rungExact names the ladder's first rung; rungHedged relabels an
+// exact-rung answer won by the concurrent greedy hedge (not a rung of
+// its own: the hedge races inside the exact rung's budget).
 const (
-	rungExact   = "exact"
-	rungGreedy  = "greedy"
-	rungStale   = "stale"
-	rungMinimal = "minimal"
-	// rungHedged relabels an exact-rung answer won by the concurrent
-	// greedy hedge (it is not a ladder rung of its own: the hedge races
-	// inside the exact rung's budget).
+	rungExact  = "exact"
 	rungHedged = "hedged"
 )
 
-// rungSource maps the rung that served an answer to its Source label.
-func rungSource(rung string) Source {
-	switch rung {
-	case rungGreedy:
-		return SourceFallback
-	case rungHedged:
-		return SourceHedged
-	case rungStale:
-		return SourceStale
-	case rungMinimal:
-		return SourceMinimal
-	}
-	return SourcePlanned
+// rung is one step of the degradation ladder. NewEngine lists the
+// configured rungs once, best answer first; the descent, the planning
+// budget and Setup all read that one list.
+type rung struct {
+	name string
+	// source labels the answers this rung serves.
+	source Source
+	// share caps one attempt of the rung. A request's planning budget
+	// is the sum of the shares, so each rung gets its whole share
+	// however fast or slow the rungs above it failed. 0 leaves the
+	// attempt uncapped (the stale lookup, which plans nothing).
+	share time.Duration
+	// try answers at this rung, declines it with a skip reason, or fails.
+	try func(ctx context.Context, d *descent) (v any, skip string, err error)
+}
+
+// descent is one request's walk down the ladder.
+type descent struct {
+	req   Request
+	sess  *Session
+	tr    *obs.Trace
+	reqID string
+	key   string
+	start time.Time
+	// lane and mode label each attempt for pprof, beside the rung.
+	lane, mode string
+	// hedged is set when the greedy hedge answered for the exact rung.
+	hedged bool
 }
 
 // Response is the engine's answer envelope.
@@ -192,8 +206,8 @@ type Config struct {
 	// rung before half-opening for a probe (default 5s).
 	BreakerCooldown time.Duration
 	// Chaos, when non-nil, is propagated into planning contexts so
-	// instrumented pipeline stages inject deterministic faults — tests
-	// and muvebench -chaos only.
+	// instrumented pipeline stages inject seeded faults — tests and
+	// muvebench -chaos only.
 	Chaos *resilience.Chaos
 	// Timeout bounds one planning attempt (default 10s).
 	Timeout time.Duration
@@ -225,13 +239,10 @@ type Config struct {
 // Engine is the concurrent serving core. Create with NewEngine; all
 // methods are safe for concurrent use.
 type Engine struct {
-	planner       Planner
-	fallback      Planner
-	minimal       Planner
-	fallbackGrace time.Duration
-	minimalGrace  time.Duration
-	timeout       time.Duration
-	keySuffix     string
+	planner   Planner
+	fallback  Planner
+	timeout   time.Duration
+	keySuffix string
 	// sessionMaxAge bounds how old a session's remembered answer may be
 	// and still be served (the cache TTL; 0 = unbounded).
 	sessionMaxAge time.Duration
@@ -240,11 +251,15 @@ type Engine struct {
 	flight    flightGroup
 	sessions  *SessionStore
 	admission *resilience.Admission
-	ladder    *resilience.Ladder
 	breaker   *resilience.Breaker
 	chaos     *resilience.Chaos
 	metrics   *Metrics
 	logger    *log.Logger
+
+	// rungs is the degradation ladder in descent order; budget, the sum
+	// of their shares, bounds one request's planning.
+	rungs  []rung
+	budget time.Duration
 
 	// svcTime is the sliding-window planning service time (cache misses
 	// only): its 1m p90 is the hedge trigger delay.
@@ -332,28 +347,27 @@ func NewEngine(cfg Config) (*Engine, error) {
 			},
 		})
 	}
-	rungs := []resilience.Rung{{Name: rungExact, Max: cfg.Timeout}}
+	e.rungs = []rung{{rungExact, SourcePlanned, cfg.Timeout, e.tryExact}}
 	if cfg.Fallback != nil {
-		rungs = append(rungs, resilience.Rung{Name: rungGreedy, Max: cfg.FallbackGrace})
+		e.rungs = append(e.rungs, rung{"greedy", SourceFallback, cfg.FallbackGrace, e.planning("greedy", cfg.Fallback)})
 	}
 	if cfg.StaleFor > 0 {
-		rungs = append(rungs, resilience.Rung{Name: rungStale})
+		e.rungs = append(e.rungs, rung{"stale", SourceStale, 0, e.tryStale})
 	}
 	if cfg.Minimal != nil {
-		rungs = append(rungs, resilience.Rung{Name: rungMinimal, Max: cfg.MinimalGrace})
+		e.rungs = append(e.rungs, rung{"minimal", SourceMinimal, cfg.MinimalGrace, e.planning("minimal", cfg.Minimal)})
+	}
+	for _, r := range e.rungs {
+		e.budget += r.share
 	}
 	e.planner = cfg.Planner
 	e.fallback = cfg.Fallback
-	e.minimal = cfg.Minimal
-	e.fallbackGrace = cfg.FallbackGrace
-	e.minimalGrace = cfg.MinimalGrace
 	e.timeout = cfg.Timeout
 	e.keySuffix = "\x00" + cfg.Dataset + "\x00" + cfg.Solver + "\x00" + strconv.Itoa(cfg.WidthPx)
 	e.sessionMaxAge = sessionMaxAge
 	e.cache = cache
 	e.sessions = NewSessionStore(0, 0)
 	e.admission = admission
-	e.ladder = resilience.NewLadder(rungs...)
 	e.breaker = breaker
 	e.chaos = cfg.Chaos
 	e.metrics = m
@@ -375,8 +389,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 // count, and the stale window.
 func (e *Engine) describeSetup(cfg Config) string {
 	var rungs []string
-	for _, r := range e.ladder.Rungs() {
-		rungs = append(rungs, r.Name)
+	for _, r := range e.rungs {
+		rungs = append(rungs, r.name)
 	}
 	hedge := "off"
 	if e.hedge {
@@ -408,6 +422,27 @@ func (e *Engine) Sessions() *SessionStore { return e.sessions }
 // shutting down. Cheap paths (cache, session, stale snapshot entries)
 // still serve; servers should map it to HTTP 503.
 var ErrDraining = errors.New("serve: engine is draining")
+
+// ExhaustedError reports that every rung of the degradation ladder was
+// skipped or failed: the request cannot be answered, even degraded.
+// StatusOf maps it to HTTP 503.
+type ExhaustedError struct {
+	// Steps says what happened at each rung, in descent order, e.g.
+	// "exact: skipped (breaker-open)" or "greedy: " + the rung's error.
+	Steps []string
+	// Err is the last attempted rung's error (nil when every rung was
+	// skipped).
+	Err error
+}
+
+// Error summarizes the descent.
+func (e *ExhaustedError) Error() string {
+	return "resilience: ladder exhausted [" + strings.Join(e.Steps, "; ") + "]"
+}
+
+// Unwrap returns the last attempted rung's error, so errors.Is(err,
+// context.DeadlineExceeded) sees through the ladder.
+func (e *ExhaustedError) Unwrap() error { return e.Err }
 
 // Drain puts the engine into lame-duck mode: new planning is refused
 // with ErrDraining while in-flight plans run down and cache/session
@@ -515,7 +550,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Response, error) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			e.metrics.Timeouts.Inc()
 		}
-		var ex *resilience.ExhaustedError
+		var ex *ExhaustedError
 		if errors.As(err, &ex) {
 			e.metrics.Exhausted.Inc()
 		}
@@ -553,23 +588,14 @@ func blame(tr *obs.Trace) string {
 	return "unknown"
 }
 
-// breakerFailure classifies an exact-rung error for the circuit
-// breaker: deadline misses and injected faults indicate an unhealthy
-// rung; anything else (a malformed query, say) says nothing about the
-// pipeline and must not trip the breaker.
-func breakerFailure(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, resilience.ErrInjected)
-}
-
-// plan is the leader path: acquire an admission slot, then walk the
-// degradation ladder — exact planner, greedy fallback, stale cached
-// answer, minimal planner — under one detached deadline budget, and
-// publish the answer to the cache. It runs detached from any single
-// request's cancellation: the answer benefits every coalesced waiter
-// and future cache hits, so one impatient client must not abort it.
-// callerCtx is consulted only for identity — the leader's trace and
-// request ID carry through so planning spans are recorded (coalesced
-// followers contribute no spans of their own).
+// plan is the leader path: acquire an admission slot, then descend the
+// degradation ladder under one detached deadline budget, and publish
+// the answer to the cache. It runs detached from any single request's
+// cancellation: the answer benefits every coalesced waiter and future
+// cache hits, so one impatient client must not abort it. callerCtx is
+// consulted only for identity — the leader's trace and request ID
+// carry through so planning spans are recorded (coalesced followers
+// contribute no spans of their own).
 func (e *Engine) plan(callerCtx context.Context, req Request, sess *Session) (any, error) {
 	if e.draining.Load() {
 		return nil, ErrDraining
@@ -580,20 +606,10 @@ func (e *Engine) plan(callerCtx context.Context, req Request, sess *Session) (an
 	reqID := RequestID(callerCtx)
 	key := e.KeyFor(req)
 
-	// The total budget is the sum of the configured rungs' shares; each
-	// rung is then capped at its own Max during the descent, so a rung
-	// that fails fast leaves its unused budget to the ones below.
-	total := e.timeout
-	if e.fallback != nil {
-		total += e.fallbackGrace
-	}
-	if e.minimal != nil {
-		total += e.minimalGrace
-	}
 	// Detached from the caller (one impatient client must not abort
 	// planning that benefits every coalesced waiter) but rooted in the
 	// engine's base context, so Close cancels in-flight solves.
-	planCtx, cancel := context.WithTimeout(e.baseCtx, total)
+	planCtx, cancel := context.WithTimeout(e.baseCtx, e.budget)
 	defer cancel()
 	if tr != nil {
 		planCtx = obs.WithTrace(planCtx, tr)
@@ -615,177 +631,199 @@ func (e *Engine) plan(callerCtx context.Context, req Request, sess *Session) (an
 	}
 	defer release()
 
-	planStart := time.Now()
-	var blamed string // stage blamed for the exact rung's failure
-	var hedgedWin bool
 	mode := req.Mode
 	if mode == "" {
 		mode = "plot"
 	}
-	v, rung, outs, err := e.ladder.Descend(planCtx, func(actx context.Context, r resilience.Rung) (v any, err error) {
-		// Each rung attempt runs under pprof labels so a CPU profile
-		// decomposes by admission lane, answer mode and ladder rung; the
-		// labeled context flows into the planners, whose own stage labels
-		// nest inside, and worker pools they spawn inherit the set.
-		pprof.Do(actx, pprof.Labels("lane", prio.String(), "mode", mode, "rung", r.Name), func(actx context.Context) {
-			v, err = e.attemptRung(actx, r, req, sess, tr, key, &blamed, &hedgedWin)
-		})
-		return v, err
-	})
-	planDur := time.Since(planStart)
+	d := &descent{req: req, sess: sess, tr: tr, reqID: reqID, key: key,
+		start: time.Now(), lane: prio.String(), mode: mode}
+	v, r, err := e.descend(planCtx, d)
+	planDur := time.Since(d.start)
 	e.metrics.Planning.Observe(planDur)
 	e.svcTime.Observe(planDur)
-
-	// Post-descent bookkeeping: contained panics, and the preserved
-	// fallback blame semantics — when the exact rung failed and the
-	// ladder had lower rungs to descend to, record which stage ran the
-	// budget out (as a labeled counter and a mark on the trace).
-	exactFailed := false
-	for _, o := range outs {
-		if o.Panicked {
-			e.metrics.Panics.Inc()
-			if e.logger != nil {
-				e.logger.Printf("plan %s: rung %q panic contained: %v", reqID, o.Rung, o.Err)
-			}
-		}
-		if o.Rung == rungExact && !o.Skipped {
-			exactFailed = true
-		}
-	}
-	if exactFailed && len(e.ladder.Rungs()) > 1 {
-		if blamed == "" {
-			blamed = "unknown"
-		}
-		e.metrics.Fallbacks.With(blamed).Inc()
-		tr.Mark("fallback", obs.Str("blamed_stage", blamed))
-		if e.logger != nil {
-			e.logger.Printf("plan %s: exact rung failed in stage %q after %s, descending",
-				reqID, blamed, time.Since(planStart).Round(time.Millisecond))
-		}
-	}
 	if err != nil {
 		if e.logger != nil {
 			e.logger.Printf("plan %s: %v", reqID, err)
 		}
 		return nil, err
 	}
-	if rung == rungExact && hedgedWin {
-		rung = rungHedged
+	if d.hedged {
+		r.name, r.source = rungHedged, SourceHedged
 	}
 	ladder := modePlot
 	if req.Mode == ModeVoice {
 		ladder = modeVoice
 	}
-	e.metrics.Ladder[ladder].With(rung).Inc()
-	if tr != nil && rung != rungExact {
-		tr.Mark("ladder", obs.Str("rung", rung))
+	e.metrics.Ladder[ladder].With(r.name).Inc()
+	if tr != nil && r.name != rungExact {
+		tr.Mark("ladder", obs.Str("rung", r.name))
 	}
 	// Stale answers came from the cache; re-publishing would refresh
 	// their TTL and let expired data circulate indefinitely.
-	if rung != rungStale {
+	if r.source != SourceStale {
 		e.cache.Put(key, v)
 	}
-	return plannedValue{value: v, source: rungSource(rung)}, nil
+	return plannedValue{value: v, source: r.source}, nil
 }
 
-// settleExact records the exact attempt's outcome with the circuit
-// breaker — a deadline/injected failure extends its streak, any other
-// failure returns the probe without charging, success closes — and
-// names the stage blamed for a failure.
-func (e *Engine) settleExact(tr *obs.Trace, blamed *string, v any, err error) (any, error) {
+// descend walks the ladder best rung first and returns the first
+// answer with the rung that served it. Each attempt runs under its
+// rung's share of the budget and under pprof labels, so a CPU profile
+// decomposes by admission lane, answer mode and rung (the planners'
+// own stage labels nest inside, and worker pools they spawn inherit
+// the set). Every skip and failure is written into the ExhaustedError
+// returned when no rung answers. When ctx itself ends mid-descent
+// (Close, or the budget ran out between rungs) its error is returned
+// and no lower rung is tried.
+func (e *Engine) descend(ctx context.Context, d *descent) (any, rung, error) {
+	ex := &ExhaustedError{}
+	for _, r := range e.rungs {
+		if err := ctx.Err(); err != nil {
+			return nil, rung{}, err
+		}
+		actx, cancel := ctx, context.CancelFunc(func() {})
+		if r.share > 0 {
+			actx, cancel = context.WithTimeout(ctx, r.share)
+		}
+		var v any
+		var skip string
+		var err error
+		pprof.Do(actx, pprof.Labels("lane", d.lane, "mode", d.mode, "rung", r.name), func(actx context.Context) {
+			v, skip, err = r.try(actx, d)
+		})
+		cancel()
+		switch {
+		case skip != "":
+			ex.Steps = append(ex.Steps, r.name+": skipped ("+skip+")")
+		case err != nil:
+			ex.Steps = append(ex.Steps, r.name+": "+err.Error())
+			ex.Err = err
+		default:
+			return v, r, nil
+		}
+	}
+	return nil, rung{}, ex
+}
+
+// errPanicked marks a planner panic that call contained.
+var errPanicked = errors.New("panicked")
+
+// call runs planner p for the named rung and contains a panic where it
+// happens: the panic is counted, logged and returned as the rung's
+// error.
+func (e *Engine) call(ctx context.Context, d *descent, name string, p Planner) (v any, err error) {
+	defer func() {
+		if pv := recover(); pv != nil {
+			v, err = nil, fmt.Errorf("resilience: rung %q %w: %v", name, errPanicked, pv)
+			e.metrics.Panics.Inc()
+			if e.logger != nil {
+				e.logger.Printf("plan %s: rung %q panic contained: %v", d.reqID, name, err)
+			}
+		}
+	}()
+	return p(ctx, d.req, d.sess)
+}
+
+// planning is the try of a rung that just runs planner p.
+func (e *Engine) planning(name string, p Planner) func(context.Context, *descent) (any, string, error) {
+	return func(ctx context.Context, d *descent) (any, string, error) {
+		v, err := e.call(ctx, d, name, p)
+		return v, "", err
+	}
+}
+
+// tryExact is the exact rung: skipped while the breaker is open,
+// otherwise the planner — raced against the greedy hedge when hedging
+// is on — settled with the breaker. A failure with lower rungs to
+// descend to is blamed on the stage it happened in (a labeled counter,
+// a trace mark and a log line).
+func (e *Engine) tryExact(ctx context.Context, d *descent) (any, string, error) {
+	if !e.breaker.Allow() {
+		return nil, "breaker-open", nil
+	}
+	var v any
+	var err error
+	if e.hedge {
+		v, err = e.tryHedged(ctx, d)
+	} else {
+		v, err = e.settleExact(e.call(ctx, d, rungExact, e.planner))
+	}
+	if err != nil && len(e.rungs) > 1 {
+		blamed := blame(d.tr)
+		e.metrics.Fallbacks.With(blamed).Inc()
+		d.tr.Mark("fallback", obs.Str("blamed_stage", blamed))
+		if e.logger != nil {
+			e.logger.Printf("plan %s: exact rung failed in stage %q after %s, descending",
+				d.reqID, blamed, time.Since(d.start).Round(time.Millisecond))
+		}
+	}
+	return v, "", err
+}
+
+// tryStale serves an expired cache entry still inside the stale window.
+// A refresh skips it: it must never serve expired data.
+func (e *Engine) tryStale(_ context.Context, d *descent) (any, string, error) {
+	if d.req.Refresh {
+		return nil, "refresh", nil
+	}
+	v, age, ok := e.cache.GetStale(d.key)
+	if !ok {
+		return nil, "no-stale-entry", nil
+	}
+	d.tr.Mark("stale", obs.Str("age", age.Round(time.Millisecond).String()))
+	return v, "", nil
+}
+
+// settleExact records a finished exact attempt with the circuit
+// breaker. A deadline miss, an injected fault or a contained panic
+// says the rung is unhealthy and extends the breaker's streak; any
+// other failure (a malformed query, say) says nothing about the
+// pipeline and returns the probe without charging; success closes.
+func (e *Engine) settleExact(v any, err error) (any, error) {
 	switch {
 	case err == nil:
 		e.breaker.Result(true)
-	case breakerFailure(err):
-		*blamed = blame(tr)
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, resilience.ErrInjected), errors.Is(err, errPanicked):
 		e.breaker.Result(false)
 	default:
-		*blamed = blame(tr)
 		e.breaker.Release()
 	}
 	return v, err
 }
 
-// attemptRung executes one degradation-ladder rung. blamed receives
-// the stage blamed for an exact-rung failure (for the fallback blame
-// counter, trace mark and log line); hedged is set when the greedy
-// hedge beat the exact solve.
-func (e *Engine) attemptRung(actx context.Context, r resilience.Rung, req Request, sess *Session, tr *obs.Trace, key string, blamed *string, hedged *bool) (any, error) {
-	switch r.Name {
-	case rungExact:
-		if !e.breaker.Allow() {
-			return nil, &resilience.SkipError{Reason: "breaker-open"}
-		}
-		if e.hedge {
-			return e.attemptHedged(actx, req, sess, tr, blamed, hedged)
-		}
-		settled := false
-		defer func() {
-			if !settled { // the planner panicked out of this frame
-				*blamed = blame(tr)
-				e.breaker.Result(false)
-			}
-		}()
-		v, err := e.planner(actx, req, sess)
-		settled = true
-		return e.settleExact(tr, blamed, v, err)
-	case rungGreedy:
-		return e.fallback(actx, req, sess)
-	case rungStale:
-		if req.Refresh {
-			return nil, &resilience.SkipError{Reason: "refresh"}
-		}
-		if sv, age, ok := e.cache.GetStale(key); ok {
-			if tr != nil {
-				tr.Mark("stale", obs.Str("age", age.Round(time.Millisecond).String()))
-			}
-			return sv, nil
-		}
-		return nil, &resilience.SkipError{Reason: "no-stale-entry"}
-	case rungMinimal:
-		return e.minimal(actx, req, sess)
-	}
-	return nil, &resilience.SkipError{Reason: "unknown-rung"}
-}
-
-// attemptHedged is the hedged exact rung (the "tail at scale" move):
+// tryHedged is the hedged exact attempt (the "tail at scale" move):
 // the exact solve starts immediately; if it has not finished by the
 // windowed p90 of recent planning time, the greedy fallback starts
 // concurrently and the first success wins, cancelling the loser. Both
-// attempts run in goroutines with their own panic containment (a panic
-// there cannot unwind through the ladder's recover), surfacing as a
-// plain error that never charges the breaker. Breaker accounting: an
-// exact finish settles as usual; a hedge win settles neutrally — the
-// cancelled exact attempt proved nothing about the rung's health.
-func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session, tr *obs.Trace, blamed *string, hedged *bool) (any, error) {
+// attempts run through call, so a panic in either is contained and
+// counted as on the unhedged path. Breaker accounting: an exact attempt
+// that finished settles as it would unhedged, its panic included, even
+// when the hedge wins afterwards; only a hedge win over a still-running
+// exact attempt settles neutrally — the cancelled attempt proved
+// nothing about the rung's health.
+func (e *Engine) tryHedged(ctx context.Context, d *descent) (any, error) {
 	type result struct {
 		v   any
 		err error
 	}
-	run := func(ctx context.Context, plan Planner) chan result {
+	run := func(ctx context.Context, name string, plan Planner) chan result {
 		ch := make(chan result, 1)
 		go func() {
-			var r result
-			defer func() {
-				if p := recover(); p != nil {
-					r = result{err: fmt.Errorf("serve: hedged attempt panic contained: %v", p)}
-				}
-				ch <- r
-			}()
-			r.v, r.err = plan(ctx, req, sess)
+			v, err := e.call(ctx, d, name, plan)
+			ch <- result{v, err}
 		}()
 		return ch
 	}
 
-	exCtx, exCancel := context.WithCancel(actx)
+	exCtx, exCancel := context.WithCancel(ctx)
 	defer exCancel()
-	exc := run(exCtx, e.planner)
+	exc := run(exCtx, rungExact, e.planner)
 
 	trigger := time.NewTimer(e.hedgeDelay())
 	defer trigger.Stop()
 	select {
 	case r := <-exc:
-		return e.settleExact(tr, blamed, r.v, r.err)
+		return e.settleExact(r.v, r.err)
 	case <-trigger.C:
 	}
 
@@ -798,22 +836,18 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 	case <-e.hedgeTokens:
 	default:
 		e.metrics.Hedge[HedgeDenied].Inc()
-		if tr != nil {
-			tr.Mark("hedge", obs.Str("trigger", "denied"))
-		}
+		d.tr.Mark("hedge", obs.Str("trigger", "denied"))
 		r := <-exc
-		return e.settleExact(tr, blamed, r.v, r.err)
+		return e.settleExact(r.v, r.err)
 	}
-	if tr != nil {
-		tr.Mark("hedge", obs.Str("trigger", "p90"))
-	}
-	hCtx, hCancel := context.WithCancel(actx)
+	d.tr.Mark("hedge", obs.Str("trigger", "p90"))
+	hCtx, hCancel := context.WithCancel(ctx)
 	defer hCancel()
 	// The wrapper returns the token inside the hedge goroutine (panic
 	// included), so it comes back exactly when the hedge attempt truly
 	// stops running — not when this frame returns while a cancelled
 	// hedge is still winding down.
-	hc := run(hCtx, func(ctx context.Context, req Request, sess *Session) (any, error) {
+	hc := run(hCtx, rungHedged, func(ctx context.Context, req Request, sess *Session) (any, error) {
 		defer func() { e.hedgeTokens <- struct{}{} }()
 		return e.fallback(ctx, req, sess)
 	})
@@ -825,7 +859,7 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 			if r.err == nil {
 				hCancel()
 				e.metrics.Hedge[HedgeExact].Inc()
-				return e.settleExact(tr, blamed, r.v, nil)
+				return e.settleExact(r.v, nil)
 			}
 			exErr = r.err
 			exc = nil
@@ -833,14 +867,17 @@ func (e *Engine) attemptHedged(actx context.Context, req Request, sess *Session,
 			if r.err == nil {
 				exCancel()
 				e.metrics.Hedge[HedgeWon].Inc()
-				*hedged = true
-				// Neutral settle: the exact attempt never finished.
-				e.breaker.Release()
+				d.hedged = true
+				if exc == nil {
+					e.settleExact(nil, exErr)
+				} else {
+					e.breaker.Release()
+				}
 				return r.v, nil
 			}
 			hc = nil
 		}
 	}
 	e.metrics.Hedge[HedgeFailed].Inc()
-	return e.settleExact(tr, blamed, nil, exErr)
+	return e.settleExact(nil, exErr)
 }
