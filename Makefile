@@ -51,7 +51,9 @@ trace-smoke:
 # if any injected fault escapes (a request that neither answers nor
 # fast-fails 503, an unrecovered panic, or transport damage the client
 # could mistake for a clean answer), if a draining engine fails to
-# shed new planning work with 503, if any fallback is blamed on stage
+# shed new planning work with 503 or closing it cancels no in-flight
+# solve (the drain's requests are held in the solver stage until the
+# engine closes), if any fallback is blamed on stage
 # "unknown" (every request is traced, as muveserver traces it), or if
 # fewer panics were contained and counted than were injected. The seed
 # fixes the fault mix, not which request gets which fault: the 8

@@ -209,7 +209,7 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	rep := summarizeChaos(spec, seed, requests, workers, outcomes)
 	// Exercise the crash-only drain path before reading the counters,
 	// so its cancellations land in the report.
-	rep.Drain = drainChaos(engine, utterances)
+	rep.Drain = drainChaos(engine, ch, utterances)
 	rep.Hedge = hedgeCountsOf(engine.Metrics())
 	rep.Fallbacks = map[string]uint64{}
 	for stage, c := range engine.Metrics().Fallbacks.Values() {
@@ -246,6 +246,9 @@ func runChaos(spec string, seed int64, requests, workers int, jsonPath string) e
 	}
 	if !rep.Drain.Shed503 {
 		return fmt.Errorf("draining engine did not shed new planning work with 503")
+	}
+	if rep.Drain.Cancelled == 0 {
+		return fmt.Errorf("closing the engine cancelled no in-flight solve: the drain check saw nothing to drain")
 	}
 	// Every request is traced, as muveserver traces it, so each
 	// fallback names the stage that failed: an "unknown" blame means a
@@ -413,8 +416,17 @@ func tracedDo(engine *serve.Engine, req serve.Request) (*serve.Response, error) 
 // drainChaos exercises the crash-only drain path: it puts a few solves
 // in flight, drains the engine, verifies that new planning work is shed
 // with 503 while draining, and closes the engine — cancelling whatever
-// is still running.
-func drainChaos(engine *serve.Engine, utterances []string) drainCounts {
+// is still running. The run's faults are replaced by one that holds
+// every solve in the solver stage until Close cancels it, so the drain
+// always has solves to cancel: left to finish, the short refresh solves
+// often ended before Close.
+func drainChaos(engine *serve.Engine, ch *resilience.Chaos, utterances []string) drainCounts {
+	for _, stage := range ch.Stages() {
+		ch.Set(stage, resilience.Fault{})
+	}
+	ch.Set("solver", resilience.Fault{Latency: time.Minute})
+	held := func() int { return ch.Injected()["solver"].Latencies }
+	start := held()
 	var wg sync.WaitGroup
 	for i := 0; i < 3 && i < len(utterances); i++ {
 		wg.Add(1)
@@ -423,7 +435,11 @@ func drainChaos(engine *serve.Engine, utterances []string) drainCounts {
 			tracedDo(engine, serve.Request{Transcript: q, Refresh: true})
 		}(utterances[i])
 	}
-	time.Sleep(50 * time.Millisecond) // let the solves enter planning
+	// Drain once a solve is held; a leader reaches its solver stage
+	// only after it has entered planning.
+	for deadline := time.Now().Add(5 * time.Second); held() == start && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	engine.Drain()
 	_, err := tracedDo(engine, serve.Request{
 		Transcript: utterances[len(utterances)-1],

@@ -47,8 +47,9 @@ func (b bitmap) setAll(n int) {
 
 // and intersects b with o in place over the first nWords words.
 func (b bitmap) and(o bitmap, nWords int) {
-	for i := 0; i < nWords; i++ {
-		b[i] &= o[i]
+	o = o[:nWords]
+	for i, w := range b[:nWords] {
+		b[i] = w & o[i]
 	}
 }
 
@@ -222,6 +223,20 @@ func (f *batchFilter) match(i int) bool {
 	return false
 }
 
+// orCodes writes a code set's verdicts on an indexed column for the
+// len(dst) words from word w0 on: the OR of its codes' index words.
+func (f *batchFilter) orCodes(dst bitmap, w0 int) {
+	clear(dst)
+	for code, in := range f.member {
+		if in {
+			src := f.col.codeBits(int32(code))[w0:][:len(dst)]
+			for i, w := range src {
+				dst[i] |= w
+			}
+		}
+	}
+}
+
 // fillSparse writes the filter's verdicts for just the rows base
 // selects, base's word i covering rows [lo+64i, lo+64i+64); every other
 // bit of dst is cleared. A sampled scan's filter work thus shrinks with
@@ -297,10 +312,10 @@ func fillIn[T int64 | float64](dst bitmap, col []T, wants []T) {
 // alternatives for one constant, so several `col = 'code'` filters
 // usually hit the same column; instead of one pass per filter, each row
 // sets its bit in the bitmap its code maps to. Codes no filter wants map
-// to a scratch bitmap, so the loop has no data-dependent branch. From
-// two filters on it beats a kernel per filter: over 200k rows one pass
-// took about 0.6 ms for any filter count, against 0.7 ms for two
-// kernels and 2.4 ms for seven.
+// to a scratch bitmap, so the loop has no data-dependent branch. A
+// column DB.Register indexed needs neither, so the pass serves only
+// wide columns (more than indexMaxCodes codes) and unregistered tables,
+// from codePassMinFilters filters on.
 type codePass struct {
 	codes []int32
 	// slot maps a dictionary code to the word offset of its bitmap in
@@ -308,6 +323,14 @@ type codePass struct {
 	slot []int32
 	slab bitmap
 }
+
+// codePassMinFilters is the fewest single-code filters on one column
+// that share a codePass rather than run a kernel each. Over 1.2M rows
+// of 200 uniform codes (BenchmarkCodeFill, 2-CPU host, Go 1.24.0) one
+// pass took 3.1–3.6 ms for any filter count and one fillEq kernel
+// 1.1–1.9 ms: two kernels (2.4–3.6 ms) tied the pass, three (3.9–5.6
+// ms) lost to it.
+const codePassMinFilters = 3
 
 // codeSlots maps each dictionary code of col to the word offset of its
 // filter's bitmap in a code-pass slab for the single-code filters fis

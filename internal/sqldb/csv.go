@@ -65,7 +65,6 @@ func LoadCSV(name string, r io.Reader) (*Table, error) {
 			return nil, err
 		}
 	}
-	t.Analyze()
 	return t, nil
 }
 

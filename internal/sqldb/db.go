@@ -25,9 +25,14 @@ func NewDB() *DB {
 }
 
 // Register adds a table to the database, replacing any previous table of
-// the same name, and freezes it: later AppendRow calls fail.
+// the same name, and freezes it: later AppendRow calls fail, every
+// column is trimmed to its exact length, and every string column of at
+// most 32 dictionary codes gets one table-wide selection bitmap per
+// code, which the shared scan's filters read instead of the codes. A
+// table is frozen once, however often and into however many DBs it is
+// registered, concurrently or not.
 func (db *DB) Register(t *Table) {
-	t.frozen.Store(true)
+	t.freeze()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.tables[t.Name] = t

@@ -10,46 +10,59 @@ import (
 )
 
 // checkWorkers runs queries through sharedScanWorkers at 1–maxWorkers
-// workers, exact and at rate, and fails unless every run is
-// bit-identical to the one-worker run and to the row-at-a-time oracles
-// (Exec, ExecSampled), with equal ScanStats apart from Workers, which
-// must be the goroutines the scan could use.
-func checkWorkers(t testing.TB, tbl *Table, queries []Query, rate float64, seed uint64, maxWorkers int) {
+// workers, exact and at each rate, first on tbl as given, then once
+// DB.Register has indexed it, and fails unless every run is
+// bit-identical to the row-at-a-time oracles (Exec, ExecSampled), with
+// ScanStats equal to the one-worker run's apart from Workers, which
+// must be the goroutines the scan could use. An unregistered tbl thus
+// runs its filters through the kernels and code passes, then through
+// the index.
+func checkWorkers(t testing.TB, tbl *Table, queries []Query, seed uint64, maxWorkers int, rates ...float64) {
 	t.Helper()
-	db := NewDB()
-	db.Register(tbl)
-	for _, r := range []float64{0, rate} {
-		oracle := make([]Result, len(queries))
+	rates = append([]float64{0}, rates...)
+	oracles := make([][]Result, len(rates))
+	for ri, r := range rates {
+		oracles[ri] = make([]Result, len(queries))
 		for i, q := range queries {
-			var err error
-			if r == 0 {
-				oracle[i], err = db.Exec(q)
-			} else {
-				oracle[i], err = db.ExecSampled(q, r, seed)
+			opts := execOptions{}
+			if r != 0 {
+				opts = execOptions{sampleRate: r, sampleSeed: seed}
 			}
+			res, err := execute(tbl, q, opts)
 			if err != nil {
 				t.Fatalf("oracle %s: %v", q.SQL(), err)
 			}
+			oracles[ri][i] = res
 		}
-		var serial ScanStats
-		for w := 1; w <= maxWorkers; w++ {
-			res, stats, err := sharedScanWorkers(tbl, queries, r, seed, w)
-			if err != nil {
-				t.Fatalf("rate %v, %d workers: %v", r, w, err)
-			}
-			for i, q := range queries {
-				if diff := sameResultBits(res[i], oracle[i]); diff != "" {
-					t.Fatalf("rate %v, %d workers, %s: %s", r, w, q.SQL(), diff)
+	}
+	for _, register := range []bool{false, true} {
+		if register {
+			NewDB().Register(tbl)
+		}
+		for ri, r := range rates {
+			var serial ScanStats
+			for w := 1; w <= maxWorkers; w++ {
+				res, stats, err := sharedScanWorkers(tbl, queries, r, seed, w)
+				if err != nil {
+					t.Fatalf("registered %v, rate %v, %d workers: %v", register, r, w, err)
 				}
-			}
-			if stats.Workers < 1 || stats.Workers > int64(min(w, max(numBatches(tbl.NumRows()), 1))) {
-				t.Fatalf("rate %v, %d workers over %d rows: stats.Workers = %d", r, w, tbl.NumRows(), stats.Workers)
-			}
-			stats.Workers = 0
-			if w == 1 {
-				serial = stats
-			} else if stats != serial {
-				t.Fatalf("rate %v, %d workers: stats %+v, want %+v", r, w, stats, serial)
+				for i, q := range queries {
+					if diff := sameResultBits(res[i], oracles[ri][i]); diff != "" {
+						t.Fatalf("registered %v, rate %v, %d workers, %s: %s", register, r, w, q.SQL(), diff)
+					}
+				}
+				if stats.Workers < 1 || stats.Workers > int64(min(w, max(numBatches(tbl.NumRows()), 1))) {
+					t.Fatalf("rate %v, %d workers over %d rows: stats.Workers = %d", r, w, tbl.NumRows(), stats.Workers)
+				}
+				stats.Workers = 0
+				if w == 1 {
+					if stats.Scans != 1 || stats.Rows != int64(tbl.NumRows()) {
+						t.Fatalf("rate %v: stats %+v, want one scan over %d rows", r, stats, tbl.NumRows())
+					}
+					serial = stats
+				} else if stats != serial {
+					t.Fatalf("registered %v, rate %v, %d workers: stats %+v, want %+v", register, r, w, stats, serial)
+				}
 			}
 		}
 	}
@@ -57,11 +70,12 @@ func checkWorkers(t testing.TB, tbl *Table, queries []Query, rate float64, seed 
 
 // TestSharedScanWorkersBitIdentical: the parallel shared scan returns
 // the serial scan's results bit for bit at every worker count, around
-// every batch boundary and with fewer batches than workers, over
-// ungrouped, grouped, composite-key and multi-aggregate candidates with
-// never-matching, IN-list, string, int and float predicates.
+// every word and batch boundary and with fewer batches than workers,
+// over ungrouped, grouped, composite-key and multi-aggregate candidates
+// with never-matching, IN-list, string, int and float predicates, on
+// indexed and unindexed string columns, before and after Register.
 func TestSharedScanWorkersBitIdentical(t *testing.T) {
-	for _, rows := range []int{1, 2047, 2048, 2049, 3*scanBatchRows + 5, 37*scanBatchRows + 11} {
+	for _, rows := range []int{1, 63, 64, 65, 2047, 2048, 2049, 3*scanBatchRows + 5, 37*scanBatchRows + 11} {
 		rows := rows
 		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
 			t.Parallel()
@@ -72,7 +86,7 @@ func TestSharedScanWorkersBitIdentical(t *testing.T) {
 				for i := range queries {
 					queries[i] = randomGroupedScanQuery(rng)
 				}
-				checkWorkers(t, tbl, queries, 0.05+rng.Float64()*0.9, rng.Uint64(), 4)
+				checkWorkers(t, tbl, queries, rng.Uint64(), 4, 0.05+rng.Float64()*0.9)
 			}
 		})
 	}
@@ -121,7 +135,8 @@ func TestSharedScanNoHelpers(t *testing.T) {
 
 // FuzzSharedScanWorkers: for any table size, candidate set, sample rate
 // and worker count, the parallel shared scan is bit-identical to the
-// serial scan and the row-at-a-time oracles.
+// serial scan and the row-at-a-time oracles, with its string filters
+// computed by kernels and code passes and then read from the index.
 func FuzzSharedScanWorkers(f *testing.F) {
 	f.Add(int64(1), uint16(1), uint8(4), uint8(3), uint8(50))
 	f.Add(int64(2), uint16(2049), uint8(3), uint8(8), uint8(10))
@@ -135,33 +150,39 @@ func FuzzSharedScanWorkers(f *testing.F) {
 			queries[i] = randomGroupedScanQuery(rng)
 		}
 		rate := float64(ratePct%100+1) / 100
-		checkWorkers(t, tbl, queries, rate, rng.Uint64(), int(workers)%4+1)
+		checkWorkers(t, tbl, queries, rng.Uint64(), int(workers)%4+1, rate)
 	})
 }
 
-// BenchmarkSharedScanWorkers measures one shared scan by table size in
-// batches and worker count, for eight three-predicate SUMs (the
-// flights-scan shape) and for one single-predicate COUNT (the lightest
-// scan); the crossover where two workers beat one sets
-// scanBatchesPerWorker.
+// BenchmarkSharedScanWorkers measures one shared scan over a
+// registered table by table size in batches and worker count, for
+// eight three-predicate SUMs on indexed columns (the flights-scan
+// shape), for one single-predicate COUNT (the lightest scan), and for
+// eight single-code SUMs on the wide unindexed column (one code pass);
+// the crossover where two workers beat one sets scanBatchesPerWorker.
 func BenchmarkSharedScanWorkers(b *testing.B) {
 	cats := []string{"apples", "oranges", "bananas", "grapes", "melons", "kiwis", "apples", "oranges"}
 	heavy := make([]Query, len(cats))
+	wide := make([]Query, len(cats))
 	for i, c := range cats {
 		heavy[i] = Query{Aggs: []Aggregate{{Func: AggSum, Col: "price"}}, Table: "sales", Preds: []Predicate{
 			{Col: "cat", Op: OpEq, Values: []Value{Str(c)}},
 			{Col: "region", Op: OpEq, Values: []Value{Str(fmt.Sprintf("region-%d", i))}},
 			{Col: "qty", Op: OpEq, Values: []Value{Int(int64(i))}},
 		}}
+		wide[i] = Query{Aggs: []Aggregate{{Func: AggSum, Col: "price"}}, Table: "sales", Preds: []Predicate{
+			{Col: "store", Op: OpEq, Values: []Value{Str(fmt.Sprintf("store-%d", i))}},
+		}}
 	}
 	light := []Query{{Aggs: []Aggregate{{Func: AggCount}}, Table: "sales",
 		Preds: []Predicate{{Col: "qty", Op: OpEq, Values: []Value{Int(3)}}}}}
 	for _, batches := range []int{8, 16, 24, 32, 64, 256} {
 		tbl := randomScanTable(b, rand.New(rand.NewSource(1)), batches*scanBatchRows)
+		NewDB().Register(tbl)
 		for _, shape := range []struct {
 			name    string
 			queries []Query
-		}{{"heavy", heavy}, {"light", light}} {
+		}{{"heavy", heavy}, {"light", light}, {"wide", wide}} {
 			for _, w := range []int{1, 2} {
 				b.Run(fmt.Sprintf("%s/batches=%d/workers=%d", shape.name, batches, w), func(b *testing.B) {
 					b.ReportAllocs()

@@ -1,7 +1,9 @@
 package sqldb
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -278,51 +280,181 @@ func TestColumnDistincts(t *testing.T) {
 	if got := tbl.DistinctCount("grp"); got != 4 {
 		t.Errorf("cached distinct = %d", got)
 	}
-	if err := tbl.AppendRow(Str("zz"), Float(1)); err != nil {
+	if got := tbl.DistinctCount("x"); got != 100 {
+		t.Errorf("cached distinct x = %d", got)
+	}
+	if err := tbl.AppendRow(Str("zz"), Float(100.5)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tbl.DistinctCount("grp"); got != 5 {
 		t.Errorf("distinct after append = %d, want 5", got)
 	}
+	if got := tbl.DistinctCount("x"); got != 101 {
+		t.Errorf("distinct x after append = %d, want 101", got)
+	}
+	if got := tbl.DistinctCount("absent"); got != 0 {
+		t.Errorf("distinct of an unknown column = %d, want 0", got)
+	}
 }
 
 // TestAppendAfterRegisterFails: Register freezes a table, so a row
-// appended afterwards is refused and the table keeps its rows.
+// appended afterwards is refused, the table keeps its rows, and every
+// column's storage is cut to its length (9 appended rows leave a
+// capacity of 16 behind).
 func TestAppendAfterRegisterFails(t *testing.T) {
-	tbl := bigTable(t, 8)
+	tbl := bigTable(t, 9)
 	NewDB().Register(tbl)
 	if err := tbl.AppendRow(Str("zz"), Float(1)); err == nil {
 		t.Fatal("AppendRow on a registered table succeeded")
 	}
-	if tbl.NumRows() != 8 || tbl.Column("grp").Len() != 8 {
-		t.Fatalf("rows = %d, grp len = %d, want 8", tbl.NumRows(), tbl.Column("grp").Len())
+	if tbl.NumRows() != 9 || tbl.Column("grp").Len() != 9 {
+		t.Fatalf("rows = %d, grp len = %d, want 9", tbl.NumRows(), tbl.Column("grp").Len())
+	}
+	for _, c := range tbl.Columns() {
+		if len(c.ints) != cap(c.ints) || len(c.floats) != cap(c.floats) ||
+			len(c.codes) != cap(c.codes) || len(c.dict) != cap(c.dict) {
+			t.Errorf("column %s: len/cap ints %d/%d floats %d/%d codes %d/%d dict %d/%d", c.Name,
+				len(c.ints), cap(c.ints), len(c.floats), cap(c.floats),
+				len(c.codes), cap(c.codes), len(c.dict), cap(c.dict))
+		}
+	}
+}
+
+// TestRegisterIndex: Register gives every string column of at most
+// indexMaxCodes dictionary codes one bitmap per code — bit i set iff
+// row i has that code, no bit set past the last row — and no other
+// column an index; an unregistered table has none.
+func TestRegisterIndex(t *testing.T) {
+	for _, rows := range []int{0, 1, 63, 64, 65, 2047, 2048, 2049} {
+		tbl, err := NewTable("t",
+			ColumnDef{"narrow", KindString},
+			ColumnDef{"edge", KindString},
+			ColumnDef{"wide", KindString},
+			ColumnDef{"n", KindInt},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(rows)))
+		for i := 0; i < rows; i++ {
+			err := tbl.AppendRow(
+				Str(fmt.Sprint("n", rng.Intn(3))),
+				Str(fmt.Sprint("e", (i*7)%indexMaxCodes)),
+				Str(fmt.Sprint("w", i%(indexMaxCodes+1))),
+				Int(int64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range tbl.Columns() {
+			if c.index != nil {
+				t.Fatalf("rows=%d: unregistered column %s has an index", rows, c.Name)
+			}
+		}
+		NewDB().Register(tbl)
+		if wide := tbl.Column("wide"); rows > indexMaxCodes && (len(wide.dict) != indexMaxCodes+1 || wide.index != nil) {
+			t.Fatalf("rows=%d: wide column has %d codes, index %v; want %d codes, no index",
+				rows, len(wide.dict), wide.index != nil, indexMaxCodes+1)
+		}
+		if edge := tbl.Column("edge"); rows >= indexMaxCodes && (len(edge.dict) != indexMaxCodes || edge.index == nil) {
+			t.Fatalf("rows=%d: edge column has %d codes, index %v; want %d codes, indexed",
+				rows, len(edge.dict), edge.index != nil, indexMaxCodes)
+		}
+		for _, c := range tbl.Columns() {
+			if want := c.Kind == KindString && len(c.dict) <= indexMaxCodes; (c.index != nil) != want {
+				t.Fatalf("rows=%d: column %s (%d codes) indexed = %v, want %v", rows, c.Name, len(c.dict), c.index != nil, want)
+			}
+			if c.index == nil {
+				continue
+			}
+			words := (rows + 63) / 64
+			if len(c.index) != len(c.dict)*words {
+				t.Fatalf("rows=%d: column %s index has %d words, want %d", rows, c.Name, len(c.index), len(c.dict)*words)
+			}
+			for code := range c.dict {
+				bm := c.codeBits(int32(code))
+				for i := 0; i < words*64; i++ {
+					got := bm[i>>6]>>uint(i&63)&1 == 1
+					if want := i < rows && c.codes[i] == int32(code); got != want {
+						t.Fatalf("rows=%d: column %s code %d bit %d = %v, want %v", rows, c.Name, code, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegisterConcurrently: one table registered into two DBs at once
+// is frozen once, and both DBs' scans read the same index (run under
+// -race).
+func TestRegisterConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	tbl := randomScanTable(t, rng, 3*scanBatchRows+5)
+	queries := make([]Query, 8)
+	for i := range queries {
+		queries[i] = randomGroupedScanQuery(rng)
+	}
+	dbs := []*DB{NewDB(), NewDB()}
+	results := make([][]Result, len(dbs))
+	var wg sync.WaitGroup
+	for i, db := range dbs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			db.Register(tbl)
+			res, _, err := db.ExecSharedResults(queries)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, q := range queries {
+		want, err := dbs[0].Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := range dbs {
+			if diff := sameResultBits(results[d][i], want); diff != "" {
+				t.Errorf("db %d, %s: %s", d, q.SQL(), diff)
+			}
+		}
 	}
 }
 
 // TestConcurrentEstimateCostFirstUse: the first cost estimates over a
-// table nobody analyzed compute its statistics lazily; concurrent
-// callers must share that safely (run under -race).
+// table compute its numeric distinct counts lazily; concurrent callers
+// must share that safely (run under -race).
 func TestConcurrentEstimateCostFirstUse(t *testing.T) {
 	db := NewDB()
 	db.Register(bigTable(t, 2000))
-	q := MustParse("SELECT sum(x) FROM big WHERE grp = 'a'")
-	var wg sync.WaitGroup
-	costs := make([]float64, 4)
-	for g := range costs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			est, err := db.EstimateCost(q)
-			if err != nil {
-				t.Error(err)
+	for _, sql := range []string{
+		"SELECT sum(x) FROM big WHERE grp = 'a'",
+		"SELECT count(*) FROM big WHERE x = 3",
+	} {
+		q := MustParse(sql)
+		var wg sync.WaitGroup
+		costs := make([]float64, 4)
+		for g := range costs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				est, err := db.EstimateCost(q)
+				if err != nil {
+					t.Error(err)
+				}
+				costs[g] = est.TotalCost
+			}()
+		}
+		wg.Wait()
+		for _, c := range costs[1:] {
+			if c != costs[0] {
+				t.Fatalf("%s: concurrent estimates differ: %v", sql, costs)
 			}
-			costs[g] = est.TotalCost
-		}()
-	}
-	wg.Wait()
-	for _, c := range costs[1:] {
-		if c != costs[0] {
-			t.Fatalf("concurrent estimates differ: %v", costs)
 		}
 	}
 }

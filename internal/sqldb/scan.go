@@ -332,11 +332,13 @@ func numBatches(rows int) int {
 // ungrouped, grouped and multi-aggregate shapes — in ONE pass over the
 // table, on at most workers goroutines (the caller and workers−1
 // helpers). Distinct predicates (by meaning, see batchFilter) are
-// compiled once into typed kernels and evaluated once per batch into
-// selection bitmaps, with all single-code filters on one string column
-// filled in one pass over its codes (sampled scans check filters at
-// sampled rows only); candidates sharing the same filter set share the
-// combined selection; surviving rows are folded into per-candidate
+// compiled once and evaluated once per batch into selection bitmaps:
+// read from the per-code index of a registered string column of at
+// most indexMaxCodes codes, or computed by typed kernels (sampled scans
+// check those at sampled rows only), with several single-code filters
+// on one wider string column filled in one pass over its codes;
+// candidates sharing the same filter set share the combined
+// selection; surviving rows are folded into per-candidate
 // accumulators in ascending row order, which makes every result
 // bit-identical to the row-at-a-time path (same float additions in the
 // same order, same deterministic sample membership, same group output
@@ -451,7 +453,8 @@ type scanGroup struct {
 //  1. Filter, split by rows: workers claim batches from a counter and
 //     write each group's selection words (sample base AND the group's
 //     filters) into that group's slice of sels, each worker with its own
-//     filter bitmaps and code-pass slabs.
+//     filter bitmaps and code-pass slabs. Filters on indexed columns
+//     read the index words of the batch instead of its codes.
 //  2. Fold, split by accumulator: the worker that filters a chunk's last
 //     batch deals the candidates into one bundle per worker (deal),
 //     and workers claim bundles. A bundle folds each of its candidates'
@@ -473,8 +476,11 @@ type scanRun struct {
 	seed      uint64
 	threshold uint64
 
-	// passes lists, per one-pass code fill, the single-code filters it
-	// serves (see codePass); own lists every other filter in use.
+	// views lists the single-code filters on indexed columns, whose
+	// bitmaps are views of the column's index; passes lists, per
+	// one-pass code fill, the single-code filters it serves (see
+	// codePass); own lists every other filter in use.
+	views  []int
 	passes [][]int
 	slots  [][]int32
 	own    []int
@@ -522,11 +528,13 @@ type foldTask struct {
 // otherwise allocate and zero anew.
 var selPool sync.Pool
 
-// newScanRun plans the kernels for the filters some group references:
-// several single-code filters on one column share a one-pass fill;
-// every other filter runs its own kernel. A sampled scan instead checks
-// every filter at sampled rows only, so its filter work shrinks with its
-// sample.
+// newScanRun plans the filters some group references. A filter on a
+// column DB.Register indexed runs no kernel: a single code's selection
+// is a view of the index, a code set ORs its codes' index words. On an
+// unindexed column, codePassMinFilters or more single-code filters
+// share a one-pass fill; every other filter runs its own kernel, which
+// a sampled scan checks at sampled rows only, so its filter work
+// shrinks with its sample.
 func newScanRun(filters []batchFilter, groups []*scanGroup, rows int, rate float64, seed uint64, workers int) *scanRun {
 	sc := &scanRun{filters: filters, groups: groups, rows: rows, workers: workers, seed: seed}
 	if rate > 0 && rate < 1 {
@@ -541,30 +549,33 @@ func newScanRun(filters []batchFilter, groups []*scanGroup, rows int, rate float
 			used[fi] = true
 		}
 	}
-	inPass := make([]bool, len(filters))
-	if !sc.sampling {
-		byCol := make(map[*Column][]int)
-		var cols []*Column
-		for fi, f := range filters {
-			if used[fi] && f.shape == shapeCode {
-				if byCol[f.col] == nil {
-					cols = append(cols, f.col)
-				}
-				byCol[f.col] = append(byCol[f.col], fi)
+	placed := make([]bool, len(filters))
+	byCol := make(map[*Column][]int)
+	var cols []*Column
+	for fi, f := range filters {
+		switch {
+		case !used[fi] || f.shape != shapeCode:
+		case f.col.index != nil:
+			sc.views = append(sc.views, fi)
+			placed[fi] = true
+		case !sc.sampling:
+			if byCol[f.col] == nil {
+				cols = append(cols, f.col)
 			}
+			byCol[f.col] = append(byCol[f.col], fi)
 		}
-		for _, col := range cols {
-			if fis := byCol[col]; len(fis) > 1 {
-				sc.passes = append(sc.passes, fis)
-				sc.slots = append(sc.slots, codeSlots(col, filters, fis))
-				for _, fi := range fis {
-					inPass[fi] = true
-				}
+	}
+	for _, col := range cols {
+		if fis := byCol[col]; len(fis) >= codePassMinFilters {
+			sc.passes = append(sc.passes, fis)
+			sc.slots = append(sc.slots, codeSlots(col, filters, fis))
+			for _, fi := range fis {
+				placed[fi] = true
 			}
 		}
 	}
 	for fi := range filters {
-		if used[fi] && !inPass[fi] {
+		if used[fi] && !placed[fi] {
 			sc.own = append(sc.own, fi)
 		}
 	}
@@ -684,14 +695,21 @@ func (sc *scanRun) filter(w, b0, b1 int) {
 		} else {
 			base.setAll(n)
 		}
+		for _, fi := range sc.views {
+			f := &sc.filters[fi]
+			fs.bms[fi] = f.col.codeBits(f.code)[lo>>6:]
+		}
 		for _, p := range fs.passes {
 			p.fill(lo, n)
 		}
 		for _, fi := range sc.own {
-			if sc.sampling {
-				sc.filters[fi].fillSparse(fs.bms[fi][:nWords], base[:nWords], lo)
-			} else {
-				sc.filters[fi].fill(fs.bms[fi], lo, n)
+			switch f := &sc.filters[fi]; {
+			case f.col.index != nil:
+				f.orCodes(fs.bms[fi][:nWords], lo>>6)
+			case sc.sampling:
+				f.fillSparse(fs.bms[fi][:nWords], base[:nWords], lo)
+			default:
+				f.fill(fs.bms[fi], lo, n)
 			}
 		}
 		off := (b - b0) * batchWords

@@ -8,13 +8,15 @@ import (
 )
 
 // randomScanTable builds a table with the column shapes MUVE queries
-// touch: two dictionary-encoded string columns (one low-, one
-// higher-cardinality), a small-domain int column and a float column.
+// touch: three dictionary-encoded string columns — cat (5 codes) and
+// region (12), which DB.Register indexes, and store (200 uniform codes),
+// which it does not — a small-domain int column and a float column.
 func randomScanTable(t testing.TB, rng *rand.Rand, rows int) *Table {
 	t.Helper()
 	tbl, err := NewTable("sales",
 		ColumnDef{Name: "cat", Kind: KindString},
 		ColumnDef{Name: "region", Kind: KindString},
+		ColumnDef{Name: "store", Kind: KindString},
 		ColumnDef{Name: "qty", Kind: KindInt},
 		ColumnDef{Name: "price", Kind: KindFloat},
 	)
@@ -26,6 +28,7 @@ func randomScanTable(t testing.TB, rng *rand.Rand, rows int) *Table {
 		err := tbl.AppendRow(
 			Str(cats[rng.Intn(len(cats))]),
 			Str(fmt.Sprintf("region-%d", rng.Intn(12))),
+			Str(fmt.Sprintf("store-%d", rng.Intn(200))),
 			Int(int64(rng.Intn(10))),
 			Float(math.Round(rng.Float64()*1000)/10),
 		)
@@ -37,8 +40,10 @@ func randomScanTable(t testing.TB, rng *rand.Rand, rows int) *Table {
 }
 
 // randomScanQuery draws a candidate in the shared-scan query class: one
-// aggregate, no GROUP BY, 0–3 predicates. Constants are sometimes drawn
-// outside the data domain so never-matching predicates are exercised.
+// aggregate, no GROUP BY, 0–3 predicates, so one candidate can mix
+// filters on indexed and unindexed columns. Constants are sometimes
+// drawn outside the data domain so never-matching predicates are
+// exercised.
 func randomScanQuery(rng *rand.Rand) Query {
 	aggs := []Aggregate{
 		{Func: AggCount},
@@ -52,7 +57,7 @@ func randomScanQuery(rng *rand.Rand) Query {
 	q := Query{Aggs: []Aggregate{aggs[rng.Intn(len(aggs))]}, Table: "sales"}
 	cats := []string{"apples", "oranges", "bananas", "grapes", "melons", "kiwis"} // kiwis never occurs
 	for np := rng.Intn(4); np > 0; np-- {
-		switch rng.Intn(4) {
+		switch rng.Intn(6) {
 		case 0:
 			q.Preds = append(q.Preds, Predicate{Col: "cat", Op: OpEq,
 				Values: []Value{Str(cats[rng.Intn(len(cats))])}})
@@ -63,6 +68,15 @@ func randomScanQuery(rng *rand.Rand) Query {
 			}
 			q.Preds = append(q.Preds, Predicate{Col: "region", Op: OpIn, Values: vals})
 		case 2:
+			q.Preds = append(q.Preds, Predicate{Col: "store", Op: OpEq,
+				Values: []Value{Str(fmt.Sprintf("store-%d", rng.Intn(210)))}})
+		case 3:
+			vals := []Value{}
+			for k := rng.Intn(3) + 2; k > 0; k-- {
+				vals = append(vals, Str(fmt.Sprintf("store-%d", rng.Intn(210))))
+			}
+			q.Preds = append(q.Preds, Predicate{Col: "store", Op: OpIn, Values: vals})
+		case 4:
 			q.Preds = append(q.Preds, Predicate{Col: "qty", Op: OpEq,
 				Values: []Value{Int(int64(rng.Intn(12)))}})
 		default:

@@ -7,10 +7,20 @@ import (
 	"sync/atomic"
 )
 
+// indexMaxCodes is the most dictionary codes a string column may have
+// for DB.Register to index it: at 32 codes its per-code bitmaps take
+// exactly the room of its int32 codes, one bit per code per row.
+const indexMaxCodes = 32
+
 // Column is a typed, columnar vector. String columns are dictionary
 // encoded: distinct strings live once in dict and rows store int32 codes,
 // which makes equality predicates a single integer comparison per row —
 // the dominant operation in MUVE's workloads.
+//
+// DB.Register freezes a column: its storage is trimmed to its exact
+// length, it takes no more rows, and a string column of at most
+// indexMaxCodes codes gets an index, one table-wide selection bitmap per
+// code, which the shared scan reads instead of comparing codes.
 type Column struct {
 	Name string
 	Kind Kind
@@ -20,6 +30,10 @@ type Column struct {
 	codes  []int32
 	dict   []string
 	dictID map[string]int32
+
+	// index holds code c's bitmap at index[c*w:(c+1)*w], w = ⌈rows/64⌉
+	// words, bit i set iff codes[i] == c; nil for unindexed columns.
+	index bitmap
 }
 
 // NewColumn returns an empty column of the given kind.
@@ -44,9 +58,11 @@ func (c *Column) Len() int {
 	return 0
 }
 
-// Append adds a value, converting numerics as needed. It returns an error
-// on kind mismatches that cannot be converted.
-func (c *Column) Append(v Value) error {
+// appendValue adds a value, converting numerics as needed. It returns
+// an error on kind mismatches that cannot be converted. Rows reach a
+// column only through Table.AppendRow, which refuses them once the
+// table is registered, so a frozen column and its index cannot drift.
+func (c *Column) appendValue(v Value) error {
 	switch c.Kind {
 	case KindInt:
 		switch v.K {
@@ -101,9 +117,9 @@ func (c *Column) Value(i int) Value {
 	return Null()
 }
 
-// DistinctCount returns the number of distinct values. For string columns
-// this is exact (dictionary size); for numeric columns it is computed on
-// demand and cached by Table.Analyze.
+// DistinctCount returns the number of distinct values: the dictionary
+// size for string columns, a hash-set count over every row for numeric
+// ones (Table.DistinctCount caches it).
 func (c *Column) DistinctCount() int {
 	switch c.Kind {
 	case KindString:
@@ -164,6 +180,39 @@ func (c *Column) code(s string) (int32, bool) {
 	return id, ok
 }
 
+// codeBits returns code's table-wide selection bitmap; only valid for
+// an indexed column.
+func (c *Column) codeBits(code int32) bitmap {
+	w := (len(c.codes) + 63) / 64
+	return c.index[int(code)*w : (int(code)+1)*w]
+}
+
+// freeze trims the column's storage to its length — a frozen column
+// takes no more rows, so append headroom is dead memory — and indexes
+// a string column of at most indexMaxCodes codes.
+func (c *Column) freeze() {
+	c.ints, c.floats, c.codes, c.dict = exact(c.ints), exact(c.floats), exact(c.codes), exact(c.dict)
+	if c.Kind != KindString || len(c.dict) > indexMaxCodes {
+		return
+	}
+	w := (len(c.codes) + 63) / 64
+	c.index = make(bitmap, len(c.dict)*w)
+	for i, code := range c.codes {
+		c.index[int(code)*w+i>>6] |= 1 << uint(i&63)
+	}
+}
+
+// exact returns s with its capacity cut to its length, copying it only
+// when it has spare capacity.
+func exact[S ~[]E, E any](s S) S {
+	if cap(s) == len(s) {
+		return s
+	}
+	out := make(S, len(s))
+	copy(out, s)
+	return out
+}
+
 // Table is a named collection of equal-length columns.
 type Table struct {
 	Name string
@@ -172,17 +221,23 @@ type Table struct {
 	byName map[string]int
 	rows   int
 
-	// frozen is set by DB.Register: a registered table is read by
-	// concurrent queries, and aggregate sketches built from it assume
+	// frozen is set by DB.Register (freeze): a registered table is read
+	// by concurrent queries, and aggregate sketches built from it assume
 	// its rows never change, so it takes no more rows.
-	frozen atomic.Bool
+	frozen     atomic.Bool
+	freezeOnce sync.Once
 
-	// Statistics filled lazily by Analyze for the cost model, guarded by
-	// statsMu because concurrent queries may be the first to ask.
-	// statsRows is the row count they describe.
+	// distincts caches numeric columns' distinct counts for the cost
+	// model, each computed when first asked for, guarded by statsMu
+	// because concurrent queries may be the first to ask.
 	statsMu   sync.Mutex
-	statsRows int
-	distincts map[string]int
+	distincts map[string]distinctCount
+}
+
+// distinctCount is a cached distinct count and the row count it
+// describes.
+type distinctCount struct {
+	n, rows int
 }
 
 // NewTable creates an empty table with the given column definitions.
@@ -241,7 +296,7 @@ func (t *Table) AppendRow(vals ...Value) error {
 			t.Name, len(t.cols), len(vals))
 	}
 	for i, v := range vals {
-		if err := t.cols[i].Append(v); err != nil {
+		if err := t.cols[i].appendValue(v); err != nil {
 			// Roll back the partially appended row to keep columns aligned.
 			for j := 0; j < i; j++ {
 				t.cols[j].truncate(t.rows)
@@ -265,32 +320,42 @@ func (c *Column) truncate(n int) {
 	}
 }
 
-// Analyze collects per-column statistics (distinct counts) for the cost
-// model, mirroring Postgres' ANALYZE. It is called lazily by the cost
-// estimator; calling it eagerly after bulk load avoids a first-query
-// stall.
-func (t *Table) Analyze() { t.stats() }
-
-// stats returns the distinct counts, computing them first when none
-// exist yet or rows were appended since. Concurrent first queries share
-// one computation.
-func (t *Table) stats() map[string]int {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	if t.distincts == nil || t.statsRows != t.rows {
-		d := make(map[string]int, len(t.cols))
+// freeze makes t read-only and freezes its columns, exactly once
+// however many DBs register it: a second caller waits until the first
+// has finished, so no query can see a half-built index.
+func (t *Table) freeze() {
+	t.freezeOnce.Do(func() {
+		t.frozen.Store(true)
 		for _, c := range t.cols {
-			d[c.Name] = c.DistinctCount()
+			c.freeze()
 		}
-		t.distincts, t.statsRows = d, t.rows
-	}
-	return t.distincts
+	})
 }
 
-// DistinctCount returns the cached distinct count for a column, running
-// Analyze when statistics are stale.
+// DistinctCount returns a column's distinct count for the cost model
+// (0 for an unknown column): a string column's dictionary size, or a
+// numeric column's count, computed the first time it is asked for and
+// again after rows were appended. Concurrent first askers share one
+// computation.
 func (t *Table) DistinctCount(col string) int {
-	return t.stats()[col]
+	c := t.Column(col)
+	switch {
+	case c == nil:
+		return 0
+	case c.Kind == KindString:
+		return len(c.dict)
+	}
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	d, ok := t.distincts[col]
+	if !ok || d.rows != t.rows {
+		d = distinctCount{n: c.DistinctCount(), rows: t.rows}
+		if t.distincts == nil {
+			t.distincts = make(map[string]distinctCount)
+		}
+		t.distincts[col] = d
+	}
+	return d.n
 }
 
 // Row materializes row i as values (mostly for tests and small results).

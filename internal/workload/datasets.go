@@ -206,7 +206,6 @@ func Build(d Dataset, rows int, seed int64) (*sqldb.Table, error) {
 			return nil, err
 		}
 	}
-	t.Analyze()
 	return t, nil
 }
 
